@@ -13,7 +13,6 @@ from .bounds import (
     UPPER_BOUND_RULES,
     BoundReport,
     bound_report,
-    lower_bound,
     upper_bound_single,
 )
 from .dynamics import (
@@ -24,13 +23,12 @@ from .dynamics import (
     expected_mutants,
     expected_mutants_step_residual,
     init_vector,
+    iterate,
     kernel_matrix,
     neutral_part,
     parse_rule,
+    resolve_rule,
     step,
-    step_bd,
-    step_db,
-    step_ld,
     step_values,
 )
 from .graphs import (
@@ -103,9 +101,9 @@ __all__ = [
     "validate", "check_config", "is_strongly_connected", "reaches_all",
     "stats", "generate", "feeder_pair_graph", "load_graph", "save_graph",
     # dynamics
-    "Rule", "NEUTRAL_RULES", "BIASED_RULES", "parse_rule", "neutral_part",
-    "ProbabilityVector", "init_vector", "kernel_matrix", "step_values",
-    "step", "step_bd", "step_db", "step_ld",
+    "Rule", "NEUTRAL_RULES", "BIASED_RULES", "parse_rule", "resolve_rule",
+    "neutral_part", "ProbabilityVector", "init_vector", "kernel_matrix",
+    "iterate", "step_values", "step",
     "expected_mutants", "expected_mutants_step_residual",
     # solver
     "NotStronglyConnected", "CRITERIA", "SolveOptions", "SolveReport",
@@ -113,8 +111,7 @@ __all__ = [
     "AdditivityReport", "additivity_check",
     "ClosedFormFixation", "undirected_closed_form", "degree_selection_class",
     # bounds
-    "UPPER_BOUND_RULES", "BoundReport", "bound_report",
-    "lower_bound", "upper_bound_single",
+    "UPPER_BOUND_RULES", "BoundReport", "bound_report", "upper_bound_single",
     # oracle
     "ORACLE_CAP", "ChainModel", "MeanTimes", "build_chain",
     "fixation_exact", "mean_times_exact", "state_of", "config_of",

@@ -14,16 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Rule, neutral_part, parse_rule
+from .dynamics import Rule, neutral_part, resolve_rule
 from .solver import SolveOptions, solve
 
 UPPER_BOUND_RULES = (Rule.BD_B, Rule.BD_D, Rule.DB_B, Rule.DB_D)
-
-
-def lower_bound(graph, config, rule, epsilon=1e-6):
-    """Neutral-kernel fixation probability: a lower bound at fitness r >= 1."""
-    report = solve(graph, config, SolveOptions(rule=neutral_part(rule), epsilon=epsilon))
-    return report.fixation
 
 
 def _raw_upper(graph, i, r, rule):
@@ -53,8 +47,7 @@ def upper_bound_single(graph, i, r, rule):
     incoming edges of i; the DB bounds read the outgoing ones. Link
     dynamics has no formula and is rejected here.
     """
-    if not isinstance(rule, Rule):
-        rule = parse_rule(rule)
+    rule = resolve_rule(rule, r)
     if not (0 <= i < graph.n):
         raise ValueError(f"vertex {i} outside 0..{graph.n - 1}")
     if r < 1.0:
@@ -80,11 +73,15 @@ def bound_report(graph, i, r, rule, epsilon=1e-6):
     ``formula_available=False`` (link dynamics). ``vacuous_upper``
     marks bounds that only hold because of clamping.
     """
-    if not isinstance(rule, Rule):
-        rule = parse_rule(rule)
+    rule = resolve_rule(rule, r)
     if r < 1.0:
         raise ValueError(f"bounds stated for fitness r >= 1, got {r}")
-    lo = lower_bound(graph, [i], rule, epsilon=epsilon)
+    if rule in (Rule.BD, Rule.DB):
+        raise ValueError(
+            f"rule {rule} does not say where fitness acts; pick "
+            f"{rule.value}-b or {rule.value}-d (or ld)"
+        )
+    lo = solve(graph, [i], SolveOptions(rule=neutral_part(rule), epsilon=epsilon)).fixation
     if rule in UPPER_BOUND_RULES:
         raw = _raw_upper(graph, i, r, rule)
         hi = float(min(1.0, max(0.0, raw)))
@@ -92,14 +89,10 @@ def bound_report(graph, i, r, rule, epsilon=1e-6):
             rule=rule, r=r, lower=lo, upper=hi,
             vacuous_upper=bool(raw > 1.0), formula_available=True,
         )
-    elif neutral_part(rule) is Rule.LD:
+    else:
         report = BoundReport(
             rule=rule, r=r, lower=lo, upper=1.0,
             vacuous_upper=True, formula_available=False,
-        )
-    else:
-        raise ValueError(
-            f"bound report wants a biased rule (or ld), got {rule}"
         )
     if report.lower > report.upper + 2.0 * epsilon:
         raise ArithmeticError(

@@ -19,7 +19,6 @@ import sys
 
 from . import bounds as bounds_mod
 from . import graphs, montecarlo, mttf, oracle, solver
-from .dynamics import NEUTRAL_RULES, Rule, parse_rule
 
 _GENERATOR_ALIASES = {
     "ba": "preferential_attachment",
@@ -83,9 +82,9 @@ def _parse_config(text):
     else:
         with open(stripped) as fh:
             raw = json.load(fh)
-    if not isinstance(raw, list) or not all(isinstance(v, int) for v in raw):
+    if not isinstance(raw, list):
         raise ValueError("config must be a JSON array of vertex ids")
-    return raw
+    return [graphs.vertex_id(v) for v in raw]
 
 
 _MANIFEST_KEYS = (
@@ -104,16 +103,6 @@ def _manifest(args, command, parsed_config=None):
     if parsed_config is not None:
         entry["config"] = sorted(parsed_config)
     return entry
-
-
-def _neutral_rule(name):
-    rule = parse_rule(name)
-    if rule not in NEUTRAL_RULES:
-        raise ValueError(
-            f"rule {rule} carries a fitness bias; this command iterates the "
-            f"neutral kernels (bd, db, ld)"
-        )
-    return rule
 
 
 # ---------------------------------------------------------------- commands
@@ -138,9 +127,8 @@ def _cmd_generate(args):
 def _cmd_solve(args):
     graph = _load_graph(args)
     config = _parse_config(args.config)
-    rule = _neutral_rule(args.rule)
     options = solver.SolveOptions(
-        rule=rule,
+        rule=args.rule,
         epsilon=args.epsilon,
         criterion=args.criterion,
         record_trajectory=bool(args.out),
@@ -164,8 +152,7 @@ def _cmd_solve(args):
 def _cmd_trajectory(args):
     graph = _load_graph(args)
     config = _parse_config(args.config)
-    rule = _neutral_rule(args.rule)
-    table = solver.trajectory(graph, config, rule=rule, steps=args.steps)
+    table = solver.trajectory(graph, config, rule=args.rule, steps=args.steps)
     if args.out:
         table.write_csv(args.out)
         return {
@@ -180,9 +167,8 @@ def _cmd_trajectory(args):
 def _cmd_simulate(args):
     graph = _load_graph(args)
     config = _parse_config(args.config)
-    rule = parse_rule(args.rule)
     summary = montecarlo.estimate(
-        graph, config, rule=rule, r=args.r,
+        graph, config, rule=args.rule, r=args.r,
         runs=args.runs, seed=args.seed, threads=args.threads,
         step_cap=args.steps,
     )
@@ -199,33 +185,18 @@ def _cmd_simulate(args):
     }
 
 
-def _benchmark_csv(result, target):
-    writer_target = target if target is not None else io.StringIO()
-    close = isinstance(writer_target, str)
-    fh = open(writer_target, "w", newline="") if close else writer_target
-    try:
-        fh.write("n,rule,r,mc_time,solver_time,speedup\n")
-        fh.write(
-            f"{result.n},{result.rule},{result.r},"
-            f"{repr(result.mc_time)},{repr(result.solver_time)},"
-            f"{repr(result.speedup)}\n"
-        )
-    finally:
-        if close:
-            fh.close()
-    return None if close else writer_target.getvalue()
-
-
 def _cmd_compare(args):
     graph = _load_graph(args)
     config = _parse_config(args.config)
-    rule = parse_rule(args.rule)
     result = montecarlo.speedup_benchmark(
-        graph, config, rule=rule, r=args.r,
+        graph, config, rule=args.rule, r=args.r,
         mc_runs=args.runs, seed=args.seed, threads=args.threads,
     )
+    header = ("n", "rule", "r", "mc_time", "solver_time", "speedup")
+    row = (result.n, result.rule, result.r, result.mc_time, result.solver_time, result.speedup)
+    target = args.out or io.StringIO()
+    solver.write_csv(target, header, [row])
     if args.out:
-        _benchmark_csv(result, args.out)
         return {
             "manifest": _manifest(args, "compare", config),
             "out": args.out,
@@ -234,14 +205,13 @@ def _cmd_compare(args):
             "solver_estimate": result.solver_estimate,
             "entered_band": result.entered_band,
         }
-    return _benchmark_csv(result, None)
+    return target.getvalue()
 
 
 def _cmd_oracle(args):
     graph = _load_graph(args)
     config = _parse_config(args.config)
-    rule = parse_rule(args.rule)
-    chain = oracle.build_chain(graph, rule=rule, r=args.r)
+    chain = oracle.build_chain(graph, rule=args.rule, r=args.r)
     fix = oracle.fixation_exact(chain, config)
     times = oracle.mean_times_exact(chain, config)
     return {
@@ -256,9 +226,8 @@ def _cmd_oracle(args):
 def _cmd_mttf(args):
     graph = _load_graph(args)
     config = _parse_config(args.config)
-    rule = _neutral_rule(args.rule)
     report = mttf.mttf_lower_bound(
-        graph, config, rule=rule,
+        graph, config, rule=args.rule,
         stop_stdev=args.epsilon, record=bool(args.out),
     )
     payload = {
@@ -281,14 +250,8 @@ def _cmd_bounds(args):
     config = _parse_config(args.config)
     if len(config) != 1:
         raise ValueError("bounds take a single-vertex config, e.g. --config [3]")
-    rule = parse_rule(args.rule)
-    if rule in NEUTRAL_RULES and rule is not Rule.LD:
-        raise ValueError(
-            f"rule {rule} does not say where fitness acts; pick "
-            f"{rule.value}-b or {rule.value}-d (or ld)"
-        )
     report = bounds_mod.bound_report(
-        graph, config[0], args.r, rule, epsilon=args.epsilon
+        graph, config[0], args.r, args.rule, epsilon=args.epsilon
     )
     return {
         "manifest": _manifest(args, "bounds", config),

@@ -10,6 +10,7 @@ running maximum never increases.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,11 +61,35 @@ def parse_rule(name):
         ) from None
 
 
-def neutral_part(rule):
-    """The neutral kernel a biased rule collapses to at fitness 1."""
+def resolve_rule(rule, r=1.0, kernel=False):
+    """The one check of a rule name and the fitness it is used with.
+
+    Names are case-insensitive. Fitness must be finite and positive.
+    The neutral ``bd`` and ``db`` names do not say which draw fitness
+    biases, so they are refused at r != 1; ``ld`` has a single biased
+    form and takes any r. With ``kernel=True`` (kernel iteration,
+    which is neutral by construction) biased names are refused too.
+    """
     if not isinstance(rule, Rule):
         rule = parse_rule(rule)
-    return _NEUTRAL_OF[rule]
+    if not (math.isfinite(r) and r > 0):
+        raise ValueError(f"fitness r must be finite and positive, got {r}")
+    if rule in (Rule.BD, Rule.DB) and r != 1.0:
+        raise ValueError(
+            f"rule {rule} is the neutral kernel; pick {rule.value}-b or "
+            f"{rule.value}-d to say where fitness {r} applies"
+        )
+    if kernel and rule not in NEUTRAL_RULES:
+        raise ValueError(
+            f"rule {rule} carries a fitness bias; kernel iteration is neutral "
+            "only, so use one of the neutral kernels (bd, db, ld)"
+        )
+    return rule
+
+
+def neutral_part(rule):
+    """The neutral kernel a biased rule collapses to at fitness 1."""
+    return _NEUTRAL_OF[resolve_rule(rule)]
 
 
 @dataclass(frozen=True)
@@ -125,38 +150,29 @@ def _scale_rows(m, scale):
     return _diag(scale) @ m
 
 
+def iterate(graph, rule, values):
+    """Yield the vector after each step of the kernel, without end.
+
+    The kernel is looked up once. Every yielded vector is a new array,
+    clipped to [0, 1] against rounding drift; callers stop the loop.
+    """
+    op = kernel_matrix(graph, rule)
+    while True:
+        values = op @ values
+        np.clip(values, 0.0, 1.0, out=values)
+        yield values
+
+
 def step_values(graph, rule, values):
-    """Fast path: one update step on a raw array, returning a new array."""
-    out = kernel_matrix(graph, rule) @ values
-    np.clip(out, 0.0, 1.0, out=out)
-    return out
-
-
-def _step(graph, rule, pv):
-    if len(pv.values) != graph.n:
-        raise ValueError(f"vector length {len(pv.values)} != population size {graph.n}")
-    return ProbabilityVector(values=step_values(graph, rule, pv.values), t=pv.t + 1)
-
-
-def step_bd(graph, pv):
-    """Birth-death step: mass flows along incoming edges at rate w/N."""
-    return _step(graph, Rule.BD, pv)
-
-
-def step_db(graph, pv):
-    """Death-birth step: each vertex keeps its value with weight 1 - 1/N
-    and otherwise averages its incoming neighbors uniformly. Requires
-    every vertex to have at least one incoming edge."""
-    return _step(graph, Rule.DB, pv)
-
-
-def step_ld(graph, pv):
-    """Link-dynamics step: every directed edge fires with equal weight."""
-    return _step(graph, Rule.LD, pv)
+    """One update step on a raw array, returning a new array."""
+    return next(iterate(graph, rule, values))
 
 
 def step(graph, rule, pv):
-    return _step(graph, rule, pv)
+    """One update step of a ProbabilityVector, advancing its time."""
+    if len(pv.values) != graph.n:
+        raise ValueError(f"vector length {len(pv.values)} != population size {graph.n}")
+    return ProbabilityVector(values=step_values(graph, rule, pv.values), t=pv.t + 1)
 
 
 def expected_mutants(pv):

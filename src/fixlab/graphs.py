@@ -11,6 +11,8 @@ outgoing side, so both adjacency directions are indexed.
 from __future__ import annotations
 
 import json
+import math
+import operator
 from dataclasses import dataclass
 
 import networkx as nx
@@ -51,6 +53,9 @@ def validate(n, edges):
         if src == dst:
             problems.append(f"vertex {src} has a self-loop")
             continue
+        if not math.isfinite(w):
+            problems.append(f"edge ({src},{dst}) has non-finite weight {w}")
+            continue
         if w <= 0:
             problems.append(f"edge ({src},{dst}) has non-positive weight {w}")
             continue
@@ -86,7 +91,8 @@ class EvolutionaryGraph:
     )
 
     def __init__(self, n, edges):
-        edges = [(int(s), int(d), float(w)) for s, d, w in edges]
+        n = vertex_id(n, "population size")
+        edges = [(vertex_id(s), vertex_id(d), float(w)) for s, d, w in edges]
         problems = validate(n, edges)
         if problems:
             raise ValueError("invalid graph: " + "; ".join(problems))
@@ -158,9 +164,19 @@ class EvolutionaryGraph:
         return f"EvolutionaryGraph(n={self.n}, edges={len(self.edges)})"
 
 
+def vertex_id(v, what="vertex id"):
+    """``v`` as an int; bools and non-integers are refused, not truncated."""
+    try:
+        if not isinstance(v, bool):
+            return operator.index(v)
+    except TypeError:
+        pass
+    raise ValueError(f"{what} {v!r} is not an integer")
+
+
 def check_config(graph, config):
     """Normalize a mutant configuration to a frozenset of valid vertex ids."""
-    members = frozenset(int(v) for v in config)
+    members = frozenset(vertex_id(v) for v in config)
     for v in members:
         if not (0 <= v < graph.n):
             raise ValueError(f"configuration vertex {v} outside 0..{graph.n - 1}")
@@ -168,16 +184,19 @@ def check_config(graph, config):
 
 
 def is_strongly_connected(graph):
-    """True iff every vertex reaches every other along directed edges."""
-    if graph.n == 1:
-        return True
-    adj = csr_matrix(
-        (np.ones(len(graph.edges)),
-         ([e[0] for e in graph.edges], [e[1] for e in graph.edges])),
-        shape=(graph.n, graph.n),
-    )
-    ncomp, _ = connected_components(adj, directed=True, connection="strong")
-    return ncomp == 1
+    """True iff every vertex reaches every other along directed edges.
+
+    Computed once per graph from the outgoing CSR arrays and memoized.
+    """
+    key = "strongly_connected"
+    if key not in graph._ops:
+        adj = csr_matrix(
+            (np.ones(len(graph.out_dst)), graph.out_dst, graph.out_ptr),
+            shape=(graph.n, graph.n),
+        )
+        ncomp, _ = connected_components(adj, directed=True, connection="strong")
+        graph._ops[key] = ncomp == 1
+    return graph._ops[key]
 
 
 def reaches_all(graph, config):
@@ -398,6 +417,8 @@ def load_graph(path):
     stripped = text.lstrip()
     if stripped.startswith("{"):
         payload = json.loads(text)
+        if "n" not in payload or "edges" not in payload:
+            raise ValueError(f"{path}: graph JSON needs both \"n\" and \"edges\"")
         return EvolutionaryGraph(payload["n"], payload["edges"])
     edges = []
     for line_no, line in enumerate(text.splitlines(), start=1):

@@ -31,18 +31,28 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import chain
 from time import perf_counter
 
 import numpy as np
 
-from .dynamics import Rule, init_vector, neutral_part, step_values
+from .dynamics import Rule, init_vector, iterate, neutral_part, resolve_rule
 from .graphs import check_config, is_strongly_connected
 from .solver import NotStronglyConnected
 
 _BUFFER = 4096
 
-# sampler kinds after collapsing r = 1 to the cheapest equivalent form
+# sampler kinds; at r = 1 each rule maps to the cheapest equivalent form
 _K_BD_B, _K_BD_D, _K_DB_B, _K_DB_D, _K_LD = range(5)
+_KIND = {
+    Rule.BD_B: _K_BD_B, Rule.BD_D: _K_BD_D,
+    Rule.DB_B: _K_DB_B, Rule.DB_D: _K_DB_D, Rule.LD: _K_LD,
+}
+_KIND_AT_UNIT_FITNESS = {
+    Rule.BD: _K_BD_B, Rule.BD_B: _K_BD_B, Rule.BD_D: _K_BD_B,
+    Rule.DB: _K_DB_D, Rule.DB_B: _K_DB_B, Rule.DB_D: _K_DB_D,
+    Rule.LD: _K_LD,
+}
 
 
 def default_thread_count():
@@ -126,14 +136,11 @@ class _Process:
     """Immutable sampling tables for one (graph, rule, r); shared by runs."""
 
     def __init__(self, graph, rule, r):
-        if r <= 0:
-            raise ValueError(f"fitness must be positive, got {r}")
-        rule = Rule(rule)
         self.graph = graph
-        self.rule = rule
+        self.rule = resolve_rule(rule, r)
         self.r = float(r)
         self.n = graph.n
-        self.kind = self._dispatch(rule, self.r)
+        self.kind = (_KIND_AT_UNIT_FITNESS if self.r == 1.0 else _KIND)[self.rule]
         if self.kind in (_K_DB_B, _K_DB_D) and (graph.k_in == 0).any():
             missing = np.flatnonzero(graph.k_in == 0).tolist()
             raise ValueError(
@@ -153,24 +160,6 @@ class _Process:
         self.k_in = graph.k_in.tolist()
         self.n_edges = len(graph.edges)
         self.edge_src = [graph.edges[e][0] for e in range(self.n_edges)]
-
-    @staticmethod
-    def _dispatch(rule, r):
-        if r == 1.0:
-            return {
-                Rule.BD: _K_BD_B, Rule.BD_B: _K_BD_B, Rule.BD_D: _K_BD_B,
-                Rule.DB: _K_DB_D, Rule.DB_B: _K_DB_B, Rule.DB_D: _K_DB_D,
-                Rule.LD: _K_LD,
-            }[rule]
-        if rule in (Rule.BD, Rule.DB):
-            raise ValueError(
-                f"rule {rule} is the neutral kernel; pick {rule.value}-b or "
-                f"{rule.value}-d to say where fitness {r} applies"
-            )
-        return {
-            Rule.BD_B: _K_BD_B, Rule.BD_D: _K_BD_D,
-            Rule.DB_B: _K_DB_B, Rule.DB_D: _K_DB_D, Rule.LD: _K_LD,
-        }[rule]
 
     def new_state(self, members):
         st = _State()
@@ -314,14 +303,16 @@ class _Process:
 
 
 def _bisect(cum, x, lo, hi):
-    # first k in [lo, hi) with cum[k] > x; clamped to hi - 1
+    # first k in [lo, hi) with cum[k] > x; clamped to hi - 1, since a
+    # float cumsum can end a ulp or more below 1 and then below x
+    last = hi - 1
     while lo < hi:
         mid = (lo + hi) // 2
         if cum[mid] > x:
             hi = mid
         else:
             lo = mid + 1
-    return lo if lo < len(cum) else len(cum) - 1
+    return min(lo, last)
 
 
 def _run_seed(master_seed, index):
@@ -501,7 +492,7 @@ def speedup_benchmark(
     iteration stops once the vector standard deviation reaches
     ``fallback_stdev`` and ``entered_band`` is False.
     """
-    rule = Rule(rule)
+    rule = resolve_rule(rule, r)
     members = check_config(graph, config)
     if not (0 < len(members) < graph.n):
         raise ValueError("benchmark needs a nonempty proper starting set")
@@ -510,22 +501,20 @@ def speedup_benchmark(
     summary = estimate(
         graph, members, rule=rule, r=r, runs=mc_runs, seed=seed, threads=threads,
     )
-    kernel_rule = neutral_part(rule)
 
     t0 = perf_counter()
     values = init_vector(graph, members).values
     entered = False
-    iters = 0
-    avg = float(values.mean())
-    while iters < max_iters:
+    states = chain([values], iterate(graph, neutral_part(rule), values))
+    for iters, values in enumerate(states):
+        avg = float(values.mean())
+        if iters >= max_iters:
+            break
         if summary.std_error > 0 and abs(avg - summary.fixation_frequency) <= summary.std_error:
             entered = True
             break
         if float(values.std()) <= fallback_stdev:
             break
-        values = step_values(graph, kernel_rule, values)
-        iters += 1
-        avg = float(values.mean())
     solver_time = perf_counter() - t0
 
     return BenchmarkResult(

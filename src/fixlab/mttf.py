@@ -12,15 +12,15 @@ a valid bound.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
-from .dynamics import Rule, init_vector, step_values
+from .dynamics import Rule, init_vector, iterate, resolve_rule
 from .graphs import check_config, is_strongly_connected
 from .oracle import build_chain, mean_times_exact
-from .solver import NotStronglyConnected
+from .solver import NotStronglyConnected, _StepTable
 
 STOP_STDEV = 2.5e-6
 
@@ -37,30 +37,13 @@ class MttfReport:
 
 
 @dataclass(frozen=True)
-class MttfTrace:
+class MttfTrace(_StepTable):
+    HEADER = ("t", "P_min", "increment", "running_sum")
+
     t: np.ndarray
     p_min: np.ndarray
     increment: np.ndarray
     running_sum: np.ndarray
-
-    def write_csv(self, target):
-        close = False
-        if isinstance(target, (str, bytes)):
-            fh = open(target, "w", newline="")
-            close = True
-        else:
-            fh = target
-        try:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "P_min", "increment", "running_sum"])
-            for k in range(len(self.t)):
-                writer.writerow([
-                    int(self.t[k]), repr(float(self.p_min[k])),
-                    repr(float(self.increment[k])), repr(float(self.running_sum[k])),
-                ])
-        finally:
-            if close:
-                fh.close()
 
 
 def mttf_lower_bound(
@@ -77,6 +60,7 @@ def mttf_lower_bound(
     minimum is not guaranteed monotone; any negative increments are
     counted in the report instead of being silently absorbed.
     """
+    rule = resolve_rule(rule, kernel=True)
     members = check_config(graph, config)
     if not members:
         raise ValueError("empty configuration never fixates; no time to bound")
@@ -87,21 +71,25 @@ def mttf_lower_bound(
         raise NotStronglyConnected("mean time to fixation")
 
     p = init_vector(graph, members).values
+    p_min = float(p.min())
+    stdev = float(np.std(p))
     total = 0.0
     t = 0
     negatives = 0
     rows = [] if record else None
-    while float(np.std(p)) > stop_stdev and t < max_iters:
-        q = p
-        p = step_values(graph, rule, q)
-        t += 1
-        inc = t * float(p.min() - q.min())
+    steps = islice(iterate(graph, rule, p), max_iters) if stdev > stop_stdev else ()
+    for t, p in enumerate(steps, start=1):
+        prev_min, p_min = p_min, float(p.min())
+        inc = t * (p_min - prev_min)
         if inc < 0:
             negatives += 1
         total += inc
         if record:
-            rows.append((t, float(p.min()), inc, total))
-    truncated = float(np.std(p)) > stop_stdev
+            rows.append((t, p_min, inc, total))
+        stdev = float(np.std(p))
+        if stdev <= stop_stdev:
+            break
+    truncated = stdev > stop_stdev
     normalizer = float(np.mean(p))
     bound = total / normalizer if normalizer > 0 else 0.0
     trace = None

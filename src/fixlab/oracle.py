@@ -18,7 +18,7 @@ import numpy as np
 from scipy.sparse import csr_matrix, identity
 from scipy.sparse.linalg import factorized
 
-from .dynamics import Rule, neutral_part
+from .dynamics import Rule, neutral_part, resolve_rule
 
 ORACLE_CAP = 16
 
@@ -56,18 +56,6 @@ class ChainModel:
         return t.indices[lo:hi].copy(), t.data[lo:hi].copy()
 
 
-def _effective_rule(rule, r):
-    rule = Rule(rule)
-    if rule in (Rule.BD, Rule.DB, Rule.LD) and r != 1.0:
-        if rule is Rule.LD:
-            return Rule.LD
-        raise ValueError(
-            f"rule {rule} is the neutral kernel; pick {rule.value}-b or "
-            f"{rule.value}-d to say where fitness {r} applies"
-        )
-    return rule
-
-
 def build_chain(graph, rule=Rule.BD, r=1.0, cap=ORACLE_CAP):
     """Enumerate every one-event transition for each mutant set.
 
@@ -79,12 +67,10 @@ def build_chain(graph, rule=Rule.BD, r=1.0, cap=ORACLE_CAP):
     draw the rule biases. Events that copy a type onto itself are
     explicit self-transitions, so every row sums to one.
     """
-    if r <= 0:
-        raise ValueError(f"fitness must be positive, got {r}")
+    rule = resolve_rule(rule, r)
     n = graph.n
     if n > cap:
         raise ValueError(f"population {n} above the exact-chain cap {cap}")
-    rule = _effective_rule(rule, r)
     needs_in = neutral_part(rule) is Rule.DB
     if needs_in and (graph.k_in == 0).any():
         missing = np.flatnonzero(graph.k_in == 0).tolist()

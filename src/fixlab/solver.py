@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from itertools import islice
 
 import numpy as np
 
-from .dynamics import Rule, init_vector, kernel_matrix, neutral_part, parse_rule, step_values
+from .dynamics import Rule, init_vector, iterate, kernel_matrix, neutral_part, resolve_rule
 from .graphs import check_config, is_strongly_connected, stats
 
 
@@ -52,10 +53,7 @@ class SolveOptions:
     stall_window: int = 1000
 
     def __post_init__(self):
-        if not isinstance(self.rule, Rule):
-            object.__setattr__(self, "rule", parse_rule(self.rule))
-        if self.rule not in (Rule.BD, Rule.DB, Rule.LD):
-            raise ValueError(f"solver kernels are neutral only; got {self.rule}")
+        object.__setattr__(self, "rule", resolve_rule(self.rule, kernel=True))
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive for guaranteed termination")
         if self.criterion not in CRITERIA:
@@ -64,9 +62,48 @@ class SolveOptions:
             raise ValueError("max_iters must be at least 1")
 
 
+def write_csv(target, header, rows):
+    """Write a header line and rows to a path or text file object.
+
+    Every table the package writes goes through here, in the csv
+    module's default dialect: comma separated, quoted only when a cell
+    needs it, CRLF line ends. Python floats are written by repr, so
+    they read back exactly.
+    """
+    if isinstance(target, (str, bytes)):
+        with open(target, "w", newline="") as fh:
+            write_csv(fh, header, rows)
+        return
+    writer = csv.writer(target)
+    writer.writerow(header)
+    writer.writerows(rows)
+
+
+class _StepTable:
+    """Columns of equal length, an integer step column first and float
+    columns after it, written as CSV under ``HEADER``."""
+
+    HEADER = ()
+
+    def __len__(self):
+        return len(self.t)
+
+    def write_csv(self, target):
+        t, *rest = (getattr(self, f.name) for f in fields(self))
+        rows = ([int(t[k])] + [float(col[k]) for col in rest] for k in range(len(t)))
+        write_csv(target, self.HEADER, rows)
+
+    def to_csv_text(self):
+        buf = io.StringIO()
+        self.write_csv(buf)
+        return buf.getvalue()
+
+
 @dataclass(frozen=True)
-class TrajectoryTable:
+class TrajectoryTable(_StepTable):
     """Per-step summary rows: t, min, max, avg, stdev, expected mutants."""
+
+    HEADER = ("t", "min", "max", "avg", "stdev", "ex")
 
     t: np.ndarray
     min: np.ndarray
@@ -74,37 +111,6 @@ class TrajectoryTable:
     avg: np.ndarray
     stdev: np.ndarray
     ex: np.ndarray
-
-    def __len__(self):
-        return len(self.t)
-
-    def write_csv(self, target):
-        """Write rows to a path or file object with the stable header
-        t,min,max,avg,stdev,ex."""
-        close = False
-        if isinstance(target, (str, bytes)):
-            fh = open(target, "w", newline="")
-            close = True
-        else:
-            fh = target
-        try:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "min", "max", "avg", "stdev", "ex"])
-            for k in range(len(self.t)):
-                writer.writerow([
-                    int(self.t[k]),
-                    repr(float(self.min[k])), repr(float(self.max[k])),
-                    repr(float(self.avg[k])), repr(float(self.stdev[k])),
-                    repr(float(self.ex[k])),
-                ])
-        finally:
-            if close:
-                fh.close()
-
-    def to_csv_text(self):
-        buf = io.StringIO()
-        self.write_csv(buf)
-        return buf.getvalue()
 
 
 class _Recorder:
@@ -190,9 +196,8 @@ def solve(graph, config, options=SolveOptions()):
     since_best = 0
     iters = 0
     converged = tau <= options.epsilon
-    while tau > options.epsilon and iters < options.max_iters:
-        values = step_values(graph, options.rule, values)
-        iters += 1
+    steps = () if converged else islice(iterate(graph, options.rule, values), options.max_iters)
+    for iters, values in enumerate(steps, start=1):
         recorder.add(iters, values)
         tau = _criterion_stat(values, options.criterion)
         if tau <= options.epsilon:
@@ -306,12 +311,12 @@ def trajectory(graph, config, rule=Rule.BD, steps=100):
     """
     if steps < 0:
         raise ValueError("steps must be nonnegative")
+    rule = resolve_rule(rule, kernel=True)
     kernel_matrix(graph, rule)  # validate rule/graph pairing up front
     members = check_config(graph, config)
     values = init_vector(graph, members).values
     recorder = _Recorder(True)
     recorder.add(0, values)
-    for t in range(1, steps + 1):
-        values = step_values(graph, rule, values)
+    for t, values in enumerate(islice(iterate(graph, rule, values), steps), start=1):
         recorder.add(t, values)
     return recorder.table()

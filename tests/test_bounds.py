@@ -7,7 +7,7 @@ from fixlab import (
     bound_report,
     build_chain,
     fixation_exact,
-    lower_bound,
+    neutral_part,
     solve,
     upper_bound_single,
 )
@@ -61,7 +61,7 @@ def test_exact_fixation_never_exceeds_upper(rule, r):
 def test_lower_bound_is_the_neutral_answer(rule, r):
     g = random_digraph(3, 5)
     rep = bound_report(g, 2, r, rule, epsilon=1e-8)
-    neutral = lower_bound(g, [2], rule, epsilon=1e-8)
+    neutral = solve(g, [2], SolveOptions(rule=neutral_part(rule), epsilon=1e-8)).fixation
     assert rep.lower == pytest.approx(neutral)
     exact = fixation_exact(build_chain(g, rule, r=r), [2])
     assert rep.lower <= exact + 2e-8
@@ -104,4 +104,4 @@ def test_neutral_rules_have_no_upper_formula_path():
 def test_lower_bound_matches_solve():
     g = random_digraph(13, 6)
     direct = solve(g, [3], SolveOptions(rule=Rule.DB, epsilon=1e-8)).fixation
-    assert lower_bound(g, [3], Rule.DB_B, epsilon=1e-8) == pytest.approx(direct)
+    assert bound_report(g, 3, 1.0, Rule.DB_B, epsilon=1e-8).lower == pytest.approx(direct)

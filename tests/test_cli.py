@@ -332,6 +332,27 @@ def test_unknown_rule(capsys, two_cycle_file):
     assert code == 1
 
 
+TWO_CYCLE_EDGES = "[[0, 1, 1.0], [1, 0, 1.0]]"
+
+
+@pytest.mark.parametrize("graph_text, config, fragment", [
+    ('{"n": 2, "edges": [[0, 1, NaN], [1, 0, 1.0]]}', "[0]", "non-finite weight"),
+    ('{"n": 2, "edges": [[0, 1, Infinity], [1, 0, 1.0]]}', "[0]", "non-finite weight"),
+    ('{"edges": ' + TWO_CYCLE_EDGES + "}", "[0]", '"n"'),
+    ('{"n": 2.5, "edges": ' + TWO_CYCLE_EDGES + "}", "[0]", "2.5 is not an integer"),
+    ('{"n": 2, "edges": [[0, 1.7, 1.0], [1, 0, 1.0]]}', "[0]", "1.7 is not an integer"),
+    ('{"n": 2, "edges": ' + TWO_CYCLE_EDGES + "}", "[1.7]", "1.7 is not an integer"),
+    ('{"n": 2, "edges": ' + TWO_CYCLE_EDGES + "}", "[true]", "True is not an integer"),
+], ids=["nan-weight", "inf-weight", "no-n", "fractional-n", "fractional-edge-id",
+        "fractional-config", "boolean-config"])
+def test_bad_input_exits_one_with_a_message(capsys, tmp_path, graph_text, config, fragment):
+    path = tmp_path / "bad.json"
+    path.write_text(graph_text)
+    code, out = run_cli(capsys, ["solve", "--graph", str(path), "--config", config])
+    assert code == 1
+    assert fragment in json.loads(out)["error"]
+
+
 def test_console_script_entry(two_cycle_file):
     proc = subprocess.run(
         [sys.executable, "-m", "fixlab.cli", "solve",

@@ -15,9 +15,6 @@ from fixlab import (
     neutral_part,
     parse_rule,
     step,
-    step_bd,
-    step_db,
-    step_ld,
     step_values,
 )
 
@@ -66,7 +63,7 @@ def test_init_vector_is_indicator():
 def test_step_increments_time_and_checks_length():
     g = two_cycle()
     pv = init_vector(g, [0])
-    nxt = step_bd(g, pv)
+    nxt = step(g, Rule.BD, pv)
     assert nxt.t == 1
     with pytest.raises(ValueError):
         step_values(g, Rule.BD, np.zeros(3))
@@ -188,14 +185,6 @@ def test_kernel_accepts_rule_names():
     assert kernel_matrix(g, "db-b") is kernel_matrix(g, Rule.DB)
     with pytest.raises(ValueError, match="unknown rule"):
         kernel_matrix(g, "moran")
-
-
-def test_step_wrappers_agree():
-    g = random_digraph(4, 6)
-    pv = init_vector(g, [0, 3])
-    assert np.allclose(step_bd(g, pv).values, step(g, Rule.BD, pv).values)
-    assert np.allclose(step_db(g, pv).values, step(g, Rule.DB, pv).values)
-    assert np.allclose(step_ld(g, pv).values, step(g, Rule.LD, pv).values)
 
 
 # ------------------------------------------------------------- observables

@@ -137,6 +137,25 @@ def test_check_config_rejects_bad_ids():
         check_config(g, [-1])
 
 
+def test_check_config_refuses_to_truncate_ids():
+    g = two_cycle()
+    for bad in (1.7, 1.0, True):
+        with pytest.raises(ValueError, match="not an integer"):
+            check_config(g, [bad])
+    assert check_config(g, [np.int64(1)]) == frozenset({1})
+
+
+def test_non_finite_weights_are_rejected():
+    for w in (math.nan, math.inf):
+        assert any("non-finite weight" in p for p in validate(2, [(0, 1, w), (1, 0, 1.0)]))
+
+
+def test_strong_connectivity_is_memoized_from_csr():
+    g = random_digraph(5, 7)
+    assert is_strongly_connected(g) is g._ops["strongly_connected"]
+    assert is_strongly_connected(EvolutionaryGraph(1, []))
+
+
 # ------------------------------------------------------------- connectivity
 
 

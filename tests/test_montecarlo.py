@@ -17,6 +17,7 @@ from fixlab import (
     standard_error,
     state_of,
 )
+from fixlab.montecarlo import _bisect
 
 from .util import complete_graph, random_digraph, two_cycle
 
@@ -207,6 +208,20 @@ def test_death_rules_need_incoming_edges():
 def test_nonpositive_fitness_is_rejected():
     with pytest.raises(ValueError):
         simulate_run(two_cycle(), [0], rule=Rule.BD_B, r=0.0)
+
+
+def test_bisect_stays_inside_a_row_whose_cumsum_ends_below_one():
+    # nine weights of 1/9 accumulate to 0.9999999999999996; a draw above
+    # that must pick the row's last edge, not the next vertex's first
+    star = EvolutionaryGraph(
+        10, [(0, j, 1.0 / 9) for j in range(1, 10)] + [(j, 0, 1.0) for j in range(1, 10)],
+    )
+    lo, hi = int(star.out_ptr[0]), int(star.out_ptr[1])
+    cum = star.out_cum.tolist()
+    assert cum[hi - 1] < 1.0
+    k = _bisect(cum, math.nextafter(1.0, 0.0), lo, hi)
+    assert k == hi - 1
+    assert star.out_dst[k] == 9
 
 
 # ------------------------------------------------------------- threading
