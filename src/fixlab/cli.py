@@ -214,12 +214,22 @@ def _cmd_oracle(args):
     chain = oracle.build_chain(graph, rule=args.rule, r=args.r)
     fix = oracle.fixation_exact(chain, config)
     times = oracle.mean_times_exact(chain, config)
+    solved = None
+    if chain.residuals is not None:  # an all-mutant or empty config needs no solve
+        solved = {
+            "method": "bicgstab",
+            "preconditioner": "jacobi",
+            "iterations": chain.iterations,
+            "max_residual": max(chain.residuals.values()),
+            "residual_bound": oracle.RESIDUAL_TOL,
+        }
     return {
         "manifest": _manifest(args, "oracle", config),
         "fixation": fix,
         "mean_fixation_time": times.fixation if times.fixation_defined else None,
         "mean_extinction_time": times.extinction if times.extinction_defined else None,
         "mean_absorption_time": times.absorption,
+        "solve": solved,
     }
 
 

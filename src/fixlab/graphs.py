@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -92,7 +93,7 @@ class EvolutionaryGraph:
 
     def __init__(self, n, edges):
         n = vertex_id(n, "population size")
-        edges = [(vertex_id(s), vertex_id(d), float(w)) for s, d, w in edges]
+        edges = [_edge(e) for e in edges]
         problems = validate(n, edges)
         if problems:
             raise ValueError("invalid graph: " + "; ".join(problems))
@@ -172,6 +173,17 @@ def vertex_id(v, what="vertex id"):
     except TypeError:
         pass
     raise ValueError(f"{what} {v!r} is not an integer")
+
+
+def _edge(e):
+    """``e`` as (src, dst, weight); anything but a triple with a numeric weight is refused."""
+    try:
+        s, d, w = e
+    except (TypeError, ValueError):
+        raise ValueError(f"edge {e!r} is not a [src, dst, weight] triple") from None
+    if type(w) is not float and (isinstance(w, bool) or not isinstance(w, numbers.Real)):
+        raise ValueError(f"edge {e!r} has a non-numeric weight {w!r}")
+    return vertex_id(s), vertex_id(d), float(w)
 
 
 def check_config(graph, config):
@@ -419,6 +431,8 @@ def load_graph(path):
         payload = json.loads(text)
         if "n" not in payload or "edges" not in payload:
             raise ValueError(f"{path}: graph JSON needs both \"n\" and \"edges\"")
+        if not isinstance(payload["edges"], list):
+            raise ValueError(f"{path}: graph JSON \"edges\" must be a list of triples")
         return EvolutionaryGraph(payload["n"], payload["edges"])
     edges = []
     for line_no, line in enumerate(text.splitlines(), start=1):

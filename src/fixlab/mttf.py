@@ -12,6 +12,7 @@ a valid bound.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import islice
 
@@ -61,6 +62,8 @@ def mttf_lower_bound(
     counted in the report instead of being silently absorbed.
     """
     rule = resolve_rule(rule, kernel=True)
+    if not math.isfinite(stop_stdev):
+        raise ValueError(f"stdev stopping threshold must be finite, got {stop_stdev}")
     members = check_config(graph, config)
     if not members:
         raise ValueError("empty configuration never fixates; no time to bound")

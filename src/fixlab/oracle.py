@@ -5,9 +5,10 @@ are single replacement events. States are encoded as bitmasks, little
 endian by vertex id: bit i set means vertex i currently holds a
 mutant. State 0 (no mutants) and state 2^n - 1 (all mutants) are the
 absorbing ends. Fixation probabilities and conditional absorption
-times then come from direct sparse linear solves over the transient
-states, with no sampling error, which is what makes this module the
-referee for both the iterative solver and the simulator.
+times then come from sparse linear solves over the transient states,
+with no sampling error and a checked residual, which is what makes
+this module the referee for both the iterative solver and the
+simulator.
 """
 
 from __future__ import annotations
@@ -15,14 +16,26 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix, identity
-from scipy.sparse.linalg import factorized
+from scipy.sparse import csr_matrix, diags, identity
+from scipy.sparse.csgraph import breadth_first_order
+from scipy.sparse.linalg import bicgstab
 
 from .dynamics import Rule, neutral_part, resolve_rule
 
 ORACLE_CAP = 16
 
 ROW_SUM_TOL = 1e-12
+
+# largest residual accepted from an absorption solve, over max(1, max |x|):
+# absolute for probabilities, relative to the largest value for times
+RESIDUAL_TOL = 1e-10
+
+# one BiCGSTAB run stops after MAX_ITERATIONS steps; a run that stops
+# without meeting RESIDUAL_TOL (its recurrence residual drifted from the
+# true one, it broke down, or it ran out of steps) is restarted from its
+# iterate, at most RESTARTS times
+MAX_ITERATIONS = 1000
+RESTARTS = 3
 
 
 def state_of(config):
@@ -48,6 +61,10 @@ class ChainModel:
         self.r = float(r)
         self.transitions = transitions
         self._solutions = None
+        # filled by the first query that solves: system name -> largest
+        # residual (as checked against RESIDUAL_TOL) and BiCGSTAB iterations
+        self.residuals = None
+        self.iterations = None
 
     def row(self, state):
         """Outgoing transition of one state: (destination states, probabilities)."""
@@ -66,6 +83,12 @@ def build_chain(graph, rule=Rule.BD, r=1.0, cap=ORACLE_CAP):
     directed edge. Fitness r multiplies the mutant side of whichever
     draw the rule biases. Events that copy a type onto itself are
     explicit self-transitions, so every row sums to one.
+
+    An event replaces one vertex, so from state s it leads to s itself
+    or to s with one bit flipped. The chain is built as n flip columns
+    plus the diagonal, each computed for all 2^n states at once from
+    the state-by-vertex bit matrix; the diagonal is the sum of the null
+    events, not one minus the rest, so the row-sum check stays a check.
     """
     rule = resolve_rule(rule, r)
     n = graph.n
@@ -79,85 +102,81 @@ def build_chain(graph, rule=Rule.BD, r=1.0, cap=ORACLE_CAP):
         )
 
     n_states = 1 << n
-    full = n_states - 1
-    rows, cols, vals = [], [], []
-
-    def put(s, d, p):
-        rows.append(s)
-        cols.append(d)
-        vals.append(p)
-
-    edge_src = np.fromiter((e[0] for e in graph.edges), dtype=np.int64)
-    edge_dst = np.fromiter((e[1] for e in graph.edges), dtype=np.int64)
-    total_edges = len(graph.edges)
-
-    for s in range(n_states):
-        if s == 0 or s == full:
-            put(s, s, 1.0)
-            continue
-        mutant = [(s >> v) & 1 for v in range(n)]
-        m = sum(mutant)
-        if rule in (Rule.BD, Rule.BD_B, Rule.BD_D):
-            if rule is Rule.BD_D and r != 1.0:
-                # breeder uniform, target by weight shaded toward weak targets
-                for i in range(n):
-                    targets, w = graph.out_neighbors(i)
-                    inv_f = np.array([1.0 / r if mutant[j] else 1.0 for j in targets])
-                    denom = float(np.sum(w * inv_f))
-                    for j, wj, fj in zip(targets, w, inv_f):
-                        d = _flip_to(s, int(j), mutant[i])
-                        put(s, d, (1.0 / n) * (wj * fj / denom))
-            else:
-                # breeder by fitness, target by weight (BD-B; BD and BD-D at r=1)
-                phi = r * m + (n - m)
-                for i in range(n):
-                    f_i = r if mutant[i] else 1.0
-                    p_birth = (f_i / phi) if rule is Rule.BD_B else (1.0 / n)
-                    targets, w = graph.out_neighbors(i)
-                    for j, wj in zip(targets, w):
-                        put(s, _flip_to(s, int(j), mutant[i]), p_birth * wj)
-        elif rule in (Rule.DB, Rule.DB_B, Rule.DB_D):
-            if rule is Rule.DB_D and r != 1.0:
-                psi = m / r + (n - m)
-                for i in range(n):
-                    p_death = (1.0 / r if mutant[i] else 1.0) / psi
-                    sources, _ = graph.in_neighbors(i)
-                    share = 1.0 / len(sources)
-                    for j in sources:
-                        put(s, _flip_to(s, i, mutant[int(j)]), p_death * share)
-            else:
-                for i in range(n):
-                    sources, _ = graph.in_neighbors(i)
-                    if rule is Rule.DB_B and r != 1.0:
-                        fit = np.array([r if mutant[int(j)] else 1.0 for j in sources])
-                        denom = float(np.sum(fit))
-                        for j, fj in zip(sources, fit):
-                            put(s, _flip_to(s, i, mutant[int(j)]), (1.0 / n) * (fj / denom))
-                    else:
-                        share = 1.0 / (n * len(sources))
-                        for j in sources:
-                            put(s, _flip_to(s, i, mutant[int(j)]), share)
-        else:  # LD, fitness biases the source side of the chosen edge
-            fit_src = np.array([r if mutant[int(a)] else 1.0 for a in edge_src])
-            phi = float(np.sum(fit_src))
-            for a, b, fa in zip(edge_src, edge_dst, fit_src):
-                put(s, _flip_to(s, int(b), mutant[int(a)]), fa / phi)
-
+    states = np.arange(n_states)
+    flips = 1 << np.arange(n)
+    mutant = (states[:, None] & flips) != 0
+    gain, loss = _replacement_odds(graph, rule, r, mutant)
+    data = np.empty((n_states, n + 1))
+    data[:, :n] = np.where(mutant, loss, gain)
+    data[:, n] = np.where(mutant, gain, loss).sum(axis=1)
+    for s in (0, n_states - 1):  # absorbing: no mutant, or no resident, left
+        data[s] = 0.0
+        data[s, n] = 1.0
+    cols = np.empty((n_states, n + 1), dtype=np.int64)
+    cols[:, :n] = states[:, None] ^ flips
+    cols[:, n] = states
     chain = csr_matrix(
-        (np.array(vals), (np.array(rows), np.array(cols))),
+        (data.ravel(), cols.ravel(), np.arange(0, data.size + 1, n + 1)),
         shape=(n_states, n_states),
     )
-    chain.sum_duplicates()
+    chain.sort_indices()
+    chain.eliminate_zeros()
     sums = np.asarray(chain.sum(axis=1)).ravel()
-    bad = np.flatnonzero(np.abs(sums - 1.0) > ROW_SUM_TOL * max(1, total_edges))
+    bad = np.flatnonzero(np.abs(sums - 1.0) > ROW_SUM_TOL * max(1, len(graph.edges)))
     if bad.size:
         raise ArithmeticError(f"chain rows {bad[:5].tolist()} do not sum to 1")
     return ChainModel(n, rule, r, chain)
 
 
-def _flip_to(state, vertex, make_mutant):
-    bit = 1 << vertex
-    return (state | bit) if make_mutant else (state & ~bit)
+def _replacement_odds(graph, rule, r, mutant):
+    """Per state and vertex, the chance one event gives it a mutant / a resident.
+
+    ``mutant`` is the (states, n) bit matrix. Returns two arrays of the
+    same shape: the probability that vertex j is replaced by a mutant
+    offspring, and by a resident one. Sums over neighbors are products
+    with the dense weight matrix W[i, j] = w_ij or its 0/1 pattern.
+    """
+    n = graph.n
+    src = np.repeat(np.arange(n), graph.k_out)
+    weight = np.zeros((n, n))
+    weight[src, graph.out_dst] = graph.out_w
+    link = (weight > 0).astype(float)
+    mut = mutant.astype(float)
+    res = 1.0 - mut
+    fit = np.where(mutant, r, 1.0)
+    kind = neutral_part(rule)
+    if kind is Rule.BD:
+        if rule is Rule.BD_D and r != 1.0:
+            # breeder uniform, target by weight shaded toward weak targets
+            shade = np.where(mutant, 1.0 / r, 1.0)
+            denom = shade @ weight.T
+            return (shade * (_ratio(mut, denom) @ weight) / n,
+                    shade * (_ratio(res, denom) @ weight) / n)
+        # breeder by fitness, target by weight (BD-B; BD and BD-D at r=1)
+        if rule is Rule.BD_B:
+            birth = fit / fit.sum(axis=1, keepdims=True)
+        else:
+            birth = np.full(mutant.shape, 1.0 / n)
+        return (birth * mut) @ weight, (birth * res) @ weight
+    if kind is Rule.DB:
+        if rule is Rule.DB_D and r != 1.0:
+            shade = np.where(mutant, 1.0 / r, 1.0)
+            death = shade / shade.sum(axis=1, keepdims=True) / graph.k_in
+            return death * (mut @ link), death * (res @ link)
+        if rule is Rule.DB_B and r != 1.0:
+            pool = n * (fit @ link)
+            return (fit * mut) @ link / pool, (fit * res) @ link / pool
+        share = 1.0 / (n * graph.k_in)
+        return (mut @ link) * share, (res @ link) * share
+    # LD, fitness biases the source side of the chosen edge
+    phi = (fit @ graph.k_out)[:, None]
+    return _ratio((fit * mut) @ link, phi), _ratio((fit * res) @ link, phi)
+
+
+def _ratio(num, den):
+    """num / den, and 0 where den is 0: an empty sum, an event that cannot happen."""
+    return np.divide(num, den, out=np.zeros(np.broadcast_shapes(num.shape, den.shape)),
+                     where=den != 0)
 
 
 def _solutions(chain):
@@ -167,27 +186,59 @@ def _solutions(chain):
     fixation probabilities, (I - Q) u = h the fixation-weighted times,
     and (I - Q) a = 1 the absorption times. Conditional means are then
     u/h (fixation) and symmetric for extinction.
+
+    Each system is solved by BiCGSTAB with a Jacobi preconditioner. The
+    largest residual |b - (I - Q) x| of every system, over max(1, max |x|),
+    is checked against ``RESIDUAL_TOL``: absolute for the probabilities h,
+    relative to the largest time for u and a. A run that misses the bound
+    is restarted from its iterate (needed on the directed 5-cycle, and on
+    stars at extreme fitness where BiCGSTAB breaks down); when the
+    restarts run out, ArithmeticError is raised. The residuals and
+    iteration counts are kept on the chain.
     """
     if chain._solutions is not None:
         return chain._solutions
-    n_states = chain.n_states
-    full = n_states - 1
+    full = chain.n_states - 1
     transient = np.arange(1, full)
-    p = chain.transitions
-    q = p[transient][:, transient].tocsc()
-    b_fix = np.asarray(p[transient][:, full].todense()).ravel()
-    b_ext = np.asarray(p[transient][:, 0].todense()).ravel()
-    system = (identity(len(transient), format="csc") - q).tocsc()
-    solve_sys = factorized(system)
-    h_fix = solve_sys(b_fix)
-    h_ext = solve_sys(b_ext)
-    u_fix = solve_sys(h_fix)
-    u_ext = solve_sys(h_ext)
-    a_all = solve_sys(np.ones(len(transient)))
+    p = chain.transitions[transient]
+    system = (identity(len(transient), format="csr") - p[:, transient]).tocsr()
+    # a state that cannot reach either end leaves the systems singular
+    back = chain.transitions.T.tocsr()
+    absorbs = np.zeros(chain.n_states, dtype=bool)
+    for end in (0, full):
+        absorbs[breadth_first_order(back, end, return_predecessors=False)] = True
+    if not absorbs.all():
+        raise ArithmeticError(
+            f"chain states {np.flatnonzero(~absorbs)[:5].tolist()} never reach "
+            "fixation or extinction"
+        )
+    jacobi = diags(1.0 / system.diagonal())
+    chain.residuals, chain.iterations = {}, {}
+
+    def solve(name, rhs):
+        steps, x = [], None
+        for _ in range(RESTARTS + 1):
+            x, info = bicgstab(system, rhs, x0=x, rtol=1e-13, atol=0.0,
+                               maxiter=MAX_ITERATIONS, M=jacobi, callback=steps.append)
+            residual = float(np.max(np.abs(rhs - system @ x), initial=0.0)
+                             / max(np.max(np.abs(x), initial=0.0), 1.0))
+            if info == 0 and residual <= RESIDUAL_TOL:
+                break
+        else:
+            raise ArithmeticError(
+                f"exact chain solve for {name} failed after {len(steps)} BiCGSTAB "
+                f"iterations: info {info}, residual {residual:.3g} (bound {RESIDUAL_TOL:g})"
+            )
+        chain.residuals[name], chain.iterations[name] = residual, len(steps)
+        return x
+
+    h_fix = solve("h_fix", p[:, [full]].toarray().ravel())
+    h_ext = solve("h_ext", p[:, [0]].toarray().ravel())
+    a_all = solve("a_all", np.ones(len(transient)))
     chain._solutions = {
         "transient": transient,
         "h_fix": h_fix, "h_ext": h_ext,
-        "u_fix": u_fix, "u_ext": u_ext,
+        "u_fix": solve("u_fix", h_fix), "u_ext": solve("u_ext", h_ext),
         "a_all": a_all,
     }
     return chain._solutions

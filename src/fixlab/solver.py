@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, fields
 from itertools import islice
 
@@ -54,8 +55,11 @@ class SolveOptions:
 
     def __post_init__(self):
         object.__setattr__(self, "rule", resolve_rule(self.rule, kernel=True))
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive for guaranteed termination")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ValueError(
+                f"epsilon must be finite and positive for guaranteed termination, "
+                f"got {self.epsilon}"
+            )
         if self.criterion not in CRITERIA:
             raise ValueError(f"criterion must be one of {CRITERIA}")
         if self.max_iters < 1:

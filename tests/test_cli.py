@@ -6,6 +6,7 @@ import pytest
 
 from fixlab import load_graph
 from fixlab.cli import main
+from fixlab.oracle import RESIDUAL_TOL
 
 
 @pytest.fixture()
@@ -193,6 +194,29 @@ def test_oracle_exact_values(capsys, two_cycle_file):
     assert payload["mean_fixation_time"] == pytest.approx(1.0)
 
 
+def test_oracle_reports_its_solve(capsys):
+    code, out = run_cli(capsys, [
+        "oracle", "--generate", "ba:n=10,m=2", "--config", "[0]",
+        "--rule", "bd-b", "--r", "1.5",
+    ])
+    assert code == 0
+    solve = json.loads(out)["solve"]
+    assert (solve["method"], solve["preconditioner"]) == ("bicgstab", "jacobi")
+    assert set(solve["iterations"]) == {"h_fix", "h_ext", "a_all", "u_fix", "u_ext"}
+    assert all(k >= 1 for k in solve["iterations"].values())
+    assert 0.0 <= solve["max_residual"] <= solve["residual_bound"] == RESIDUAL_TOL
+
+
+def test_oracle_on_a_chain_that_never_absorbs_exits_one(capsys, tmp_path):
+    path = tmp_path / "pairs.json"
+    path.write_text(json.dumps({"n": 4, "edges": [
+        [0, 1, 1.0], [1, 0, 1.0], [2, 3, 1.0], [3, 2, 1.0],
+    ]}))
+    code, out = run_cli(capsys, ["oracle", "--graph", str(path), "--config", "[0]"])
+    assert code == 1
+    assert "never reach fixation or extinction" in json.loads(out)["error"]
+
+
 def test_oracle_neutral_rejects_fitness(capsys, two_cycle_file):
     code, out = run_cli(capsys, [
         "oracle", "--graph", two_cycle_file, "--config", "[0]",
@@ -213,6 +237,15 @@ def test_mttf_with_trace(capsys, two_cycle_file, tmp_path):
     payload = json.loads(out)
     assert payload["lower_bound"] == pytest.approx(1.0)
     assert dest.read_text().startswith("t,P_min,increment,running_sum")
+
+
+@pytest.mark.parametrize("epsilon", ["nan", "inf"])
+def test_mttf_non_finite_epsilon_exits_one(capsys, two_cycle_file, epsilon):
+    code, out = run_cli(capsys, [
+        "mttf", "--graph", two_cycle_file, "--config", "[0]", "--epsilon", epsilon,
+    ])
+    assert code == 1
+    assert "must be finite" in json.loads(out)["error"]
 
 
 def test_mttf_weak_graph_exits_two(capsys, weak_file):
@@ -349,6 +382,19 @@ def test_bad_input_exits_one_with_a_message(capsys, tmp_path, graph_text, config
     path = tmp_path / "bad.json"
     path.write_text(graph_text)
     code, out = run_cli(capsys, ["solve", "--graph", str(path), "--config", config])
+    assert code == 1
+    assert fragment in json.loads(out)["error"]
+
+
+@pytest.mark.parametrize("edges, fragment", [
+    ("[[0, 1, null], [1, 0, 1.0]]", "non-numeric weight None"),
+    ('[[0, 1, "heavy"], [1, 0, 1.0]]', "non-numeric weight 'heavy'"),
+    ("[[0, 1], [1, 0, 1.0]]", "is not a [src, dst, weight] triple"),
+], ids=["null-weight", "string-weight", "pair"])
+def test_malformed_edge_exits_one_with_a_message(capsys, tmp_path, edges, fragment):
+    path = tmp_path / "bad.json"
+    path.write_text('{"n": 2, "edges": ' + edges + "}")
+    code, out = run_cli(capsys, ["oracle", "--graph", str(path), "--config", "[0]"])
     assert code == 1
     assert fragment in json.loads(out)["error"]
 

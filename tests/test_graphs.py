@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -148,6 +149,29 @@ def test_check_config_refuses_to_truncate_ids():
 def test_non_finite_weights_are_rejected():
     for w in (math.nan, math.inf):
         assert any("non-finite weight" in p for p in validate(2, [(0, 1, w), (1, 0, 1.0)]))
+
+
+@pytest.mark.parametrize("edge, fragment", [
+    ([0, 1, None], "non-numeric weight None"),
+    ([0, 1, "1.0"], "non-numeric weight '1.0'"),
+    ([0, 1, True], "non-numeric weight True"),
+    ([0, 1], "[0, 1] is not a [src, dst, weight] triple"),
+    ([0, 1, 1.0, 2], "is not a [src, dst, weight] triple"),
+    (7, "edge 7 is not a [src, dst, weight] triple"),
+], ids=["null-weight", "string-weight", "boolean-weight", "pair", "quadruple", "scalar"])
+def test_malformed_edges_are_rejected_by_name(edge, fragment):
+    with pytest.raises(ValueError, match=re.escape(fragment)):
+        EvolutionaryGraph(2, [edge, [1, 0, 1.0]])
+
+
+def test_load_graph_rejects_malformed_edges(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text('{"n": 2, "edges": [[0, 1, null], [1, 0, 1.0]]}')
+    with pytest.raises(ValueError, match=re.escape("edge [0, 1, None]")):
+        load_graph(str(path))
+    path.write_text('{"n": 2, "edges": null}')
+    with pytest.raises(ValueError, match="must be a list"):
+        load_graph(str(path))
 
 
 def test_strong_connectivity_is_memoized_from_csr():

@@ -57,6 +57,12 @@ def test_trivial_and_invalid_configs():
         mttf_lower_bound(g, [])
 
 
+@pytest.mark.parametrize("stop", [float("nan"), float("inf")])
+def test_non_finite_stopping_threshold_is_refused(stop):
+    with pytest.raises(ValueError, match="must be finite"):
+        mttf_lower_bound(random_digraph(8, 6), [0], stop_stdev=stop)
+
+
 def test_requires_strong_connectivity():
     from fixlab import EvolutionaryGraph
     g = EvolutionaryGraph(3, [(0, 1, 1.0), (1, 2, 1.0), (2, 1, 1.0)])

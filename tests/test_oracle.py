@@ -1,8 +1,10 @@
+import networkx as nx
 import numpy as np
 import pytest
 
 from fixlab import (
     ORACLE_CAP,
+    EvolutionaryGraph,
     Rule,
     SolveOptions,
     build_chain,
@@ -12,8 +14,17 @@ from fixlab import (
     solve,
     state_of,
 )
+from fixlab.oracle import RESIDUAL_TOL
 
-from .util import complete_graph, cycle_graph, random_digraph, two_cycle
+from .loop_chain import loop_transitions
+from .util import (
+    complete_graph,
+    cycle_graph,
+    random_digraph,
+    star_graph,
+    two_cycle,
+    undirected_graph,
+)
 
 ALL_RULES = (Rule.BD, Rule.DB, Rule.LD, Rule.BD_B, Rule.BD_D, Rule.DB_B, Rule.DB_D)
 
@@ -75,6 +86,24 @@ def test_rows_are_stochastic(rule):
     assert chain.transitions.min() >= -1e-15
 
 
+@pytest.mark.parametrize("rule, r", [
+    (rule, r) for rule in ALL_RULES
+    for r in ((1.0,) if rule in (Rule.BD, Rule.DB) else (1.0, 0.6, 1.7))
+])
+def test_array_build_matches_the_loop_reference(rule, r):
+    # float64 sums taken in another order: entries agree to 1e-14
+    # (worst seen 1.2e-15), and the nonzero pattern exactly
+    for n in range(3, 10):
+        g = random_digraph(300 + n, n)
+        chain = build_chain(g, rule, r=r)
+        reference = loop_transitions(g, rule, r=r)
+        for state in range(chain.n_states):
+            dests, probs = chain.row(state)
+            lo, hi = reference.indptr[state], reference.indptr[state + 1]
+            assert dests.tolist() == reference.indices[lo:hi].tolist()
+            assert np.abs(probs - reference.data[lo:hi]).max() <= 1e-14
+
+
 # ------------------------------------------------------------- fixation
 
 
@@ -102,6 +131,55 @@ def test_neutral_chain_agrees_with_iteration(rule):
         exact = fixation_exact(chain, config)
         rep = solve(g, config, SolveOptions(rule=rule, epsilon=1e-9))
         assert rep.fixation == pytest.approx(exact, abs=1e-8)
+
+
+def test_chain_at_the_cap_agrees_with_iteration():
+    skeleton = nx.gnm_random_graph(ORACLE_CAP, 60, seed=3)
+    assert nx.is_connected(skeleton)
+    g = undirected_graph(ORACLE_CAP, skeleton.edges)
+    chain = build_chain(g, Rule.BD)
+    exact = [fixation_exact(chain, [v]) for v in range(g.n)]
+    assert sum(exact) == pytest.approx(1.0, abs=1e-9)
+    options = SolveOptions(rule=Rule.BD, epsilon=1e-8)
+    for v in range(g.n):
+        assert exact[v] == pytest.approx(solve(g, [v], options).fixation, abs=1e-6)
+    assert set(chain.residuals) == {"h_fix", "h_ext", "a_all", "u_fix", "u_ext"}
+    assert max(chain.residuals.values()) <= RESIDUAL_TOL
+    assert all(k >= 1 for k in chain.iterations.values())
+
+
+def test_solve_restarts_past_a_bicgstab_breakdown():
+    # a single BiCGSTAB run breaks down on h_ext for this star
+    chain = build_chain(star_graph(11), Rule.BD_B, r=0.01)
+    h = fixation_exact(chain, [1])
+    times = mean_times_exact(chain, [1])
+    assert max(chain.residuals.values()) <= RESIDUAL_TOL
+    assert h == pytest.approx(0.0, abs=1e-12)
+    assert times.extinction == pytest.approx(times.absorption, rel=1e-12)
+
+
+def test_solve_restarts_past_a_drifted_residual():
+    # on the directed 5-cycle a single run of the u systems stops on its
+    # recurrence residual while the true residual is still far off
+    chain = build_chain(cycle_graph(5), Rule.BD)
+    h = fixation_exact(chain, [0])
+    times = mean_times_exact(chain, [0])
+    assert max(chain.residuals.values()) <= RESIDUAL_TOL
+    assert h == pytest.approx(0.2, abs=1e-12)
+    blended = h * times.fixation + (1.0 - h) * times.extinction
+    assert blended == pytest.approx(times.absorption, rel=1e-10)
+
+
+def test_chain_that_never_absorbs_is_refused():
+    # two source components: a state that holds them apart never absorbs
+    g = EvolutionaryGraph(6, [
+        (0, 1, 0.5), (0, 4, 0.5), (1, 0, 1.0), (2, 3, 0.5), (2, 5, 0.5),
+        (3, 2, 1.0), (4, 5, 1.0), (5, 4, 1.0),
+    ])
+    for rule in (Rule.BD, Rule.DB, Rule.LD):
+        chain = build_chain(g, rule)
+        with pytest.raises(ArithmeticError, match="never reach fixation or extinction"):
+            fixation_exact(chain, [0])
 
 
 def test_trivial_configs():

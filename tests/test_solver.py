@@ -82,6 +82,12 @@ def test_options_validation():
         SolveOptions(max_iters=0)
 
 
+@pytest.mark.parametrize("epsilon", [float("nan"), float("inf")])
+def test_options_refuse_non_finite_epsilon(epsilon):
+    with pytest.raises(ValueError, match="finite and positive"):
+        SolveOptions(epsilon=epsilon)
+
+
 def test_options_accept_rule_names():
     assert SolveOptions(rule="ld").rule is Rule.LD
     with pytest.raises(ValueError, match="neutral only"):
