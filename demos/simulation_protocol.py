@@ -3,7 +3,7 @@
 Pilot-estimates a fixation probability, sizes the full experiment from
 the pilot value and a target standard error, runs it with a fixed seed,
 and cross-checks against deterministic iteration. The same seed always
-reproduces the same numbers, bit for bit, at any thread count.
+reproduces the same numbers, bit for bit.
 """
 
 import fixlab as fx
@@ -30,6 +30,6 @@ upper = fx.upper_bound_single(graph, config[0], r, rule)
 print(f"neutral lower bound {neutral.fixation:.4f} <= observed "
       f"{final.fixation_frequency:.4f} <= formula upper bound {upper:.4f}")
 
-again = fx.estimate(graph, config, rule=rule, r=r, runs=needed.runs, seed=101, threads=4)
-print(f"rerun with threads=4 reproduces frequency exactly: "
+again = fx.estimate(graph, config, rule=rule, r=r, runs=needed.runs, seed=101)
+print(f"rerun with seed 101 reproduces frequency exactly: "
       f"{again.fixation_frequency == final.fixation_frequency}")

@@ -89,7 +89,7 @@ def _parse_config(text):
 
 _MANIFEST_KEYS = (
     "graph", "generate", "config", "rule", "r", "epsilon", "criterion",
-    "runs", "seed", "steps", "threads", "out",
+    "runs", "seed", "steps", "out",
 )
 
 
@@ -169,8 +169,7 @@ def _cmd_simulate(args):
     config = _parse_config(args.config)
     summary = montecarlo.estimate(
         graph, config, rule=args.rule, r=args.r,
-        runs=args.runs, seed=args.seed, threads=args.threads,
-        step_cap=args.steps,
+        runs=args.runs, seed=args.seed, step_cap=args.steps,
     )
     return {
         "manifest": _manifest(args, "simulate", config),
@@ -190,7 +189,7 @@ def _cmd_compare(args):
     config = _parse_config(args.config)
     result = montecarlo.speedup_benchmark(
         graph, config, rule=args.rule, r=args.r,
-        mc_runs=args.runs, seed=args.seed, threads=args.threads,
+        mc_runs=args.runs, seed=args.seed,
     )
     header = ("n", "rule", "r", "mc_time", "solver_time", "speedup")
     row = (result.n, result.rule, result.r, result.mc_time, result.solver_time, result.speedup)
@@ -341,8 +340,6 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--steps", type=int, default=None,
                    help="per-run event cap (default 1e6 * n)")
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker threads (default FIXLAB_THREADS or CPU count)")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("compare", help="wall-clock speedup of iteration over simulation")
@@ -352,7 +349,6 @@ def build_parser():
     p.add_argument("--r", type=float, default=1.0)
     p.add_argument("--runs", type=int, default=2000, help="simulation runs (default 2000)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=None)
     p.add_argument("--out", help="benchmark CSV destination (default: CSV to stdout)")
     p.set_defaults(func=_cmd_compare)
 

@@ -109,6 +109,26 @@ def init_vector(graph, config):
     return ProbabilityVector(values=values, t=0)
 
 
+def check_neighbours(graph, rule, what):
+    """Refuse a graph on which one event of the rule's family is undefined.
+
+    A death-birth event draws the replacer among the dying vertex's
+    incoming neighbours, a birth-death event the target among the
+    breeder's outgoing ones; ``what`` names the refused object. LD
+    events draw an edge and need no check here.
+    """
+    family = neutral_part(rule)
+    if family is Rule.DB:
+        degree, name, side = graph.k_in, "death-birth", "incoming"
+    elif family is Rule.BD:
+        degree, name, side = graph.k_out, "birth-death", "outgoing"
+    else:
+        return
+    if (degree == 0).any():
+        missing = np.flatnonzero(degree == 0).tolist()
+        raise ValueError(f"{name} {what} undefined: vertices {missing} have no {side} edges")
+
+
 def kernel_matrix(graph, rule):
     """The sparse row-stochastic operator of one update step."""
     rule = neutral_part(rule)
@@ -120,11 +140,8 @@ def kernel_matrix(graph, rule):
         win = graph.incoming_matrix(weighted=True)
         op = identity(n, format="csr") + (win - _diag(graph.temperatures)) / n
     elif rule is Rule.DB:
-        if (graph.k_in == 0).any():
-            missing = np.flatnonzero(graph.k_in == 0).tolist()
-            raise ValueError(
-                f"death-birth step undefined: vertices {missing} have no incoming edges"
-            )
+        # the neutral birth-death kernel stays row-stochastic without out-edges
+        check_neighbours(graph, rule, "step")
         uin = graph.incoming_matrix(weighted=False)
         scale = 1.0 / (n * graph.k_in)
         op = _diag(np.full(n, 1.0 - 1.0 / n)) + _scale_rows(uin, scale)

@@ -3,8 +3,8 @@
 Each run plays single replacement events until the mutant set is the
 whole vertex set or empty. Runs are reproducible and order
 independent: run k of a session seeded with S draws its generator from
-``SeedSequence(entropy=S, spawn_key=(k,))``, so a summary is identical
-no matter how runs are scheduled across threads.
+``SeedSequence(entropy=S, spawn_key=(k,))`` and nothing else. Every run
+is played on the calling thread, in index order.
 
 Event semantics by rule (fitness f is r on mutants, 1 on residents):
 
@@ -28,15 +28,13 @@ names are accepted and dispatched to the cheapest equivalent sampler.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import chain
 from time import perf_counter
 
 import numpy as np
 
-from .dynamics import Rule, init_vector, iterate, neutral_part, resolve_rule
+from .dynamics import Rule, check_neighbours, init_vector, iterate, neutral_part, resolve_rule
 from .graphs import check_config, is_strongly_connected
 from .solver import NotStronglyConnected
 
@@ -56,14 +54,8 @@ _KIND_AT_UNIT_FITNESS = {
 
 
 def default_thread_count():
-    """Worker count: FIXLAB_THREADS when set, else the CPU count."""
-    env = os.environ.get("FIXLAB_THREADS")
-    if env:
-        count = int(env)
-        if count < 1:
-            raise ValueError(f"FIXLAB_THREADS must be positive, got {env}")
-        return count
-    return os.cpu_count() or 1
+    """Always 1: every run is played on the calling thread."""
+    return 1
 
 
 class _Draws:
@@ -141,16 +133,7 @@ class _Process:
         self.r = float(r)
         self.n = graph.n
         self.kind = (_KIND_AT_UNIT_FITNESS if self.r == 1.0 else _KIND)[self.rule]
-        if self.kind in (_K_DB_B, _K_DB_D) and (graph.k_in == 0).any():
-            missing = np.flatnonzero(graph.k_in == 0).tolist()
-            raise ValueError(
-                f"death-birth events undefined: vertices {missing} have no incoming edges"
-            )
-        if self.kind in (_K_BD_B, _K_BD_D) and (graph.k_out == 0).any():
-            missing = np.flatnonzero(graph.k_out == 0).tolist()
-            raise ValueError(
-                f"birth-death events undefined: vertices {missing} have no outgoing edges"
-            )
+        check_neighbours(graph, self.rule, "events")
         self.out_ptr = graph.out_ptr.tolist()
         self.out_dst = graph.out_dst.tolist()
         self.out_w = graph.out_w.tolist()
@@ -354,14 +337,14 @@ def standard_error(frequency, runs):
 
 def estimate(
     graph, config, rule=Rule.BD, r=1.0,
-    runs=2000, seed=0, threads=None, step_cap=None,
+    runs=2000, seed=0, step_cap=None,
 ):
     """Fixation frequency over independent runs, with timing and error bar.
 
-    Run k draws its generator from the master seed and k alone, so the
-    summary is bit-identical for any thread count; threads only change
-    the wall time. Capped runs (absorption not reached) are excluded
-    from the time averages and reported in ``capped_runs``.
+    Run k draws its generator from the master seed and k alone, and the
+    runs are played one after another on the calling thread. Capped runs
+    (absorption not reached) are excluded from the time averages and
+    reported in ``capped_runs``.
     """
     if runs < 2:
         raise ValueError("need at least 2 runs for an error estimate")
@@ -371,20 +354,9 @@ def estimate(
     proc = _Process(graph, rule, r)
     cap = step_cap if step_cap is not None else 1_000_000 * graph.n
     seed = int(seed)
-    workers = threads if threads is not None else default_thread_count()
-    workers = max(1, min(workers, runs))
 
     t0 = perf_counter()
-    if workers == 1:
-        results = [proc.run(members, _run_seed(seed, k), cap) for k in range(runs)]
-    else:
-        def chunk(lo_hi):
-            lo, hi = lo_hi
-            return [proc.run(members, _run_seed(seed, k), cap) for k in range(lo, hi)]
-        bounds = np.linspace(0, runs, workers + 1).astype(int)
-        spans = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = [r_ for part in pool.map(chunk, spans) for r_ in part]
+    results = [proc.run(members, _run_seed(seed, k), cap) for k in range(runs)]
     wall = perf_counter() - t0
 
     fixations = sum(1 for r_ in results if r_.fixated)
@@ -480,7 +452,7 @@ class BenchmarkResult:
 
 def speedup_benchmark(
     graph, config, rule=Rule.BD, r=1.0,
-    mc_runs=2000, seed=0, threads=None,
+    mc_runs=2000, seed=0,
     max_iters=10_000_000, fallback_stdev=2.5e-6,
 ):
     """Wall-clock comparison: simulation versus iteration to the same error.
@@ -498,9 +470,7 @@ def speedup_benchmark(
         raise ValueError("benchmark needs a nonempty proper starting set")
     if not is_strongly_connected(graph):
         raise NotStronglyConnected("speedup benchmark")
-    summary = estimate(
-        graph, members, rule=rule, r=r, runs=mc_runs, seed=seed, threads=threads,
-    )
+    summary = estimate(graph, members, rule=rule, r=r, runs=mc_runs, seed=seed)
 
     t0 = perf_counter()
     values = init_vector(graph, members).values

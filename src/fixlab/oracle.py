@@ -20,7 +20,7 @@ from scipy.sparse import csr_matrix, diags, identity
 from scipy.sparse.csgraph import breadth_first_order
 from scipy.sparse.linalg import bicgstab
 
-from .dynamics import Rule, neutral_part, resolve_rule
+from .dynamics import Rule, check_neighbours, neutral_part, resolve_rule
 
 ORACLE_CAP = 16
 
@@ -94,12 +94,7 @@ def build_chain(graph, rule=Rule.BD, r=1.0, cap=ORACLE_CAP):
     n = graph.n
     if n > cap:
         raise ValueError(f"population {n} above the exact-chain cap {cap}")
-    needs_in = neutral_part(rule) is Rule.DB
-    if needs_in and (graph.k_in == 0).any():
-        missing = np.flatnonzero(graph.k_in == 0).tolist()
-        raise ValueError(
-            f"death-birth chain undefined: vertices {missing} have no incoming edges"
-        )
+    check_neighbours(graph, rule, "chain")
 
     n_states = 1 << n
     states = np.arange(n_states)
@@ -234,6 +229,10 @@ def _solutions(chain):
 
     h_fix = solve("h_fix", p[:, [full]].toarray().ravel())
     h_ext = solve("h_ext", p[:, [0]].toarray().ravel())
+    # checked unclamped above; the solve is accurate in absolute terms only,
+    # so a probability far below RESIDUAL_TOL can land a hair outside [0, 1]
+    for h in (h_fix, h_ext):
+        np.clip(h, 0.0, 1.0, out=h)
     a_all = solve("a_all", np.ones(len(transient)))
     chain._solutions = {
         "transient": transient,
@@ -262,7 +261,11 @@ class MeanTimes:
     ``fixation`` conditions on reaching the all-mutant state,
     ``extinction`` on reaching the empty state, ``absorption`` is
     unconditional. A condition whose probability is zero has no mean;
-    the value is NaN and the matching flag is False.
+    the value is NaN and the matching flag is False. The probabilities
+    are accurate to ``RESIDUAL_TOL`` in absolute terms only, so a
+    conditional time whose probability lies below that accuracy is not
+    determined by the solve: it is reported undefined when the
+    probability comes out as 0, and is unreliable otherwise.
     """
 
     fixation: float

@@ -41,7 +41,7 @@ ENTRY_POINTS = {
     "solve": lambda rule, r: solve(GRAPH, [0], SolveOptions(rule=rule)),
     "trajectory": lambda rule, r: trajectory(GRAPH, [0], rule=rule, steps=3),
     "mttf_lower_bound": lambda rule, r: mttf_lower_bound(GRAPH, [0], rule=rule),
-    "estimate": lambda rule, r: estimate(GRAPH, [0], rule=rule, r=r, runs=4, threads=1),
+    "estimate": lambda rule, r: estimate(GRAPH, [0], rule=rule, r=r, runs=4),
     "build_chain": lambda rule, r: build_chain(GRAPH, rule=rule, r=r),
     "bound_report": lambda rule, r: bound_report(GRAPH, 0, r, rule),
 }
@@ -68,7 +68,7 @@ def _cli(capsys, tmp_path, entry, rule, r):
     if entry in FITNESS_ROUTES:
         argv += ["--r", repr(r)]
     if entry == "estimate":
-        argv += ["--runs", "4", "--threads", "1"]
+        argv += ["--runs", "4"]
     code = main(argv)
     return code, capsys.readouterr().out
 

@@ -159,7 +159,7 @@ def test_generate_bad_spec(capsys):
 def test_simulate_summary(capsys, two_cycle_file):
     code, out = run_cli(capsys, [
         "simulate", "--graph", two_cycle_file, "--config", "[0]",
-        "--runs", "100", "--seed", "5", "--threads", "1",
+        "--runs", "100", "--seed", "5",
     ])
     assert code == 0
     payload = json.loads(out)
@@ -172,12 +172,19 @@ def test_simulate_biased(capsys, two_cycle_file):
     code, out = run_cli(capsys, [
         "simulate", "--graph", two_cycle_file, "--config", "[0]",
         "--rule", "bd-b", "--r", "2.0", "--runs", "200", "--seed", "1",
-        "--threads", "1",
     ])
     assert code == 0
     payload = json.loads(out)
     # true value is 2/3; a 200-run estimate lands nearby
     assert 0.5 <= payload["fixation_frequency"] <= 0.85
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+def test_threads_flag_is_refused(capsys, two_cycle_file, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--graph", two_cycle_file, "--config", "[0]", "--threads", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------- oracle
@@ -215,6 +222,17 @@ def test_oracle_on_a_chain_that_never_absorbs_exits_one(capsys, tmp_path):
     code, out = run_cli(capsys, ["oracle", "--graph", str(path), "--config", "[0]"])
     assert code == 1
     assert "never reach fixation or extinction" in json.loads(out)["error"]
+
+
+@pytest.mark.parametrize("rule", ["bd", "bd-b"])
+def test_oracle_on_a_sink_vertex_exits_one(capsys, tmp_path, rule):
+    path = tmp_path / "sink.json"
+    path.write_text(json.dumps({"n": 3, "edges": [[0, 1, 0.5], [0, 2, 0.5], [1, 0, 1.0]]}))
+    code, out = run_cli(capsys, [
+        "oracle", "--graph", str(path), "--config", "[0]", "--rule", rule,
+    ])
+    assert code == 1
+    assert "vertices [2] have no outgoing edges" in json.loads(out)["error"]
 
 
 def test_oracle_neutral_rejects_fitness(capsys, two_cycle_file):
@@ -310,7 +328,7 @@ def test_amplifier_star(capsys, tmp_path):
 def test_compare_csv(capsys, two_cycle_file):
     code, out = run_cli(capsys, [
         "compare", "--graph", two_cycle_file, "--config", "[0]",
-        "--runs", "50", "--seed", "2", "--threads", "1",
+        "--runs", "50", "--seed", "2",
     ])
     assert code == 0
     lines = out.strip().splitlines()
@@ -323,7 +341,7 @@ def test_compare_out_file(capsys, two_cycle_file, tmp_path):
     dest = tmp_path / "bench.csv"
     code, out = run_cli(capsys, [
         "compare", "--graph", two_cycle_file, "--config", "[0]",
-        "--runs", "50", "--seed", "2", "--threads", "1", "--out", str(dest),
+        "--runs", "50", "--seed", "2", "--out", str(dest),
     ])
     assert code == 0
     payload = json.loads(out)

@@ -170,6 +170,18 @@ def test_solve_restarts_past_a_drifted_residual():
     assert blended == pytest.approx(times.absorption, rel=1e-10)
 
 
+def test_fixation_stays_a_probability_far_below_the_solve_accuracy():
+    # the hub of this star fixes with chance ~1e-44; the absolute-accuracy
+    # solve gave -3.1e-44 there, and extinction chances a hair above 1
+    chain = build_chain(star_graph(13), Rule.BD_B, r=0.01)
+    for v in range(chain.n):
+        h = fixation_exact(chain, [v])
+        assert 0.0 <= h <= 1.0e-12
+        times = mean_times_exact(chain, [v])
+        assert times.extinction == pytest.approx(times.absorption, rel=1e-12)
+    assert max(chain.residuals.values()) <= RESIDUAL_TOL
+
+
 def test_chain_that_never_absorbs_is_refused():
     # two source components: a state that holds them apart never absorbs
     g = EvolutionaryGraph(6, [
@@ -219,6 +231,14 @@ def test_db_chain_needs_incoming_edges():
     g = EvolutionaryGraph(3, [(0, 1, 1.0), (1, 2, 1.0), (2, 1, 1.0)])
     with pytest.raises(ValueError, match="incoming"):
         build_chain(g, Rule.DB)
+
+
+@pytest.mark.parametrize("rule, r", [(Rule.BD, 1.0), (Rule.BD_B, 1.5), (Rule.BD_D, 0.7)])
+def test_bd_chain_needs_outgoing_edges(rule, r):
+    # vertex 2 has no outgoing edge, so a birth-death event from it has no target
+    g = EvolutionaryGraph(3, [(0, 1, 0.5), (0, 2, 0.5), (1, 0, 1.0)])
+    with pytest.raises(ValueError, match=r"vertices \[2\] have no outgoing edges"):
+        build_chain(g, rule, r=r)
 
 
 # ------------------------------------------------------------- mean times
