@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix, identity
+from scipy.sparse import _sparsetools, csr_matrix, identity
 
 from .graphs import check_config
 
@@ -170,14 +170,31 @@ def _scale_rows(m, scale):
 def iterate(graph, rule, values):
     """Yield the vector after each step of the kernel, without end.
 
-    The kernel is looked up once. Every yielded vector is a new array,
-    clipped to [0, 1] against rounding drift; callers stop the loop.
+    The kernel is looked up once and ``values`` is checked once: it must
+    be a vector of length ``graph.n`` (anything numpy converts to one,
+    read as float64), else ``ValueError``. Each step is one call of
+    scipy's CSR matrix-vector kernel, the one ``op @ values`` runs,
+    into a fresh array, then a clip to [0, 1] against rounding drift,
+    so the results are bit for bit those of ``np.clip(op @ values, 0,
+    1)``. Every yielded vector is a new array and the caller's vector
+    is never written; callers stop the loop.
     """
     op = kernel_matrix(graph, rule)
+    n = graph.n
+    values = np.asarray(values, dtype=np.float64)
+    # the kernel does no bounds checking, so this guard keeps it in bounds
+    if values.shape != (n,):
+        raise ValueError(f"vector of shape {values.shape} != population size ({n},)")
+    values = np.ascontiguousarray(values)
+    matvec = _sparsetools.csr_matvec
+    indptr, indices, data = op.indptr, op.indices, op.data
     while True:
-        values = op @ values
-        np.clip(values, 0.0, 1.0, out=values)
-        yield values
+        out = np.zeros(n)
+        matvec(n, n, indptr, indices, data, values, out)
+        np.minimum(out, 1.0, out=out)
+        np.maximum(out, 0.0, out=out)
+        yield out
+        values = out
 
 
 def step_values(graph, rule, values):
@@ -187,9 +204,21 @@ def step_values(graph, rule, values):
 
 def step(graph, rule, pv):
     """One update step of a ProbabilityVector, advancing its time."""
-    if len(pv.values) != graph.n:
-        raise ValueError(f"vector length {len(pv.values)} != population size {graph.n}")
     return ProbabilityVector(values=step_values(graph, rule, pv.values), t=pv.t + 1)
+
+
+def std(values):
+    """``float(np.std(values))`` of a float64 vector, bit for bit.
+
+    The same operations in the same order as numpy's own (sum over n,
+    subtract, square in place, sum over n, square root), without the
+    wrapper's cost, which dominates on the small vectors that the
+    per-step statistics see.
+    """
+    n = values.shape[0]
+    dev = values - np.add.reduce(values) / n
+    np.square(dev, out=dev)
+    return math.sqrt(np.add.reduce(dev) / n)
 
 
 def expected_mutants(pv):

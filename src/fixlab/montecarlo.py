@@ -34,7 +34,7 @@ from time import perf_counter
 
 import numpy as np
 
-from .dynamics import Rule, check_neighbours, init_vector, iterate, neutral_part, resolve_rule
+from .dynamics import Rule, check_neighbours, init_vector, iterate, neutral_part, resolve_rule, std
 from .graphs import check_config, is_strongly_connected
 from .solver import NotStronglyConnected
 
@@ -483,7 +483,7 @@ def speedup_benchmark(
         if summary.std_error > 0 and abs(avg - summary.fixation_frequency) <= summary.std_error:
             entered = True
             break
-        if float(values.std()) <= fallback_stdev:
+        if std(values) <= fallback_stdev:
             break
     solver_time = perf_counter() - t0
 

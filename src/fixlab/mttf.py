@@ -18,7 +18,7 @@ from itertools import islice
 
 import numpy as np
 
-from .dynamics import Rule, init_vector, iterate, resolve_rule
+from .dynamics import Rule, init_vector, iterate, resolve_rule, std
 from .graphs import check_config, is_strongly_connected
 from .oracle import build_chain, mean_times_exact
 from .solver import NotStronglyConnected, _StepTable
@@ -74,22 +74,22 @@ def mttf_lower_bound(
         raise NotStronglyConnected("mean time to fixation")
 
     p = init_vector(graph, members).values
-    p_min = float(p.min())
-    stdev = float(np.std(p))
+    p_min = float(np.minimum.reduce(p))
+    stdev = std(p)
     total = 0.0
     t = 0
     negatives = 0
     rows = [] if record else None
     steps = islice(iterate(graph, rule, p), max_iters) if stdev > stop_stdev else ()
     for t, p in enumerate(steps, start=1):
-        prev_min, p_min = p_min, float(p.min())
+        prev_min, p_min = p_min, float(np.minimum.reduce(p))
         inc = t * (p_min - prev_min)
         if inc < 0:
             negatives += 1
         total += inc
         if record:
             rows.append((t, p_min, inc, total))
-        stdev = float(np.std(p))
+        stdev = std(p)
         if stdev <= stop_stdev:
             break
     truncated = stdev > stop_stdev

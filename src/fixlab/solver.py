@@ -20,7 +20,7 @@ from itertools import islice
 
 import numpy as np
 
-from .dynamics import Rule, init_vector, iterate, kernel_matrix, neutral_part, resolve_rule
+from .dynamics import Rule, init_vector, iterate, kernel_matrix, neutral_part, resolve_rule, std
 from .graphs import check_config, is_strongly_connected, stats
 
 
@@ -124,11 +124,12 @@ class _Recorder:
 
     def add(self, t, values):
         if self.enabled:
+            total = np.add.reduce(values)
             self.rows.append((
                 t,
-                float(values.min()), float(values.max()),
-                float(values.mean()), float(values.std()),
-                float(values.sum()),
+                float(np.minimum.reduce(values)), float(np.maximum.reduce(values)),
+                float(total / values.shape[0]), std(values),
+                float(total),
             ))
 
     def table(self):
@@ -158,8 +159,8 @@ class SolveReport:
 
 def _criterion_stat(values, criterion):
     if criterion == "range":
-        return 0.5 * float(values.max() - values.min())
-    return float(values.std())
+        return 0.5 * float(np.maximum.reduce(values) - np.minimum.reduce(values))
+    return std(values)
 
 
 def _estimate(values, criterion):

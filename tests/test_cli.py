@@ -2,11 +2,14 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from fixlab import load_graph
 from fixlab.cli import main
 from fixlab.oracle import RESIDUAL_TOL
+
+from .loop_chain import loop_transitions
 
 
 @pytest.fixture()
@@ -233,6 +236,26 @@ def test_oracle_on_a_sink_vertex_exits_one(capsys, tmp_path, rule):
     ])
     assert code == 1
     assert "vertices [2] have no outgoing edges" in json.loads(out)["error"]
+
+
+def test_oracle_answers_where_the_chain_absorbs_without_strong_connectivity(capsys, tmp_path):
+    # vertex 2 is a sink, so solve and simulate refuse the graph (exit 2);
+    # the oracle refuses only chains that never absorb, and this one does
+    edges = [[0, 1, 0.5], [0, 2, 0.5], [1, 0, 1.0]]
+    path = tmp_path / "sink.json"
+    path.write_text(json.dumps({"n": 3, "edges": edges}))
+    argv = ["--graph", str(path), "--config", "[0]", "--rule", "db"]
+    for command in ("solve", "simulate"):
+        code, out = run_cli(capsys, [command, *argv])
+        assert code == 2
+        assert json.loads(out)["error"] == "not_strongly_connected"
+    code, out = run_cli(capsys, ["oracle", *argv])
+    assert code == 0
+    # dense absorption solve of the per-state loop build: state 0b001 to fixation
+    p = loop_transitions(load_graph(str(path)), "db").toarray()
+    transient = np.arange(1, 7)
+    h = np.linalg.solve(np.eye(6) - p[np.ix_(transient, transient)], p[transient, 7])
+    assert json.loads(out)["fixation"] == pytest.approx(h[0], abs=1e-12)
 
 
 def test_oracle_neutral_rejects_fitness(capsys, two_cycle_file):

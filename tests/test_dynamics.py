@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fixlab import (
     BIASED_RULES,
@@ -11,13 +12,16 @@ from fixlab import (
     expected_mutants,
     expected_mutants_step_residual,
     init_vector,
+    iterate,
     kernel_matrix,
     neutral_part,
     parse_rule,
     step,
     step_values,
 )
+from fixlab.dynamics import std
 
+from . import loop_iterate as ref
 from .util import path3, random_digraph, two_cycle
 
 RULES = list(NEUTRAL_RULES)
@@ -67,6 +71,52 @@ def test_step_increments_time_and_checks_length():
     assert nxt.t == 1
     with pytest.raises(ValueError):
         step_values(g, Rule.BD, np.zeros(3))
+
+
+@pytest.mark.parametrize("rule", RULES)
+@pytest.mark.parametrize("shape", [(5,), (7,), (6, 1), (1, 6)])
+def test_iterate_refuses_anything_but_a_vector_of_length_n(rule, shape):
+    g = random_digraph(3, 6)
+    # a short vector cut from a longer buffer: the kernel must not read on
+    buf = np.full(8, np.nan)
+    values = buf[:shape[0]] if len(shape) == 1 else np.zeros(shape)
+    with pytest.raises(ValueError, match=r"population size \(6,\)"):
+        next(iterate(g, rule, values))
+    with pytest.raises(ValueError, match=r"population size \(6,\)"):
+        step_values(g, rule, values)
+
+
+@pytest.mark.parametrize("rule", RULES)
+def test_iterate_takes_lists_and_integer_arrays_like_the_reference(rule):
+    g = random_digraph(4, 6)
+    want = next(ref.iterate(g, rule, np.array([0, 1, 0, 1, 1, 0])))
+    for values in ([0, 1, 0, 1, 1, 0], np.array([0, 1, 0, 1, 1, 0]), (0.0, 1, 0, 1, 1, 0)):
+        assert step_values(g, rule, values).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("rule", RULES)
+def test_iterate_never_writes_the_callers_vector(rule):
+    g = random_digraph(5, 6)
+    # the guard copies a strided vector but reads a contiguous one in place
+    for values in (np.linspace(0.0, 1.0, 6), np.linspace(0.0, 1.0, 12)[::2]):
+        before = values.copy()
+        seen = [v for _, v in zip(range(4), iterate(g, rule, values))]
+        assert values.tobytes() == before.tobytes()
+        assert len({id(v) for v in [values, *seen]}) == 5
+
+
+@settings(max_examples=200, deadline=None)
+@given(hnp.arrays(
+    np.float64, st.integers(1, 300),
+    elements=st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
+))
+@example(np.array([0.3]))
+@example(np.full(17, 0.1))
+@example(np.full(10_000, 1.0 / 3.0))
+@example(np.random.default_rng(0).random(10_000))
+@example(np.random.default_rng(1).random(10_000) ** 9)
+def test_std_helper_is_numpys_std(values):
+    assert std(values) == float(np.std(values))
 
 
 # ------------------------------------------------------------- kernels
