@@ -18,7 +18,7 @@ import json
 import sys
 
 from . import bounds as bounds_mod
-from . import graphs, montecarlo, mttf, oracle, solver
+from . import dynamics, graphs, montecarlo, mttf, oracle, solver
 
 _GENERATOR_ALIASES = {
     "ba": "preferential_attachment",
@@ -167,12 +167,17 @@ def _cmd_trajectory(args):
 def _cmd_simulate(args):
     graph = _load_graph(args)
     config = _parse_config(args.config)
+    step_cap = montecarlo.step_cap_for(graph, args.steps)
     summary = montecarlo.estimate(
         graph, config, rule=args.rule, r=args.r,
-        runs=args.runs, seed=args.seed, step_cap=args.steps,
+        runs=args.runs, seed=args.seed, step_cap=step_cap,
     )
+    # record what was applied, so the run replays from its own manifest
+    manifest = _manifest(args, "simulate", config)
+    manifest["rule"] = str(dynamics.resolve_rule(args.rule, args.r))
+    manifest["steps"] = step_cap
     return {
-        "manifest": _manifest(args, "simulate", config),
+        "manifest": manifest,
         "runs": summary.runs,
         "fixations": summary.fixations,
         "fixation_frequency": summary.fixation_frequency,

@@ -78,13 +78,16 @@ class EvolutionaryGraph:
     """Immutable directed weighted graph with row-stochastic weights.
 
     Rows are renormalized exactly on ingest when they are within
-    ``ROW_SUM_TOL`` of one; anything farther off is rejected. Both
-    adjacency directions are stored in CSR-style arrays so kernels and
-    samplers can slice neighborhoods without building Python lists.
+    ``ROW_SUM_TOL`` of one; anything farther off is rejected. The
+    weights as given are kept in ``given_w`` (in edge order) and are
+    what ``to_json`` writes, so a saved graph reads back with bit-equal
+    weights. Both adjacency directions are stored in CSR-style arrays
+    so kernels and samplers can slice neighborhoods without building
+    Python lists.
     """
 
     __slots__ = (
-        "n", "edges",
+        "n", "edges", "given_w",
         "out_ptr", "out_dst", "out_w", "out_cum",
         "in_ptr", "in_src", "in_w",
         "k_in", "k_out", "temperatures",
@@ -99,6 +102,8 @@ class EvolutionaryGraph:
             raise ValueError("invalid graph: " + "; ".join(problems))
         self.n = int(n)
         edges.sort(key=lambda e: (e[0], e[1]))
+        m = len(edges)
+        self.given_w = np.fromiter((e[2] for e in edges), dtype=np.float64, count=m)
 
         row_sums = np.zeros(n)
         for s, _, w in edges:
@@ -108,7 +113,6 @@ class EvolutionaryGraph:
         ]
         self.edges = tuple(edges)
 
-        m = len(edges)
         src = np.fromiter((e[0] for e in edges), dtype=np.int64, count=m)
         dst = np.fromiter((e[1] for e in edges), dtype=np.int64, count=m)
         wgt = np.fromiter((e[2] for e in edges), dtype=np.float64, count=m)
@@ -159,7 +163,8 @@ class EvolutionaryGraph:
         return self._ops[key]
 
     def to_json(self):
-        return {"n": self.n, "edges": [[s, d, w] for s, d, w in self.edges]}
+        weights = self.given_w.tolist()
+        return {"n": self.n, "edges": [[s, d, w] for (s, d, _), w in zip(self.edges, weights)]}
 
     def __repr__(self):
         return f"EvolutionaryGraph(n={self.n}, edges={len(self.edges)})"
@@ -246,8 +251,26 @@ def stats(graph):
 
     The mean inverse degree is defined only for graphs that are both
     undirected (edge set symmetric) and unweighted (each outgoing
-    weight equals one over the out-degree); otherwise it is None.
+    weight equals one over the out-degree); otherwise it is None. The
+    shape flags are computed once per graph and memoized; the arrays
+    are fresh copies on every call.
     """
+    key = "shape"
+    if key not in graph._ops:
+        graph._ops[key] = _shape_flags(graph)
+    unweighted, undirected, mean_inv = graph._ops[key]
+    return GraphStats(
+        temperatures=graph.temperatures.copy(),
+        in_degrees=graph.k_in.copy(),
+        out_degrees=graph.k_out.copy(),
+        is_unweighted=unweighted,
+        is_undirected=undirected,
+        is_strongly_connected=is_strongly_connected(graph),
+        mean_inverse_degree=mean_inv,
+    )
+
+
+def _shape_flags(graph):
     unweighted = True
     for v in range(graph.n):
         lo, hi = graph.out_ptr[v], graph.out_ptr[v + 1]
@@ -259,15 +282,7 @@ def stats(graph):
     mean_inv = None
     if unweighted and undirected and (graph.k_out > 0).all():
         mean_inv = float(np.mean(1.0 / graph.k_out))
-    return GraphStats(
-        temperatures=graph.temperatures.copy(),
-        in_degrees=graph.k_in.copy(),
-        out_degrees=graph.k_out.copy(),
-        is_unweighted=unweighted,
-        is_undirected=undirected,
-        is_strongly_connected=is_strongly_connected(graph),
-        mean_inverse_degree=mean_inv,
-    )
+    return unweighted, undirected, mean_inv
 
 
 def _derived_seed(seed, *key):

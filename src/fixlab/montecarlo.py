@@ -28,6 +28,7 @@ names are accepted and dispatched to the cheapest equivalent sampler.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import chain
 from time import perf_counter
@@ -59,62 +60,31 @@ def default_thread_count():
 
 
 class _Draws:
-    """Buffered uniform variates from one generator, drawn in a fixed order."""
+    """Uniform variates from one generator, read in order from ``buf[i:]``.
 
-    __slots__ = ("rng", "buf", "i", "size")
+    ``_play`` appends the generator's next ``_BUFFER`` variates to the
+    unread tail when fewer than two are left; chunked draws from one
+    generator equal one long draw, so the stream does not depend on
+    where the chunks break.
+    """
 
-    def __init__(self, rng, size=_BUFFER):
+    __slots__ = ("rng", "buf", "i")
+
+    def __init__(self, rng):
         self.rng = rng
-        self.size = size
-        self.buf = rng.random(size).tolist()
+        self.buf = []
         self.i = 0
-
-    def u(self):
-        i = self.i
-        if i >= self.size:
-            self.buf = self.rng.random(self.size).tolist()
-            i = 0
-        self.i = i + 1
-        return self.buf[i]
-
-
-class _SwapSet:
-    """Index set with O(1) add, remove, and uniform pick."""
-
-    __slots__ = ("items", "pos")
-
-    def __init__(self, universe, members):
-        self.items = list(members)
-        self.pos = [-1] * universe
-        for k, v in enumerate(self.items):
-            self.pos[v] = k
-
-    def __len__(self):
-        return len(self.items)
-
-    def add(self, v):
-        self.pos[v] = len(self.items)
-        self.items.append(v)
-
-    def remove(self, v):
-        items, pos = self.items, self.pos
-        k = pos[v]
-        last = items[-1]
-        items[k] = last
-        pos[last] = k
-        items.pop()
-        pos[v] = -1
-
-    def pick(self, x):
-        # x in [0, len); clamp guards the last-ulp rounding of u * len
-        k = int(x)
-        if k >= len(self.items):
-            k = len(self.items) - 1
-        return self.items[k]
 
 
 class _State:
-    __slots__ = ("member", "m", "mut", "res", "eb_mut", "eb_res")
+    """One trajectory: types, mutant count and the swap-set index lists.
+
+    ``mut``/``res`` list the mutant and resident vertices and ``pos[v]``
+    is v's index in whichever list holds it; under ld, ``eb_mut``/``eb_res``
+    and ``epos`` do the same for edges by the type of their source.
+    """
+
+    __slots__ = ("member", "m", "mut", "res", "pos", "eb_mut", "eb_res", "epos")
 
 
 @dataclass(frozen=True)
@@ -122,6 +92,15 @@ class RunResult:
     fixated: bool
     steps: int
     capped: bool
+
+
+def _positions(universe, *lists):
+    # pos[v] is v's index in the one list that holds it
+    pos = [-1] * universe
+    for items in lists:
+        for k, v in enumerate(items):
+            pos[v] = k
+    return pos
 
 
 class _Process:
@@ -150,158 +129,160 @@ class _Process:
         for v in members:
             st.member[v] = 1
         st.m = len(members)
-        st.mut = _SwapSet(self.n, [v for v in range(self.n) if st.member[v]])
-        st.res = _SwapSet(self.n, [v for v in range(self.n) if not st.member[v]])
+        st.mut = [v for v in range(self.n) if st.member[v]]
+        st.res = [v for v in range(self.n) if not st.member[v]]
+        st.pos = _positions(self.n, st.mut, st.res)
+        st.eb_mut = st.eb_res = st.epos = None
         if self.kind == _K_LD:
-            st.eb_mut = _SwapSet(
-                self.n_edges,
-                [e for e in range(self.n_edges) if st.member[self.edge_src[e]]],
-            )
-            st.eb_res = _SwapSet(
-                self.n_edges,
-                [e for e in range(self.n_edges) if not st.member[self.edge_src[e]]],
-            )
-        else:
-            st.eb_mut = st.eb_res = None
+            st.eb_mut = [e for e in range(self.n_edges) if st.member[self.edge_src[e]]]
+            st.eb_res = [e for e in range(self.n_edges) if not st.member[self.edge_src[e]]]
+            st.epos = _positions(self.n_edges, st.eb_mut, st.eb_res)
         return st
 
-    def event(self, st, draws):
-        """Sample one replacement event; returns (vertex, new_type)."""
-        kind = self.kind
-        r = self.r
-        member = st.member
+
+def _play(proc, st, draws, step_cap):
+    """Play events on ``st`` until absorption or ``step_cap`` events.
+
+    This is the module's one event law. Each sampler kind is an inline
+    block and a flip is committed inline (swap-set move, ld edge-bucket
+    moves, mutant count), all on locals. Draws are read from ``draws``,
+    whose cursor is left after the last one used, so calls can share a
+    stream. ``st`` is left at the final state.
+    """
+    n, m = proc.n, st.m
+    if m == 0:
+        return RunResult(False, 0, False)
+    if m == n:
+        return RunResult(True, 0, False)
+    kind, r, n_edges = proc.kind, proc.r, proc.n_edges
+    out_ptr, out_dst, out_w, out_cum = proc.out_ptr, proc.out_dst, proc.out_w, proc.out_cum
+    in_ptr, in_src, k_in, edge_src = proc.in_ptr, proc.in_src, proc.k_in, proc.edge_src
+    member, mut, res, pos = st.member, st.mut, st.res, st.pos
+    eb_mut, eb_res, epos = st.eb_mut, st.eb_res, st.epos
+    random, buf, i = draws.rng.random, draws.buf, draws.i
+    stop = len(buf) - 1  # an event reads at most two variates
+    steps = 0
+    while steps < step_cap:
+        steps += 1
+        if i >= stop:
+            buf = buf[i:] + random(_BUFFER).tolist()
+            i, stop = 0, len(buf) - 1
+        # a pick int(x) from x in [0, len) is clamped against the last-ulp
+        # rounding of u * len, and a draw past a row's float cumsum, which
+        # can end a ulp or more below 1, is clamped to the row's last entry
         if kind == _K_BD_B:
-            m = st.m
-            phi = r * m + (self.n - m)
-            x = draws.u() * phi
+            x = buf[i] * (r * m + (n - m))
             if x < r * m:
-                breeder = st.mut.pick(x / r)
+                k = int(x / r)
+                breeder = mut[k if k < m else m - 1]
             else:
-                breeder = st.res.pick(x - r * m)
-            lo, hi = self.out_ptr[breeder], self.out_ptr[breeder + 1]
-            target = self.out_dst[_bisect(self.out_cum, draws.u(), lo, hi)]
-            return target, member[breeder]
-        if kind == _K_BD_D:
-            breeder = self._uniform_vertex(st, draws)
-            lo, hi = self.out_ptr[breeder], self.out_ptr[breeder + 1]
+                k = int(x - r * m)
+                breeder = res[k if k < n - m else n - m - 1]
+            # the first edge of the row whose cumsum exceeds the draw
+            last = out_ptr[breeder + 1] - 1
+            k = bisect_right(out_cum, buf[i + 1], out_ptr[breeder], last + 1)
+            i += 2
+            vertex, new = out_dst[k if k < last else last], member[breeder]
+        elif kind == _K_BD_D:
+            breeder = int(buf[i] * n)
+            if breeder >= n:
+                breeder = n - 1
+            lo, hi = out_ptr[breeder], out_ptr[breeder + 1]
             total = 0.0
             for k in range(lo, hi):
-                w = self.out_w[k]
-                total += w / r if member[self.out_dst[k]] else w
-            x = draws.u() * total
+                w = out_w[k]
+                total += w / r if member[out_dst[k]] else w
+            x = buf[i + 1] * total
+            i += 2
             acc = 0.0
-            target = self.out_dst[hi - 1]
+            vertex = out_dst[hi - 1]
             for k in range(lo, hi):
-                w = self.out_w[k]
-                acc += w / r if member[self.out_dst[k]] else w
+                w = out_w[k]
+                acc += w / r if member[out_dst[k]] else w
                 if x < acc:
-                    target = self.out_dst[k]
+                    vertex = out_dst[k]
                     break
-            return target, member[breeder]
-        if kind == _K_DB_B:
-            dying = self._uniform_vertex(st, draws)
-            lo, hi = self.in_ptr[dying], self.in_ptr[dying + 1]
+            new = member[breeder]
+        elif kind == _K_DB_B:
+            vertex = int(buf[i] * n)
+            if vertex >= n:
+                vertex = n - 1
+            lo, hi = in_ptr[vertex], in_ptr[vertex + 1]
             total = 0.0
             for k in range(lo, hi):
-                total += r if member[self.in_src[k]] else 1.0
-            x = draws.u() * total
+                total += r if member[in_src[k]] else 1.0
+            x = buf[i + 1] * total
+            i += 2
             acc = 0.0
-            rep = self.in_src[hi - 1]
+            rep = in_src[hi - 1]
             for k in range(lo, hi):
-                acc += r if member[self.in_src[k]] else 1.0
+                acc += r if member[in_src[k]] else 1.0
                 if x < acc:
-                    rep = self.in_src[k]
+                    rep = in_src[k]
                     break
-            return dying, member[rep]
-        if kind == _K_DB_D:
-            m = st.m
-            psi = m / r + (self.n - m)
-            x = draws.u() * psi
+            new = member[rep]
+        elif kind == _K_DB_D:
+            x = buf[i] * (m / r + (n - m))
             if x < m / r:
-                dying = st.mut.pick(x * r)
+                k = int(x * r)
+                vertex = mut[k if k < m else m - 1]
             else:
-                dying = st.res.pick(x - m / r)
-            lo = self.in_ptr[dying]
-            k = lo + int(draws.u() * self.k_in[dying])
-            if k >= self.in_ptr[dying + 1]:
-                k = self.in_ptr[dying + 1] - 1
-            return dying, member[self.in_src[k]]
-        # LD
-        cm = len(st.eb_mut)
-        phi = r * cm + (self.n_edges - cm)
-        x = draws.u() * phi
-        if x < r * cm:
-            e = st.eb_mut.pick(x / r)
-        else:
-            e = st.eb_res.pick(x - r * cm)
-        return self.out_dst[e], member[self.edge_src[e]]
-
-    def _uniform_vertex(self, st, draws):
-        v = int(draws.u() * self.n)
-        return v if v < self.n else self.n - 1
-
-    def apply_flip(self, st, vertex, new_type):
-        """Commit a type change; returns the new mutant count."""
-        st.member[vertex] = new_type
-        if new_type:
-            st.res.remove(vertex)
-            st.mut.add(vertex)
-            st.m += 1
-        else:
-            st.mut.remove(vertex)
-            st.res.add(vertex)
-            st.m -= 1
-        if self.kind == _K_LD:
-            lo, hi = self.out_ptr[vertex], self.out_ptr[vertex + 1]
-            src_bucket, dst_bucket = (
-                (st.eb_res, st.eb_mut) if new_type else (st.eb_mut, st.eb_res)
-            )
-            for e in range(lo, hi):
-                src_bucket.remove(e)
-                dst_bucket.add(e)
-        return st.m
-
-    def run(self, members, rng, step_cap):
-        st = self.new_state(members)
-        n = self.n
-        if st.m == 0:
-            return RunResult(False, 0, False)
-        if st.m == n:
-            return RunResult(True, 0, False)
-        draws = _Draws(rng)
-        steps = 0
-        event = self.event
-        member = st.member
-        while True:
-            if steps >= step_cap:
-                return RunResult(False, steps, True)
-            steps += 1
-            vertex, new_type = event(st, draws)
-            if member[vertex] != new_type:
-                m = self.apply_flip(st, vertex, new_type)
-                if m == 0:
-                    return RunResult(False, steps, False)
-                if m == n:
-                    return RunResult(True, steps, False)
-
-
-def _bisect(cum, x, lo, hi):
-    # first k in [lo, hi) with cum[k] > x; clamped to hi - 1, since a
-    # float cumsum can end a ulp or more below 1 and then below x
-    last = hi - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if cum[mid] > x:
-            hi = mid
-        else:
-            lo = mid + 1
-    return min(lo, last)
-
+                k = int(x - m / r)
+                vertex = res[k if k < n - m else n - m - 1]
+            k = in_ptr[vertex] + int(buf[i + 1] * k_in[vertex])
+            i += 2
+            last = in_ptr[vertex + 1] - 1
+            new = member[in_src[k if k < last else last]]
+        else:  # ld
+            cm = len(eb_mut)
+            x = buf[i] * (r * cm + (n_edges - cm))
+            i += 1
+            if x < r * cm:
+                k = int(x / r)
+                e = eb_mut[k if k < cm else cm - 1]
+            else:
+                k = int(x - r * cm)
+                e = eb_res[k if k < n_edges - cm else n_edges - cm - 1]
+            vertex, new = out_dst[e], member[edge_src[e]]
+        if member[vertex] != new:
+            member[vertex] = new
+            src, dst = (res, mut) if new else (mut, res)
+            k = pos[vertex]
+            last = src[-1]
+            src[k] = last
+            pos[last] = k
+            src.pop()
+            pos[vertex] = len(dst)
+            dst.append(vertex)
+            m = len(mut)
+            if kind == _K_LD:
+                src, dst = (eb_res, eb_mut) if new else (eb_mut, eb_res)
+                for e in range(out_ptr[vertex], out_ptr[vertex + 1]):
+                    k = epos[e]
+                    last = src[-1]
+                    src[k] = last
+                    epos[last] = k
+                    src.pop()
+                    epos[e] = len(dst)
+                    dst.append(e)
+            if m == 0 or m == n:
+                result = RunResult(m == n, steps, False)
+                break
+    else:
+        result = RunResult(False, steps, True)
+    st.m = m
+    draws.buf, draws.i = buf, i
+    return result
 
 def _run_seed(master_seed, index):
     return np.random.Generator(
         np.random.PCG64(np.random.SeedSequence(entropy=master_seed, spawn_key=(index,)))
     )
+
+
+def step_cap_for(graph, step_cap=None):
+    """The per-run event cap applied: ``step_cap``, or 10^6 events per vertex."""
+    return step_cap if step_cap is not None else 1_000_000 * graph.n
 
 
 def simulate_run(graph, config, rule=Rule.BD, r=1.0, seed=0, step_cap=None):
@@ -310,8 +291,8 @@ def simulate_run(graph, config, rule=Rule.BD, r=1.0, seed=0, step_cap=None):
     if 0 < len(members) < graph.n and not is_strongly_connected(graph):
         raise NotStronglyConnected("simulation to absorption")
     proc = _Process(graph, rule, r)
-    cap = step_cap if step_cap is not None else 1_000_000 * graph.n
-    return proc.run(members, _run_seed(int(seed), 0), cap)
+    cap = step_cap_for(graph, step_cap)
+    return _play(proc, proc.new_state(members), _Draws(_run_seed(int(seed), 0)), cap)
 
 
 @dataclass(frozen=True)
@@ -352,11 +333,14 @@ def estimate(
     if 0 < len(members) < graph.n and not is_strongly_connected(graph):
         raise NotStronglyConnected("simulation to absorption")
     proc = _Process(graph, rule, r)
-    cap = step_cap if step_cap is not None else 1_000_000 * graph.n
+    cap = step_cap_for(graph, step_cap)
     seed = int(seed)
 
     t0 = perf_counter()
-    results = [proc.run(members, _run_seed(seed, k), cap) for k in range(runs)]
+    results = [
+        _play(proc, proc.new_state(members), _Draws(_run_seed(seed, k)), cap)
+        for k in range(runs)
+    ]
     wall = perf_counter() - t0
 
     fixations = sum(1 for r_ in results if r_.fixated)
@@ -390,14 +374,11 @@ def sample_transitions(graph, config, rule=Rule.BD, r=1.0, events=100_000, seed=
     """
     members = check_config(graph, config)
     proc = _Process(graph, rule, r)
-    rng = _run_seed(int(seed), 0)
-    draws = _Draws(rng)
+    draws = _Draws(_run_seed(int(seed), 0))
     counts = {}
     for _ in range(events):
         st = proc.new_state(members)
-        vertex, new_type = proc.event(st, draws)
-        if st.member[vertex] != new_type:
-            proc.apply_flip(st, vertex, new_type)
+        _play(proc, st, draws, 1)
         mask = 0
         for v in range(proc.n):
             if st.member[v]:

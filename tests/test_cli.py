@@ -182,12 +182,58 @@ def test_simulate_biased(capsys, two_cycle_file):
     assert 0.5 <= payload["fixation_frequency"] <= 0.85
 
 
+def test_simulate_manifest_records_the_applied_cap_and_rule(capsys, two_cycle_file):
+    code, out = run_cli(capsys, [
+        "simulate", "--graph", two_cycle_file, "--config", "[0]",
+        "--rule", "BD", "--runs", "20", "--seed", "3",
+    ])
+    assert code == 0
+    first = json.loads(out)
+    manifest = first["manifest"]
+    assert manifest["steps"] == 1_000_000 * 2
+    assert manifest["rule"] == "bd"
+    # the manifest alone replays the run
+    argv = ["simulate"]
+    for key in ("graph", "config", "rule", "r", "runs", "seed", "steps"):
+        argv += [f"--{key}", json.dumps(manifest[key]) if key == "config" else str(manifest[key])]
+    code, out = run_cli(capsys, argv)
+    assert code == 0
+    again = json.loads(out)
+    assert again["manifest"] == manifest
+    assert {k: v for k, v in again.items() if k != "wall_time"} == {
+        k: v for k, v in first.items() if k != "wall_time"}
+
+    code, out = run_cli(capsys, [
+        "simulate", "--graph", two_cycle_file, "--config", "[0]",
+        "--rule", "ld", "--r", "1.5", "--runs", "5", "--steps", "7",
+    ])
+    assert code == 0
+    manifest = json.loads(out)["manifest"]
+    assert (manifest["rule"], manifest["r"], manifest["steps"]) == ("ld", 1.5, 7)
+
+
 @pytest.mark.parametrize("command", ["simulate", "compare"])
 def test_threads_flag_is_refused(capsys, two_cycle_file, command):
     with pytest.raises(SystemExit) as exc:
         main([command, "--graph", two_cycle_file, "--config", "[0]", "--threads", "2"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+
+
+def test_solve_gives_the_same_fixation_on_a_generated_graph_and_its_file(capsys, tmp_path):
+    spec = "ba:n=30,m=2,seed=3,weighting=random"
+    path = str(tmp_path / "g.json")
+    code, _ = run_cli(capsys, ["generate", "--generate", spec, "--out", path])
+    assert code == 0
+    answers = []
+    for source in (["--generate", spec], ["--graph", path]):
+        code, out = run_cli(capsys, [
+            "solve", *source, "--config", "[0]", "--epsilon", "1e-10",
+        ])
+        assert code == 0
+        answers.append(json.loads(out))
+    assert answers[0]["fixation"] == answers[1]["fixation"]
+    assert answers[0]["iterations"] == answers[1]["iterations"]
 
 
 # ------------------------------------------------------------- oracle

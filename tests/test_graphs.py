@@ -20,6 +20,7 @@ from fixlab import (
     stats,
     validate,
 )
+from fixlab import graphs as graphs_mod
 
 from .util import path3, random_digraph, two_cycle, undirected_graph
 
@@ -218,6 +219,26 @@ def test_stats_weighted_pair_is_directed_balanced():
     assert st_.is_undirected and st_.is_unweighted
 
 
+def test_stats_shape_flags_are_computed_once(monkeypatch):
+    g = path3()
+    calls = []
+    compute = graphs_mod._shape_flags
+    monkeypatch.setattr(graphs_mod, "_shape_flags", lambda graph: calls.append(1) or compute(graph))
+    first = stats(g)
+    # callers own the arrays they get; writing to them leaves the cache alone
+    first.out_degrees[:] = 0
+    first.in_degrees[:] = 0
+    first.temperatures[:] = 0.0
+    second = stats(g)
+    assert calls == [1]
+    assert second.mean_inverse_degree == pytest.approx(5.0 / 6.0)
+    assert second.is_undirected and second.is_unweighted
+    assert second.out_degrees.tolist() == [1, 2, 1]
+    assert second.in_degrees.tolist() == [1, 2, 1]
+    assert second.temperatures.tolist() == g.temperatures.tolist()
+    assert second.out_degrees is not first.out_degrees
+
+
 # ------------------------------------------------------------- generators
 
 
@@ -314,6 +335,20 @@ def test_json_round_trip(tmp_path):
     for (s1, d1, w1), (s2, d2, w2) in zip(back.edges, g.edges):
         assert (s1, d1) == (s2, d2)
         assert w1 == pytest.approx(w2, abs=1e-15)
+
+
+def test_saved_graph_reads_back_with_bit_equal_weights(tmp_path):
+    # rows of random weights whose float sum is not exactly 1 used to be
+    # renormalized again on every load, moving weights by an ulp
+    g = generate("preferential_attachment", 30, seed=3, weighting="random", m=2)
+    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    save_graph(g, str(first))
+    back = load_graph(str(first))
+    assert back.edges == g.edges
+    assert back.out_w.tobytes() == g.out_w.tobytes()
+    assert back.out_cum.tobytes() == g.out_cum.tobytes()
+    save_graph(back, str(second))
+    assert second.read_text() == first.read_text()
 
 
 def test_text_edge_list(tmp_path):

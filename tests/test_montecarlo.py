@@ -18,7 +18,7 @@ from fixlab import (
     standard_error,
     state_of,
 )
-from fixlab.montecarlo import _bisect
+from fixlab.montecarlo import _Draws, _play, _Process, _run_seed
 
 from .util import complete_graph, random_digraph, two_cycle
 
@@ -216,11 +216,20 @@ def test_bisect_stays_inside_a_row_whose_cumsum_ends_below_one():
         10, [(0, j, 1.0 / 9) for j in range(1, 10)] + [(j, 0, 1.0) for j in range(1, 10)],
     )
     lo, hi = int(star.out_ptr[0]), int(star.out_ptr[1])
-    cum = star.out_cum.tolist()
-    assert cum[hi - 1] < 1.0
-    k = _bisect(cum, math.nextafter(1.0, 0.0), lo, hi)
-    assert k == hi - 1
-    assert star.out_dst[k] == 9
+    assert star.out_cum[hi - 1] < 1.0
+    proc = _Process(star, Rule.BD, 1.0)
+    st = proc.new_state([0])
+    # crafted draws: the first picks breeder 0 (the only mutant), the
+    # second lands above the row's cumsum
+    draws = _Draws(_run_seed(0, 0))
+    draws.buf = [0.0, math.nextafter(1.0, 0.0)]
+    res = _play(proc, st, draws, 1)
+    assert (res.steps, res.capped) == (1, True)
+    assert draws.i == 2
+    # the target is the last edge of the row, vertex 9; without the clamp
+    # it would be edge (1, 0), whose target is already a mutant
+    assert star.out_dst[hi - 1] == 9
+    assert [v for v in range(10) if st.member[v]] == [0, 9]
 
 
 # ------------------------------------------------------------- threading
