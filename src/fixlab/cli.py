@@ -17,8 +17,8 @@ import io
 import json
 import sys
 
+from . import __version__, dynamics, graphs, montecarlo, mttf, oracle, solver
 from . import bounds as bounds_mod
-from . import dynamics, graphs, montecarlo, mttf, oracle, solver
 
 _GENERATOR_ALIASES = {
     "ba": "preferential_attachment",
@@ -94,12 +94,15 @@ _MANIFEST_KEYS = (
 
 
 def _manifest(args, command, parsed_config=None):
-    entry = {"command": command}
+    """The run's inputs as applied: canonical rule name, sorted config, version."""
+    entry = {"command": command, "version": __version__}
     for key in _MANIFEST_KEYS:
         value = getattr(args, key, None)
         if value is None:
             continue
         entry[key] = value
+    if "rule" in entry:  # the command has accepted it, so it parses
+        entry["rule"] = str(dynamics.parse_rule(entry["rule"]))
     if parsed_config is not None:
         entry["config"] = sorted(parsed_config)
     return entry
@@ -172,9 +175,8 @@ def _cmd_simulate(args):
         graph, config, rule=args.rule, r=args.r,
         runs=args.runs, seed=args.seed, step_cap=step_cap,
     )
-    # record what was applied, so the run replays from its own manifest
+    # record the applied cap, so the run replays from its own manifest
     manifest = _manifest(args, "simulate", config)
-    manifest["rule"] = str(dynamics.resolve_rule(args.rule, args.r))
     manifest["steps"] = step_cap
     return {
         "manifest": manifest,

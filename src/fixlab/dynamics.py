@@ -167,17 +167,37 @@ def _scale_rows(m, scale):
     return _diag(scale) @ m
 
 
-def iterate(graph, rule, values):
-    """Yield the vector after each step of the kernel, without end.
+# 32 rows spread the per-call costs of a step's statistics without computing
+# many unused rows past a short solve's stop; at large N, where the sparse
+# product is the cost anyway, the cell cap keeps a block within 512 KB
+# (one row when a row alone is larger)
+_BLOCK_ROWS = 32
+_BLOCK_CELLS = 1 << 16
+
+
+def block_height(n):
+    """Rows per block of ``blocks`` at population size n: 32, fewer past 2048."""
+    return max(1, min(_BLOCK_ROWS, _BLOCK_CELLS // n))
+
+
+def blocks(graph, rule, values, steps=None):
+    """The kernel engine: yield the steps from ``values`` a block at a time.
+
+    Each block is a fresh ``(rows, n)`` float64 array of
+    ``block_height(n)`` rows; row k holds the vector one step after row
+    k - 1, and the first row of the first block is one step after
+    ``values``. With ``steps`` given the blocks hold exactly that many
+    rows in all (the last one is cut short), else they never end.
+    Callers take their per-step statistics once per block, with
+    axis-1 ufunc reductions, and stop the loop.
 
     The kernel is looked up once and ``values`` is checked once: it must
     be a vector of length ``graph.n`` (anything numpy converts to one,
-    read as float64), else ``ValueError``. Each step is one call of
-    scipy's CSR matrix-vector kernel, the one ``op @ values`` runs,
-    into a fresh array, then a clip to [0, 1] against rounding drift,
-    so the results are bit for bit those of ``np.clip(op @ values, 0,
-    1)``. Every yielded vector is a new array and the caller's vector
-    is never written; callers stop the loop.
+    read as float64), else ``ValueError``; it is never written. Each
+    step is one call of scipy's CSR matrix-vector kernel, the one
+    ``op @ values`` runs, into its row, then a clip to [0, 1] against
+    rounding drift, so every row is bit for bit ``np.clip(op @ values,
+    0, 1)`` of the row before.
     """
     op = kernel_matrix(graph, rule)
     n = graph.n
@@ -185,21 +205,44 @@ def iterate(graph, rule, values):
     # the kernel does no bounds checking, so this guard keeps it in bounds
     if values.shape != (n,):
         raise ValueError(f"vector of shape {values.shape} != population size ({n},)")
+    if steps is not None and steps < 0:
+        raise ValueError(f"steps must be nonnegative, got {steps}")
     values = np.ascontiguousarray(values)
-    matvec = _sparsetools.csr_matvec
+    matvec, minimum = _sparsetools.csr_matvec, np.minimum
     indptr, indices, data = op.indptr, op.indices, op.data
-    while True:
-        out = np.zeros(n)
-        matvec(n, n, indptr, indices, data, values, out)
-        np.minimum(out, 1.0, out=out)
-        np.maximum(out, 0.0, out=out)
-        yield out
-        values = out
+    height = block_height(n)
+    left = math.inf if steps is None else steps
+    first = True
+    while left > 0:
+        block = np.zeros((min(height, left), n))
+        for row in block:
+            matvec(n, n, indptr, indices, data, values, row)
+            minimum(row, 1.0, out=row)
+            if first:
+                # every kernel entry is >= 0, so once the values lie in
+                # [0, 1] (or are NaN) no product falls below 0: only the
+                # caller's vector can send a step below it
+                np.maximum(row, 0.0, out=row)
+                first = False
+            values = row
+        left -= len(block)
+        yield block
+
+
+def iterate(graph, rule, values):
+    """Yield the vector after each step of the kernel, without end.
+
+    The rows of ``blocks``, one by one: each is its own memory, never
+    written after it is yielded, and the caller's vector is never
+    written; callers stop the loop.
+    """
+    for block in blocks(graph, rule, values):
+        yield from block
 
 
 def step_values(graph, rule, values):
     """One update step on a raw array, returning a new array."""
-    return next(iterate(graph, rule, values))
+    return next(blocks(graph, rule, values, 1))[0]
 
 
 def step(graph, rule, pv):
@@ -208,17 +251,19 @@ def step(graph, rule, pv):
 
 
 def std(values):
-    """``float(np.std(values))`` of a float64 vector, bit for bit.
+    """``np.std`` of each row of a float64 array, bit for bit.
 
     The same operations in the same order as numpy's own (sum over n,
-    subtract, square in place, sum over n, square root), without the
-    wrapper's cost, which dominates on the small vectors that the
-    per-step statistics see.
+    subtract, square in place, sum over n, square root), along the last
+    axis, without the wrapper's cost. A row-wise reduction of a block
+    gives each row the bits of the 1-D one, so a ``(rows, n)`` block
+    gives an array of ``rows`` values and a vector gives a float.
     """
-    n = values.shape[0]
-    dev = values - np.add.reduce(values) / n
+    n = values.shape[-1]
+    dev = values - np.add.reduce(values, axis=-1, keepdims=True) / n
     np.square(dev, out=dev)
-    return math.sqrt(np.add.reduce(dev) / n)
+    out = np.sqrt(np.add.reduce(dev, axis=-1) / n)
+    return out if values.ndim > 1 else float(out)
 
 
 def expected_mutants(pv):

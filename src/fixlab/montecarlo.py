@@ -35,10 +35,13 @@ from time import perf_counter
 
 import numpy as np
 
-from .dynamics import Rule, check_neighbours, init_vector, iterate, neutral_part, resolve_rule, std
+from .dynamics import Rule, blocks, check_neighbours, init_vector, neutral_part, resolve_rule, std
 from .graphs import check_config, is_strongly_connected
 from .solver import NotStronglyConnected
 
+# a run's draws come in chunks that start at _FIRST_CHUNK variates and
+# double up to _BUFFER, so a run that absorbs early draws few
+_FIRST_CHUNK = 64
 _BUFFER = 4096
 
 # sampler kinds; at r = 1 each rule maps to the cheapest equivalent form
@@ -62,18 +65,19 @@ def default_thread_count():
 class _Draws:
     """Uniform variates from one generator, read in order from ``buf[i:]``.
 
-    ``_play`` appends the generator's next ``_BUFFER`` variates to the
-    unread tail when fewer than two are left; chunked draws from one
-    generator equal one long draw, so the stream does not depend on
-    where the chunks break.
+    ``_play`` appends the generator's next ``chunk`` variates to the
+    unread tail when fewer than two are left, and doubles ``chunk`` up
+    to ``_BUFFER``; chunked draws from one generator equal one long
+    draw, so the stream does not depend on where the chunks break.
     """
 
-    __slots__ = ("rng", "buf", "i")
+    __slots__ = ("rng", "buf", "i", "chunk")
 
     def __init__(self, rng):
         self.rng = rng
         self.buf = []
         self.i = 0
+        self.chunk = _FIRST_CHUNK
 
 
 class _State:
@@ -159,14 +163,16 @@ def _play(proc, st, draws, step_cap):
     in_ptr, in_src, k_in, edge_src = proc.in_ptr, proc.in_src, proc.k_in, proc.edge_src
     member, mut, res, pos = st.member, st.mut, st.res, st.pos
     eb_mut, eb_res, epos = st.eb_mut, st.eb_res, st.epos
-    random, buf, i = draws.rng.random, draws.buf, draws.i
+    random, buf, i, chunk = draws.rng.random, draws.buf, draws.i, draws.chunk
     stop = len(buf) - 1  # an event reads at most two variates
     steps = 0
     while steps < step_cap:
         steps += 1
         if i >= stop:
-            buf = buf[i:] + random(_BUFFER).tolist()
+            buf = buf[i:] + random(chunk).tolist()
             i, stop = 0, len(buf) - 1
+            if chunk < _BUFFER:
+                chunk *= 2
         # a pick int(x) from x in [0, len) is clamped against the last-ulp
         # rounding of u * len, and a draw past a row's float cumsum, which
         # can end a ulp or more below 1, is clamped to the row's last entry
@@ -271,7 +277,7 @@ def _play(proc, st, draws, step_cap):
     else:
         result = RunResult(False, steps, True)
     st.m = m
-    draws.buf, draws.i = buf, i
+    draws.buf, draws.i, draws.chunk = buf, i, chunk
     return result
 
 def _run_seed(master_seed, index):
@@ -455,17 +461,21 @@ def speedup_benchmark(
 
     t0 = perf_counter()
     values = init_vector(graph, members).values
-    entered = False
-    states = chain([values], iterate(graph, neutral_part(rule), values))
-    for iters, values in enumerate(states):
-        avg = float(values.mean())
-        if iters >= max_iters:
-            break
-        if summary.std_error > 0 and abs(avg - summary.fixation_frequency) <= summary.std_error:
-            entered = True
-            break
-        if std(values) <= fallback_stdev:
-            break
+    iters, entered = -1, False
+    for block in chain([values[None]], blocks(graph, neutral_part(rule), values, max_iters)):
+        avgs = (np.add.reduce(block, axis=1) / graph.n).tolist()
+        for avg, stdev in zip(avgs, std(block).tolist()):
+            iters += 1
+            if iters >= max_iters:
+                break
+            if summary.std_error > 0 and abs(avg - summary.fixation_frequency) <= summary.std_error:
+                entered = True
+                break
+            if stdev <= fallback_stdev:
+                break
+        else:
+            continue
+        break
     solver_time = perf_counter() - t0
 
     return BenchmarkResult(

@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
-from .dynamics import Rule, init_vector, iterate, resolve_rule, std
+from .dynamics import Rule, blocks, init_vector, resolve_rule, std
 from .graphs import check_config, is_strongly_connected
 from .oracle import build_chain, mean_times_exact
 from .solver import NotStronglyConnected, _StepTable
@@ -80,16 +79,21 @@ def mttf_lower_bound(
     t = 0
     negatives = 0
     rows = [] if record else None
-    steps = islice(iterate(graph, rule, p), max_iters) if stdev > stop_stdev else ()
-    for t, p in enumerate(steps, start=1):
-        prev_min, p_min = p_min, float(np.minimum.reduce(p))
-        inc = t * (p_min - prev_min)
-        if inc < 0:
-            negatives += 1
-        total += inc
-        if record:
-            rows.append((t, p_min, inc, total))
-        stdev = std(p)
+    steps = blocks(graph, rule, p, max_iters) if stdev > stop_stdev else ()
+    for block in steps:
+        p_mins, stdevs = np.minimum.reduce(block, axis=1).tolist(), std(block).tolist()
+        for k, stdev in enumerate(stdevs):
+            t += 1
+            prev_min, p_min = p_min, p_mins[k]
+            inc = t * (p_min - prev_min)
+            if inc < 0:
+                negatives += 1
+            total += inc
+            if record:
+                rows.append((t, p_min, inc, total))
+            if stdev <= stop_stdev:
+                break
+        p = block[k]
         if stdev <= stop_stdev:
             break
     truncated = stdev > stop_stdev

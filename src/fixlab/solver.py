@@ -16,11 +16,10 @@ import csv
 import io
 import math
 from dataclasses import dataclass, fields
-from itertools import islice
 
 import numpy as np
 
-from .dynamics import Rule, init_vector, iterate, kernel_matrix, neutral_part, resolve_rule, std
+from .dynamics import Rule, blocks, init_vector, kernel_matrix, neutral_part, resolve_rule, std
 from .graphs import check_config, is_strongly_connected, stats
 
 
@@ -120,24 +119,22 @@ class TrajectoryTable(_StepTable):
 class _Recorder:
     def __init__(self, enabled):
         self.enabled = enabled
-        self.rows = [] if enabled else None
+        self.parts = [] if enabled else None
 
-    def add(self, t, values):
+    def add(self, t, block):
+        """Record rows t, t + 1, ... from the rows of a ``(rows, n)`` block."""
         if self.enabled:
-            total = np.add.reduce(values)
-            self.rows.append((
-                t,
-                float(np.minimum.reduce(values)), float(np.maximum.reduce(values)),
-                float(total / values.shape[0]), std(values),
-                float(total),
-            ))
+            total = np.add.reduce(block, axis=1)
+            self.parts.append(np.column_stack((
+                np.arange(t, t + len(block)),
+                np.minimum.reduce(block, axis=1), np.maximum.reduce(block, axis=1),
+                total / block.shape[1], std(block), total,
+            )))
 
     def table(self):
         if not self.enabled:
             return None
-        arr = np.array(self.rows, dtype=float)
-        if arr.size == 0:
-            arr = arr.reshape(0, 6)
+        arr = np.concatenate(self.parts)
         return TrajectoryTable(
             t=arr[:, 0].astype(np.int64), min=arr[:, 1], max=arr[:, 2],
             avg=arr[:, 3], stdev=arr[:, 4], ex=arr[:, 5],
@@ -157,10 +154,11 @@ class SolveReport:
         return float(self.values.min()), float(self.values.max())
 
 
-def _criterion_stat(values, criterion):
+def _criterion_stats(block, criterion):
+    """The stopping statistic of each row of a ``(rows, n)`` block, as floats."""
     if criterion == "range":
-        return 0.5 * float(np.maximum.reduce(values) - np.minimum.reduce(values))
-    return std(values)
+        return (0.5 * (np.maximum.reduce(block, axis=1) - np.minimum.reduce(block, axis=1))).tolist()
+    return std(block).tolist()
 
 
 def _estimate(values, criterion):
@@ -185,7 +183,7 @@ def solve(graph, config, options=SolveOptions()):
     recorder = _Recorder(options.record_trajectory)
     if len(members) in (0, graph.n):
         values = init_vector(graph, members).values
-        recorder.add(0, values)
+        recorder.add(0, values[None])
         return SolveReport(
             fixation=float(len(members) == graph.n),
             half_range=0.0, iterations=0, converged=True,
@@ -195,33 +193,38 @@ def solve(graph, config, options=SolveOptions()):
         raise NotStronglyConnected()
 
     values = init_vector(graph, members).values
-    recorder.add(0, values)
-    tau = _criterion_stat(values, options.criterion)
+    recorder.add(0, values[None])
+    tau = _criterion_stats(values[None], options.criterion)[0]
     best = tau
     since_best = 0
     iters = 0
     converged = tau <= options.epsilon
-    steps = () if converged else islice(iterate(graph, options.rule, values), options.max_iters)
-    for iters, values in enumerate(steps, start=1):
-        recorder.add(iters, values)
-        tau = _criterion_stat(values, options.criterion)
-        if tau <= options.epsilon:
-            converged = True
-            break
-        if tau < best:
-            best = tau
-            since_best = 0
-        else:
-            since_best += 1
-            if since_best >= options.stall_window:
-                converged = False  # statistic stopped improving; at the float floor
+    steps = () if converged else blocks(graph, options.rule, values, options.max_iters)
+    for block in steps:
+        stop = False
+        for k, tau in enumerate(_criterion_stats(block, options.criterion)):
+            if tau <= options.epsilon:
+                converged = stop = True
                 break
+            if tau < best:
+                best = tau
+                since_best = 0
+            else:
+                since_best += 1
+                if since_best >= options.stall_window:
+                    stop = True  # statistic stopped improving; at the float floor
+                    break
+        recorder.add(iters + 1, block[:k + 1])
+        iters += k + 1
+        values = block[k]
+        if stop:
+            break
     return SolveReport(
         fixation=_estimate(values, options.criterion),
         half_range=tau,
         iterations=iters,
         converged=converged,
-        values=values,
+        values=values.copy(),  # not a view that keeps the whole block alive
         trajectory=recorder.table(),
     )
 
@@ -321,7 +324,9 @@ def trajectory(graph, config, rule=Rule.BD, steps=100):
     members = check_config(graph, config)
     values = init_vector(graph, members).values
     recorder = _Recorder(True)
-    recorder.add(0, values)
-    for t, values in enumerate(islice(iterate(graph, rule, values), steps), start=1):
-        recorder.add(t, values)
+    recorder.add(0, values[None])
+    t = 1
+    for block in blocks(graph, rule, values, steps):
+        recorder.add(t, block)
+        t += len(block)
     return recorder.table()

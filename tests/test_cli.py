@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from fixlab import load_graph
+from fixlab import __version__, load_graph
 from fixlab.cli import main
 from fixlab.oracle import RESIDUAL_TOL
 
@@ -210,6 +210,48 @@ def test_simulate_manifest_records_the_applied_cap_and_rule(capsys, two_cycle_fi
     assert code == 0
     manifest = json.loads(out)["manifest"]
     assert (manifest["rule"], manifest["r"], manifest["steps"]) == ("ld", 1.5, 7)
+
+
+def test_solve_replays_from_its_own_manifest(capsys, tmp_path):
+    path = str(tmp_path / "g.json")
+    assert main(["generate", "--generate", "ba:n=20,m=2,seed=7", "--out", path]) == 0
+    capsys.readouterr()
+    code, out = run_cli(capsys, [
+        "solve", "--graph", path, "--config", "[9, 2]", "--rule", "DB",
+        "--epsilon", "1e-10", "--criterion", "stdev",
+    ])
+    assert code == 0
+    first = json.loads(out)
+    manifest = first["manifest"]
+    assert (manifest["rule"], manifest["config"], manifest["version"]) == ("db", [2, 9], __version__)
+    argv = [manifest["command"]]
+    for key, value in manifest.items():
+        if key not in ("command", "version"):
+            argv += [f"--{key}", json.dumps(value) if key == "config" else str(value)]
+    code, out = run_cli(capsys, argv)
+    assert code == 0
+    assert json.loads(out) == first
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--config", "[0]", "--rule", "BD"],
+    ["trajectory", "--config", "[0]", "--rule", "Ld", "--out", "{out}"],
+    ["simulate", "--config", "[0]", "--rule", "DB-B", "--r", "1.5", "--runs", "5"],
+    ["compare", "--config", "[0]", "--rule", "Bd", "--runs", "20", "--out", "{out}"],
+    ["oracle", "--config", "[0]", "--rule", "LD", "--r", "2"],
+    ["mttf", "--config", "[0]", "--rule", "DB"],
+    ["bounds", "--config", "[0]", "--rule", "BD-D", "--r", "1.5"],
+    ["amplifier"],
+])
+def test_every_manifest_records_the_version_and_the_canonical_rule(
+        capsys, two_cycle_file, tmp_path, argv):
+    argv = [a.format(out=tmp_path / "out.csv") for a in argv]
+    code, out = run_cli(capsys, argv + ["--graph", two_cycle_file])
+    assert code == 0
+    manifest = json.loads(out)["manifest"]
+    assert manifest["version"] == __version__
+    if "--rule" in argv:
+        assert manifest["rule"] == argv[argv.index("--rule") + 1].lower()
 
 
 @pytest.mark.parametrize("command", ["simulate", "compare"])

@@ -4,6 +4,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from itertools import islice
+
 from fixlab import (
     BIASED_RULES,
     NEUTRAL_RULES,
@@ -11,6 +13,7 @@ from fixlab import (
     Rule,
     expected_mutants,
     expected_mutants_step_residual,
+    generate,
     init_vector,
     iterate,
     kernel_matrix,
@@ -19,10 +22,10 @@ from fixlab import (
     step,
     step_values,
 )
-from fixlab.dynamics import std
+from fixlab.dynamics import block_height, blocks, std
 
 from . import loop_iterate as ref
-from .util import path3, random_digraph, two_cycle
+from .util import path3, random_digraph, star_graph, two_cycle
 
 RULES = list(NEUTRAL_RULES)
 
@@ -117,6 +120,80 @@ def test_iterate_never_writes_the_callers_vector(rule):
 @example(np.random.default_rng(1).random(10_000) ** 9)
 def test_std_helper_is_numpys_std(values):
     assert std(values) == float(np.std(values))
+
+
+@settings(max_examples=200, deadline=None)
+@given(hnp.arrays(
+    np.float64, st.tuples(st.integers(1, 40), st.integers(1, 300)),
+    elements=st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
+))
+@example(np.full((32, 17), 0.1))
+@example(np.random.default_rng(0).random((6, 10_000)))
+@example(np.random.default_rng(1).random((2, 33_333)) ** 9)
+def test_block_row_statistics_are_the_1d_ones(block):
+    # the callers reduce a whole block along axis 1 and read one value a row
+    mins, maxs = np.minimum.reduce(block, axis=1), np.maximum.reduce(block, axis=1)
+    sums, stds = np.add.reduce(block, axis=1), std(block)
+    for k, row in enumerate(block):
+        assert (mins[k], maxs[k], sums[k]) == (row.min(), row.max(), np.add.reduce(row))
+        assert stds[k] == std(row) == float(np.std(row))
+
+
+def test_block_height_is_32_rows_up_to_2_to_the_16_cells():
+    assert [block_height(n) for n in (1, 7, 2048, 2049, 10_000, 65_536, 10**6)] == [
+        32, 32, 32, 31, 6, 1, 1]
+
+
+@pytest.mark.parametrize("rule", RULES)
+def test_blocks_hold_exactly_the_steps_asked_for(rule):
+    g = random_digraph(6, 9)
+    values = np.random.default_rng(6).random(9)
+    for steps in (0, 1, 31, 32, 33, 70):
+        got = list(blocks(g, rule, values, steps))
+        assert [len(b) for b in got] == [32] * (steps // 32) + [steps % 32] * (steps % 32 > 0)
+        want = list(islice(ref.iterate(g, rule, values), steps))
+        assert [r.tobytes() for b in got for r in b] == [r.tobytes() for r in want]
+    with pytest.raises(ValueError, match="steps must be nonnegative"):
+        next(blocks(g, rule, values, -1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10_000), n=st.integers(2, 30),
+    p=st.floats(0.3, 1.0), weighted=st.booleans(), rule=st.sampled_from(RULES),
+)
+def test_kernels_have_no_negative_entry(seed, n, p, weighted, rule):
+    # the engine clips below 0 on the first step only: with entries >= 0
+    # a product of values in [0, 1] cannot fall below 0
+    g = random_digraph(seed, n, p=p, weighted=weighted)
+    assert (kernel_matrix(g, rule).data >= 0).all()
+
+
+@pytest.mark.parametrize("rule", RULES)
+def test_kernels_of_generated_and_hub_graphs_have_no_negative_entry(rule):
+    graphs = [star_graph(40), star_graph(3)]
+    # every leaf feeds the hub with weight 1: the hub's temperature is N - 1
+    graphs.append(EvolutionaryGraph(
+        50, [(0, j, 1.0 / 49) for j in range(1, 50)] + [(j, 0, 1.0) for j in range(1, 50)]))
+    for kind, kw in (("preferential_attachment", {"m": 2}), ("erdos_renyi", {"p": 0.2}),
+                     ("small_world", {"k": 4, "p": 0.3})):
+        for weighting in ("random", "unweighted"):
+            graphs.append(generate(kind, 300, seed=5, weighting=weighting, **kw))
+    for g in graphs:
+        assert (kernel_matrix(g, rule).data >= 0).all()
+
+
+@pytest.mark.parametrize("rule", RULES)
+def test_first_step_clips_a_vector_outside_the_unit_interval(rule):
+    g = random_digraph(11, 8)
+    values = np.array([-3.0, 2.5, 0.2, -0.5, 1.7, 0.0, 1.0, 0.4])
+    raw = kernel_matrix(g, rule) @ values
+    assert raw.min() < 0.0 and raw.max() > 1.0  # the product leaves [0, 1] both ways
+    got = list(islice(iterate(g, rule, values), 3))
+    want = list(islice(ref.iterate(g, rule, values), 3))
+    assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
+    assert got[0].min() == 0.0 and got[0].max() == 1.0
+    assert step_values(g, rule, values).tobytes() == want[0].tobytes()
 
 
 # ------------------------------------------------------------- kernels

@@ -18,7 +18,7 @@ from fixlab import (
     standard_error,
     state_of,
 )
-from fixlab.montecarlo import _Draws, _play, _Process, _run_seed
+from fixlab.montecarlo import _BUFFER, _Draws, _play, _Process, _run_seed
 
 from .util import complete_graph, random_digraph, two_cycle
 
@@ -230,6 +230,24 @@ def test_bisect_stays_inside_a_row_whose_cumsum_ends_below_one():
     # it would be edge (1, 0), whose target is already a mutant
     assert star.out_dst[hi - 1] == 9
     assert [v for v in range(10) if st.member[v]] == [0, 9]
+
+
+def test_a_run_that_absorbs_early_draws_few_variates():
+    # the chunk grows with the run, so a short run does not draw a whole
+    # _BUFFER it never reads; the stream it reads stays the run's own
+    g = random_digraph(3, 5)
+    proc = _Process(g, Rule.BD_B, 1.5)
+    for seed in range(40):
+        draws = _Draws(_run_seed(seed, 0))
+        res = _play(proc, proc.new_state([0]), draws, 10**6)
+        if res.steps <= 4:
+            break
+    assert res.steps <= 4 and not res.capped
+    # the generator's next variate tells how many it has drawn
+    stream = _run_seed(seed, 0).random(_BUFFER + 1).tolist()
+    drawn = stream.index(draws.rng.random())
+    assert 2 * res.steps <= drawn < _BUFFER
+    assert draws.buf[:draws.i] == stream[:draws.i]
 
 
 # ------------------------------------------------------------- threading
