@@ -11,12 +11,10 @@ outgoing side, so both adjacency directions are indexed.
 from __future__ import annotations
 
 import json
-import math
 import numbers
 import operator
 from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
@@ -39,39 +37,97 @@ def validate(n, edges):
     Returns
     -------
     list of str
-        Human-readable violations; empty means the data is valid.
+        Human-readable violations, edge by edge in input order and then
+        row sums by vertex; empty means the data is valid.
+
+    Raises
+    ------
+    ValueError
+        For an edge that is not a triple of two integer ids and a real
+        weight, as ``EvolutionaryGraph`` does.
     """
-    problems = []
+    # edges are read only when the population size is valid
+    return _checked(n, *(_columns(edges) if n >= 1 else ((), (), ())))[0]
+
+
+def _columns(edges):
+    """``edges`` as three tuples: source ids and target ids (ints), weights (floats).
+
+    Lists and tuples of three plain ints and floats are split by C-level
+    ``map`` passes; anything else (numpy ints, other reals, or a
+    malformed edge) goes through ``_edge`` edge by edge, which coerces
+    what it accepts and raises on the first edge it refuses.
+    """
+    edges = list(edges)
+    if not edges:
+        return (), (), ()
+    if set(map(type, edges)) <= {list, tuple} and set(map(len, edges)) == {3}:
+        s, d, w = (tuple(map(operator.itemgetter(i), edges)) for i in range(3))
+        if set(map(type, s)) | set(map(type, d)) == {int} and set(map(type, w)) <= {float, int}:
+            return s, d, tuple(map(float, w))
+    return tuple(zip(*map(_edge, edges)))
+
+
+_INT64_MAX = np.iinfo(np.int64).max
+
+
+def _ids(ids):
+    """``ids`` as an int64 array; an id beyond int64 becomes -1, out of range as it was."""
+    try:
+        return np.array(ids, dtype=np.int64)
+    except OverflowError:
+        return np.array([v if 0 <= v <= _INT64_MAX else -1 for v in ids], dtype=np.int64)
+
+
+def _checked(n, s, d, w):
+    """Violations of columns ``s, d, w`` (see ``_columns``), their arrays,
+    and the order that sorts the accepted edges by (source, target).
+
+    Each edge is charged with its first failed check, in the order
+    range, self-loop, finite, positive, duplicate; a duplicate is a
+    later copy of a pair that passed the other checks. Row sums are
+    taken over the accepted edges in input order.
+    """
     if n < 1:
-        problems.append(f"population size must be at least 1, got {n}")
-        return problems
-    seen = set()
-    row_sums = {}
-    for src, dst, w in edges:
-        if not (0 <= src < n) or not (0 <= dst < n):
-            problems.append(f"edge ({src},{dst}) uses a vertex id outside 0..{n - 1}")
-            continue
-        if src == dst:
-            problems.append(f"vertex {src} has a self-loop")
-            continue
-        if not math.isfinite(w):
-            problems.append(f"edge ({src},{dst}) has non-finite weight {w}")
-            continue
-        if w <= 0:
-            problems.append(f"edge ({src},{dst}) has non-positive weight {w}")
-            continue
-        if (src, dst) in seen:
-            problems.append(f"edge ({src},{dst}) appears more than once")
-            continue
-        seen.add((src, dst))
-        row_sums[src] = row_sums.get(src, 0.0) + w
-    for src in sorted(row_sums):
-        total = row_sums[src]
-        if abs(total - 1.0) > ROW_SUM_TOL:
-            problems.append(
-                f"outgoing weights of vertex {src} sum to {total:.12g}, expected 1"
-            )
-    return problems
+        return [f"population size must be at least 1, got {n}"], None, None, None, None
+    src, dst, wgt = _ids(s), _ids(d), np.array(w, dtype=np.float64)
+    in_range = (src >= 0) & (dst >= 0)
+    if n <= _INT64_MAX:
+        in_range &= (src < n) & (dst < n)
+    loop = in_range & (src == dst)
+    ok = in_range & ~loop
+    nonfinite = ok & ~np.isfinite(wgt)
+    ok &= ~nonfinite
+    nonpositive = ok & (wgt <= 0)
+    ok &= ~nonpositive
+    # lexsort is stable, so each pair's copies stay in input order
+    order = np.flatnonzero(ok)
+    order = order[np.lexsort((dst[order], src[order]))]
+    repeat = (src[order[1:]] == src[order[:-1]]) & (dst[order[1:]] == dst[order[:-1]])
+    if repeat.any():
+        ok[order[1:][repeat]] = False
+        order = order[ok[order]]
+
+    problems = []
+    for i in np.flatnonzero(~ok).tolist():
+        a, b = s[i], d[i]
+        if not in_range[i]:
+            problems.append(f"edge ({a},{b}) uses a vertex id outside 0..{n - 1}")
+        elif loop[i]:
+            problems.append(f"vertex {a} has a self-loop")
+        elif nonfinite[i]:
+            problems.append(f"edge ({a},{b}) has non-finite weight {w[i]}")
+        elif nonpositive[i]:
+            problems.append(f"edge ({a},{b}) has non-positive weight {w[i]}")
+        else:
+            problems.append(f"edge ({a},{b}) appears more than once")
+    sums = np.bincount(src[ok], weights=wgt[ok])
+    rows = np.unique(src[ok])
+    for v in rows[np.abs(sums[rows] - 1.0) > ROW_SUM_TOL].tolist():
+        problems.append(
+            f"outgoing weights of vertex {v} sum to {float(sums[v]):.12g}, expected 1"
+        )
+    return problems, src, dst, wgt, order
 
 
 class EvolutionaryGraph:
@@ -96,26 +152,18 @@ class EvolutionaryGraph:
 
     def __init__(self, n, edges):
         n = vertex_id(n, "population size")
-        edges = [_edge(e) for e in edges]
-        problems = validate(n, edges)
+        problems, src, dst, given_w, order = _checked(n, *_columns(edges))
         if problems:
             raise ValueError("invalid graph: " + "; ".join(problems))
         self.n = int(n)
-        edges.sort(key=lambda e: (e[0], e[1]))
-        m = len(edges)
-        self.given_w = np.fromiter((e[2] for e in edges), dtype=np.float64, count=m)
+        src, dst = src[order], dst[order]
+        self.given_w = given_w[order]
 
-        row_sums = np.zeros(n)
-        for s, _, w in edges:
-            row_sums[s] += w
-        edges = [
-            (s, d, w / row_sums[s]) for s, d, w in edges
-        ]
-        self.edges = tuple(edges)
-
-        src = np.fromiter((e[0] for e in edges), dtype=np.int64, count=m)
-        dst = np.fromiter((e[1] for e in edges), dtype=np.int64, count=m)
-        wgt = np.fromiter((e[2] for e in edges), dtype=np.float64, count=m)
+        # bincount adds each row's weights one by one in edge order, so
+        # the sums have the bits of a Python loop (tests/loop_ingest.py)
+        row_sums = np.bincount(src, weights=self.given_w, minlength=n)
+        wgt = self.given_w / row_sums[src]
+        self.edges = tuple(zip(src.tolist(), dst.tolist(), wgt))
 
         self.k_out = np.bincount(src, minlength=n).astype(np.int64)
         self.k_in = np.bincount(dst, minlength=n).astype(np.int64)
@@ -125,10 +173,12 @@ class EvolutionaryGraph:
         np.cumsum(self.k_out, out=self.out_ptr[1:])
         self.out_dst = dst
         self.out_w = wgt
-        self.out_cum = np.copy(wgt)
-        for v in range(n):
-            lo, hi = self.out_ptr[v], self.out_ptr[v + 1]
-            np.cumsum(wgt[lo:hi], out=self.out_cum[lo:hi])
+        # per-row cumsums, one (rows, degree) block per out-degree; a
+        # cumsum along axis 1 adds in row order, as a 1-D one does
+        self.out_cum = np.empty_like(wgt)
+        for k in np.unique(self.k_out[self.k_out > 0]).tolist():
+            at = self.out_ptr[:-1][self.k_out == k, None] + np.arange(k)
+            self.out_cum[at] = np.cumsum(wgt[at], axis=1)
 
         order = np.lexsort((src, dst))
         self.in_ptr = np.zeros(n + 1, dtype=np.int64)
@@ -136,8 +186,8 @@ class EvolutionaryGraph:
         self.in_src = src[order]
         self.in_w = wgt[order]
 
-        self.temperatures = np.zeros(n)
-        np.add.at(self.temperatures, dst, wgt)
+        # astype: with no edges, bincount gives ints
+        self.temperatures = np.bincount(dst, weights=wgt, minlength=n).astype(np.float64)
 
         self._ops = {}
 
@@ -271,14 +321,13 @@ def stats(graph):
 
 
 def _shape_flags(graph):
-    unweighted = True
-    for v in range(graph.n):
-        lo, hi = graph.out_ptr[v], graph.out_ptr[v + 1]
-        if hi > lo and not np.allclose(graph.out_w[lo:hi], 1.0 / (hi - lo), rtol=0, atol=1e-12):
-            unweighted = False
-            break
-    pairs = {(s, d) for s, d, _ in graph.edges}
-    undirected = all((d, s) in pairs for s, d in pairs)
+    # every outgoing weight within 1e-12 of one over its row's out-degree
+    unweighted = bool(
+        (np.abs(graph.out_w - 1.0 / np.repeat(graph.k_out, graph.k_out)) <= 1e-12).all()
+    )
+    # the edge set is symmetric iff every vertex's sorted out-row is its sorted in-row
+    undirected = (np.array_equal(graph.out_ptr, graph.in_ptr)
+                  and np.array_equal(graph.out_dst, graph.in_src))
     mean_inv = None
     if unweighted and undirected and (graph.k_out > 0).all():
         mean_inv = float(np.mean(1.0 / graph.k_out))
@@ -352,6 +401,10 @@ def generate(kind, n, *, seed, weighting="random", m=1, p=0.5, k=2, retries=100)
             raise ValueError(f"shortcut probability p={p} must lie in [0, 1]")
     else:
         raise ValueError(f"unknown generator kind {kind!r}; choose from {GENERATOR_KINDS}")
+
+    # networkx is imported here, not at module level: nothing else uses
+    # it, and it is a third of the modules a bare ``import fixlab`` loads
+    import networkx as nx
 
     for attempt in range(retries):
         grow_seed = _derived_seed(seed, attempt)

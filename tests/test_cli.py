@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -536,3 +537,27 @@ def test_console_script_entry(two_cycle_file):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["fixation"] == pytest.approx(0.5, abs=1e-5)
+
+
+def test_import_loads_no_networkx():
+    # networkx is imported by the graph generators alone, on first use
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, fixlab, fixlab.cli; assert 'networkx' not in sys.modules, 'networkx'"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("spec, sha256", [
+    ("ba:n=30,m=2,seed=3", "e25f8693808864d000bac43f4d28f659983c450ca704da968301b81b5ff3eb01"),
+    ("er:n=25,p=0.3,seed=5,weighting=unweighted",
+     "377e9792e7cba3b9a0d6f3d0f8c4ef8b3900721d0ccddfbffcfa2b33b621a385"),
+    ("nws:n=40,k=4,p=0.2,seed=2",
+     "eb72bb217eb4319b5accc606873e384a4c6d38b829f7167724a0433ce6232242"),
+])
+def test_generated_graph_file_is_pinned(capsys, tmp_path, spec, sha256):
+    # digests of the files the per-edge ingest wrote for these specs
+    path = tmp_path / "g.json"
+    assert main(["generate", "--generate", spec, "--out", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
