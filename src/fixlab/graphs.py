@@ -11,6 +11,7 @@ outgoing side, so both adjacency directions are indexed.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 import operator
 from dataclasses import dataclass
@@ -40,14 +41,41 @@ def validate(n, edges):
         Human-readable violations, edge by edge in input order and then
         row sums by vertex; empty means the data is valid.
 
-    Raises
-    ------
-    ValueError
-        For an edge that is not a triple of two integer ids and a real
-        weight, as ``EvolutionaryGraph`` does.
+    The values are compared as given, not coerced. ``EvolutionaryGraph``
+    makes the same checks as arrays on the edges it has coerced, and
+    refuses a graph with the message this list gives for those edges.
     """
-    # edges are read only when the population size is valid
-    return _checked(n, *(_columns(edges) if n >= 1 else ((), (), ())))[0]
+    problems = []
+    if n < 1:
+        problems.append(f"population size must be at least 1, got {n}")
+        return problems
+    seen = set()
+    row_sums = {}
+    for src, dst, w in edges:
+        if not (0 <= src < n) or not (0 <= dst < n):
+            problems.append(f"edge ({src},{dst}) uses a vertex id outside 0..{n - 1}")
+            continue
+        if src == dst:
+            problems.append(f"vertex {src} has a self-loop")
+            continue
+        if not math.isfinite(w):
+            problems.append(f"edge ({src},{dst}) has non-finite weight {w}")
+            continue
+        if w <= 0:
+            problems.append(f"edge ({src},{dst}) has non-positive weight {w}")
+            continue
+        if (src, dst) in seen:
+            problems.append(f"edge ({src},{dst}) appears more than once")
+            continue
+        seen.add((src, dst))
+        row_sums[src] = row_sums.get(src, 0.0) + w
+    for src in sorted(row_sums):
+        total = row_sums[src]
+        if abs(total - 1.0) > ROW_SUM_TOL:
+            problems.append(
+                f"outgoing weights of vertex {src} sum to {total:.12g}, expected 1"
+            )
+    return problems
 
 
 def _columns(edges):
@@ -80,8 +108,9 @@ def _ids(ids):
 
 
 def _checked(n, s, d, w):
-    """Violations of columns ``s, d, w`` (see ``_columns``), their arrays,
-    and the order that sorts the accepted edges by (source, target).
+    """``validate``'s list for the columns ``s, d, w`` (see ``_columns``),
+    their arrays, and the order that sorts the accepted edges by
+    (source, target).
 
     Each edge is charged with its first failed check, in the order
     range, self-loop, finite, positive, duplicate; a duplicate is a

@@ -286,61 +286,6 @@ def _run_seed(master_seed, index):
     )
 
 
-# SeedSequence's hash constants and PCG64's multiplier, from numpy's
-# bit_generator.pyx and pcg64.h
-_M32, _M128 = (1 << 32) - 1, (1 << 128) - 1
-_INIT_A, _MULT_A, _MIX_L, _MIX_R = 0x43B0D7E5, 0x931E8875, 0xCA01F9DD, 0x4973F715
-# generate_state's hash constant before and after each of its 8 words
-_STATE_HASH = [
-    (0x8B51F9DD * pow(0x58F38DED, i, 1 << 32) & _M32,
-     0x8B51F9DD * pow(0x58F38DED, i + 1, 1 << 32) & _M32)
-    for i in range(8)
-]
-_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
-
-
-def _run_streams(master_seed, runs):
-    """The generators ``_run_seed(master_seed, k)`` for k = 0..runs-1, in order.
-
-    Run 0's generator is re-seeded for every later run, so a run must be
-    played out before the next one is taken. Each re-seeding repeats
-    SeedSequence's hash of the spawn key into the master seed's pool,
-    its ``generate_state`` and PCG64's seeding in Python ints: about
-    60% of the cost of building a SeedSequence, a PCG64 and a Generator.
-    """
-    rng = _run_seed(master_seed, 0)
-    yield rng
-    pool = np.random.SeedSequence(entropy=master_seed).pool.tolist()
-    # the spawn word is hashed after 16 hashmix calls on the run entropy
-    # and 4 more for each 32-bit word of it past the pool's four
-    words = max(1, -(-master_seed.bit_length() // 32))
-    h = _INIT_A * pow(_MULT_A, 16 + 4 * max(0, words - 4), 1 << 32) & _M32
-    mix_in = [(h * pow(_MULT_A, d, 1 << 32) & _M32, h * pow(_MULT_A, d + 1, 1 << 32) & _M32, p)
-              for d, p in enumerate(pool)]
-    for k in range(1, runs):
-        if k > _M32:  # a spawn key of more than one word
-            yield _run_seed(master_seed, k)
-            continue
-        mixed = []
-        for before, after, p in mix_in:
-            v = (k ^ before) * after & _M32
-            x = _MIX_L * p - _MIX_R * (v ^ v >> 16) & _M32
-            mixed.append(x ^ x >> 16)
-        w = []
-        for i, (before, after) in enumerate(_STATE_HASH):
-            v = (mixed[i & 3] ^ before) * after & _M32
-            w.append(v ^ v >> 16)
-        # the uint64 words are (w0, w1), (w2, w3), ... little-end first;
-        # PCG64 seeds from state = words 0:2 and increment = words 2:4
-        inc = ((w[5] << 96 | w[4] << 64 | w[7] << 32 | w[6]) << 1 | 1) & _M128
-        state = ((inc + (w[1] << 96 | w[0] << 64 | w[3] << 32 | w[2])) * _PCG_MULT + inc) & _M128
-        rng.bit_generator.state = {
-            "bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-            "has_uint32": 0, "uinteger": 0,
-        }
-        yield rng
-
-
 def step_cap_for(graph, step_cap=None):
     """The per-run event cap applied: ``step_cap``, or 10^6 events per vertex."""
     return step_cap if step_cap is not None else 1_000_000 * graph.n
@@ -399,8 +344,8 @@ def estimate(
 
     t0 = perf_counter()
     results = [
-        _play(proc, proc.new_state(members), _Draws(rng), cap)
-        for rng in _run_streams(seed, runs)
+        _play(proc, proc.new_state(members), _Draws(_run_seed(seed, k)), cap)
+        for k in range(runs)
     ]
     wall = perf_counter() - t0
 

@@ -2,8 +2,6 @@ import math
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from fixlab import (
     EvolutionaryGraph,
@@ -20,7 +18,7 @@ from fixlab import (
     standard_error,
     state_of,
 )
-from fixlab.montecarlo import _BUFFER, _Draws, _play, _Process, _run_seed, _run_streams
+from fixlab.montecarlo import _BUFFER, _Draws, _play, _Process, _run_seed
 
 from .util import complete_graph, random_digraph, two_cycle
 
@@ -250,34 +248,6 @@ def test_a_run_that_absorbs_early_draws_few_variates():
     drawn = stream.index(draws.rng.random())
     assert 2 * res.steps <= drawn < _BUFFER
     assert draws.buf[:draws.i] == stream[:draws.i]
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    seed=st.one_of(st.integers(0, 2**32), st.integers(0, 2**200)),
-    runs=st.integers(1, 40),
-)
-def test_run_streams_are_the_run_seeds(seed, runs):
-    # estimate re-seeds one generator per run; each run's stream must be
-    # the one SeedSequence(entropy=seed, spawn_key=(k,)) gives
-    count = 0
-    for k, rng in enumerate(_run_streams(seed, runs)):
-        ref = _run_seed(seed, k)
-        assert rng.bit_generator.state == ref.bit_generator.state
-        assert rng.random(5).tolist() == ref.random(5).tolist()
-        count += 1
-    assert count == runs
-
-
-def test_run_streams_past_the_first_thousand_runs():
-    for k, rng in enumerate(_run_streams(7, 3000)):
-        if k in (999, 1000, 2047, 2999):
-            assert rng.bit_generator.state == _run_seed(7, k).bit_generator.state
-
-
-def test_run_streams_refuse_a_negative_seed():
-    with pytest.raises(ValueError):
-        next(_run_streams(-1, 2))
 
 
 # ------------------------------------------------------------- threading
