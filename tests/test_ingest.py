@@ -203,25 +203,20 @@ def test_text_edge_list_gives_the_loop_arrays(tmp_path):
         load_graph(str(path))
 
 
-def test_validate_checks_the_population_size_before_the_edges():
-    assert validate(0, [(0, 1)]) == loop_ingest.validate(0, [(0, 1)])
-
-
 @pytest.mark.parametrize("n, edges", [
+    (0, [(0, 1)]),
     (2, [(0, 1, 2), (1, 0, 1)]),
+    (2, [(0, 1, -2), (1, 0, 1.0)]),
     (2, [(0.5, 1, 1.0), (1, 0, 1.0)]),
     (2, [(0, 1.0, 1.0), (1, 0, 0.5)]),
     (2, [(True, 0, 1.0), (0, 1, 1.0), (1, 1, 1.0)]),
     (3, [(0, 1, Fraction(1, 2)), (0, 2, Fraction(1, 3)), (1, 0, 1), (2, 0, np.float32(0.1))]),
 ])
 def test_validate_compares_the_values_as_given(n, edges):
-    # validate does not coerce: ints, fractional or bool ids and other
-    # reals are compared and printed as they are, as the loop did
+    # validate coerces nothing and checks n before any edge: ints,
+    # fractional or bool ids and other reals are compared and printed
+    # as they are, as the loop did
     assert validate(n, edges) == loop_ingest.validate(n, edges)
-
-
-def test_validate_prints_an_int_weight_as_given():
-    assert validate(2, [(0, 1, -2), (1, 0, 1.0)]) == ["edge (0,1) has non-positive weight -2"]
 
 
 @st.composite
