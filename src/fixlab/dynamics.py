@@ -195,9 +195,18 @@ def blocks(graph, rule, values, steps=None):
     be a vector of length ``graph.n`` (anything numpy converts to one,
     read as float64), else ``ValueError``; it is never written. Each
     step is one call of scipy's CSR matrix-vector kernel, the one
-    ``op @ values`` runs, into its row, then a clip to [0, 1] against
-    rounding drift, so every row is bit for bit ``np.clip(op @ values,
-    0, 1)`` of the row before.
+    ``op @ values`` runs, into its row, and every row is bit for bit
+    ``np.clip(op @ values, 0, 1)`` of the row before.
+
+    The clips run only where they can act. The first step is clipped
+    to [0, 1], since the caller's vector may lie outside it. After it
+    every kernel entry is >= 0 and every value lies in [0, 1] (or is
+    NaN), so no product falls below 0, and one passes 1 only by
+    rounding, when its kernel row sums past 1. So the later steps of a
+    block run unclipped, and the block is checked once before it is
+    yielded: if an entry passes 1 (NaN is ignored, as ``np.minimum``
+    passes it through), the block is redone from its first such row
+    with the clip at 1, which then runs on every later step.
     """
     op = kernel_matrix(graph, rule)
     n = graph.n
@@ -208,23 +217,37 @@ def blocks(graph, rule, values, steps=None):
     if steps is not None and steps < 0:
         raise ValueError(f"steps must be nonnegative, got {steps}")
     values = np.ascontiguousarray(values)
-    matvec, minimum = _sparsetools.csr_matvec, np.minimum
+    matvec, minimum, fmax = _sparsetools.csr_matvec, np.minimum, np.fmax
     indptr, indices, data = op.indptr, op.indices, op.data
     height = block_height(n)
     left = math.inf if steps is None else steps
-    first = True
+    first, clip = True, False
     while left > 0:
-        block = np.zeros((min(height, left), n))
-        for row in block:
+        block = rows = np.zeros((min(height, left), n))
+        if first:
+            row = block[0]
             matvec(n, n, indptr, indices, data, values, row)
             minimum(row, 1.0, out=row)
-            if first:
-                # every kernel entry is >= 0, so once the values lie in
-                # [0, 1] (or are NaN) no product falls below 0: only the
-                # caller's vector can send a step below it
-                np.maximum(row, 0.0, out=row)
-                first = False
-            values = row
+            np.maximum(row, 0.0, out=row)
+            values, first = row, False
+            # a one-step block (``step_values``) has nothing left to run or check
+            rows = block[1:] if len(block) > 1 else ()
+        if not clip:
+            for row in rows:
+                matvec(n, n, indptr, indices, data, values, row)
+                values = row
+            if len(rows) and fmax.reduce(rows, axis=None) > 1.0:
+                # redo from the first row past 1, clipping from there on
+                k = int(np.argmax(fmax.reduce(rows, axis=1) > 1.0))
+                values, rows, clip = rows[k], rows[k + 1:], True
+                minimum(values, 1.0, out=values)
+                # the kernel adds onto its output row
+                rows.fill(0.0)
+        if clip:
+            for row in rows:
+                matvec(n, n, indptr, indices, data, values, row)
+                minimum(row, 1.0, out=row)
+                values = row
         left -= len(block)
         yield block
 

@@ -10,6 +10,7 @@ outgoing side, so both adjacency directions are indexed.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import numbers
@@ -520,30 +521,42 @@ def feeder_pair_graph(core_n, *, seed, p=0.5, relation="equal", retries=100):
 def load_graph(path):
     """Read a graph from JSON {"n": ..., "edges": [[i, j, w], ...]} or
     from a plain-text edge list with one "i j w" triple per line (vertex
-    count inferred as max id + 1)."""
-    with open(path) as fh:
-        text = fh.read()
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        payload = json.loads(text)
-        if "n" not in payload or "edges" not in payload:
-            raise ValueError(f"{path}: graph JSON needs both \"n\" and \"edges\"")
-        if not isinstance(payload["edges"], list):
-            raise ValueError(f"{path}: graph JSON \"edges\" must be a list of triples")
-        return EvolutionaryGraph(payload["n"], payload["edges"])
-    edges = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 3:
-            raise ValueError(f"{path}:{line_no}: expected 'source target weight'")
-        edges.append((int(parts[0]), int(parts[1]), float(parts[2])))
-    if not edges:
-        raise ValueError(f"{path}: no edges found")
-    n = 1 + max(max(s, d) for s, d, _ in edges)
-    return EvolutionaryGraph(n, edges)
+    count inferred as max id + 1).
+
+    Cyclic garbage collection is paused while the file is parsed and the
+    graph built: the edge lists and tuples are many new objects and no
+    cycles, so the collections they trigger free nothing. The caller's
+    setting is restored on return and on error.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        with open(path) as fh:
+            text = fh.read()
+        stripped = text.lstrip()
+        if stripped.startswith("{"):
+            payload = json.loads(text)
+            if "n" not in payload or "edges" not in payload:
+                raise ValueError(f"{path}: graph JSON needs both \"n\" and \"edges\"")
+            if not isinstance(payload["edges"], list):
+                raise ValueError(f"{path}: graph JSON \"edges\" must be a list of triples")
+            return EvolutionaryGraph(payload["n"], payload["edges"])
+        edges = []
+        for line_no, line in enumerate(text.splitlines(), start=1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split()
+            if len(parts) != 3:
+                raise ValueError(f"{path}:{line_no}: expected 'source target weight'")
+            edges.append((int(parts[0]), int(parts[1]), float(parts[2])))
+        if not edges:
+            raise ValueError(f"{path}: no edges found")
+        n = 1 + max(max(s, d) for s, d, _ in edges)
+        return EvolutionaryGraph(n, edges)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def save_graph(graph, path):

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import re
@@ -173,6 +174,30 @@ def test_load_graph_rejects_malformed_edges(tmp_path):
     path.write_text('{"n": 2, "edges": null}')
     with pytest.raises(ValueError, match="must be a list"):
         load_graph(str(path))
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_load_graph_restores_the_gc_setting(tmp_path, enabled):
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    save_graph(random_digraph(4, 5), str(good))
+    bad.write_text('{"n": 2, "edges": [[0, 1, 0.5], [1, 0, 1.0]]}')
+    was = gc.isenabled()
+    try:
+        _set_gc(enabled)
+        assert load_graph(str(good)).n == 5
+        assert gc.isenabled() is enabled
+        with pytest.raises(ValueError, match="sum to 0.5"):
+            load_graph(str(bad))
+        assert gc.isenabled() is enabled
+    finally:
+        _set_gc(was)
+
+
+def _set_gc(enabled):
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
 
 
 def test_strong_connectivity_is_memoized_from_csr():

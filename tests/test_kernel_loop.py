@@ -9,15 +9,18 @@ either side of a block boundary.
 """
 
 from dataclasses import replace
+from itertools import islice
 
 import numpy as np
 import pytest
 
 from fixlab import (
     NEUTRAL_RULES,
+    EvolutionaryGraph,
     Rule,
     SolveOptions,
     generate,
+    init_vector,
     iterate,
     kernel_matrix,
     load_graph,
@@ -28,7 +31,7 @@ from fixlab import (
     trajectory,
 )
 from fixlab.cli import main
-from fixlab.dynamics import block_height, step_values
+from fixlab.dynamics import block_height, blocks, step_values
 
 from . import loop_iterate as ref
 from .util import random_digraph
@@ -252,3 +255,113 @@ def test_large_graph_cuts_inside_a_block(ba10k, rule):
     assert_same_mttf(got, ref.mttf_lower_bound(ba10k, config, rule, 2.5e-6, b + 2))
     got = trajectory(ba10k, config, rule=rule, steps=b + 1)
     assert got.to_csv_text() == ref.trajectory(ba10k, config, rule, b + 1).to_csv_text()
+
+
+# ------------------------------------------------------------- the clip at 1
+
+
+def _climber(closed):
+    """Five vertices with no in-edges feed vertex 5, which feeds vertex 6.
+
+    From ones on 0-4 the values of 5 and 6 climb towards 1, and row 5 of
+    the birth-death kernel sums past 1 in floats, so a product first
+    passes 1 many steps in. Vertex 6 has no out-edges, so a NaN there
+    stays there. ``closed`` adds the edges 5 -> 0-4, each weighing
+    1e-20 (too little to move a value), and 6 -> 5, which make the graph
+    strongly connected.
+    """
+    weights = np.random.default_rng(287).uniform(0.5, 1.0, size=5).tolist()
+    edges = [(5, 6, 1.0)]
+    for s, w in enumerate(weights):
+        edges += [(s, 5, w), (s, 6, 1 - w)]
+        if closed:
+            edges.append((5, s, 1e-20))
+    if closed:
+        edges.append((6, 5, 1.0))
+    return EvolutionaryGraph(7, edges)
+
+
+def _passes_one(graph, values, steps):
+    """Steps of the reference loop whose unclipped product passes 1."""
+    op = kernel_matrix(graph, Rule.BD)
+    steps_past = []
+    for t, step in enumerate(islice(ref.iterate(graph, Rule.BD, values), steps), start=1):
+        if np.nanmax(op @ values) > 1.0:
+            steps_past.append(t)
+        values = step
+    return steps_past
+
+
+def _assert_same_steps(graph, values, steps):
+    """The engine's first steps from ``values``, each the reference's bits."""
+    got = list(islice(iterate(graph, Rule.BD, values), steps))
+    want = islice(ref.iterate(graph, Rule.BD, values), steps)
+    for row, want_row in zip(got, want, strict=True):
+        assert row.tobytes() == want_row.tobytes()
+    return got
+
+
+def test_clip_redoes_a_later_block_from_the_row_past_one():
+    g = _climber(closed=False)
+    b = block_height(g.n)
+    ones = np.array([1.0] * 5 + [0.0, 0.0])
+    first = _passes_one(g, ones, 120)[0]
+    # the first product past 1 is row k > 0 of a block after the first
+    assert (first - 1) // b >= 1 and (first - 1) % b > 0
+    _assert_same_steps(g, ones, 120)
+    # steps cuts at, just after and past the redone row and its block
+    for steps in (first - 1, first, first + 1, b * ((first - 1) // b + 1), 3 * b + 1):
+        got = trajectory(g, range(5), rule=Rule.BD, steps=steps)
+        assert got.to_csv_text() == ref.trajectory(g, range(5), Rule.BD, steps).to_csv_text()
+        rows = np.concatenate(list(blocks(g, Rule.BD, ones, steps)))
+        want = list(islice(ref.iterate(g, Rule.BD, ones), steps))
+        assert rows.tobytes() == np.array(want).tobytes()
+
+
+def test_clip_sees_past_one_beside_a_nan():
+    g = _climber(closed=False)
+    start = np.array([1.0] * 5 + [0.0, np.nan])
+    first = _passes_one(g, start, 120)[0]
+    assert (first - 1) // block_height(g.n) >= 1
+    steps = _assert_same_steps(g, start, 120)
+    # the NaN stays in every step, so the block that passes 1 holds it too
+    assert all(np.isnan(row[6]) for row in steps)
+    assert steps[first - 1][5] == 1.0
+
+
+def test_solve_and_mttf_stop_after_a_redo():
+    g = _climber(closed=True)
+    b = block_height(g.n)
+    config = range(5)
+    start = init_vector(g, config).values
+    first = _passes_one(g, start, 200)[0]
+    assert (first - 1) // b >= 1 and (first - 1) % b > 0
+    block_end = b * ((first - 1) // b + 1)
+    run = SolveOptions(epsilon=1e-300, stall_window=10**9, max_iters=1000, record_trajectory=True)
+    taus = _taus(ref.solve(g, config, run).trajectory, "range")
+    # the last new low is the step past 1, which the clip holds at 1
+    assert taus[first] < min(taus[:first]) and min(taus[first:]) == taus[first]
+    cases = [(first, True, replace(run, epsilon=taus[first]))]
+    for window in (block_end - first - 1, block_end - first, 2 * b):
+        cases.append((first + window, False, replace(run, stall_window=window)))
+    for cut in (first, first + 1, block_end, block_end + 1):
+        cases.append((cut, False, replace(run, max_iters=cut)))
+    for target, converged, opts in cases:
+        want = ref.solve(g, config, opts)
+        assert (want.iterations, want.converged) == (target, converged)
+        assert_same_report(solve(g, config, opts), want)
+    for cut in (first, block_end + 1, 300):
+        got = mttf_lower_bound(g, config, rule=Rule.BD, stop_stdev=0.0, max_iters=cut, record=True)
+        assert got.truncated and got.iterations == cut
+        assert_same_mttf(got, ref.mttf_lower_bound(g, config, Rule.BD, 0.0, cut))
+
+
+def test_all_ones_trajectory_clips_every_step():
+    g = random_digraph(16, 7)
+    ones = np.ones(g.n)
+    # a kernel row sums past 1, so the product of ones passes 1 at every step
+    assert _passes_one(g, ones, 100) == list(range(1, 101))
+    _assert_same_steps(g, ones, 100)
+    for steps in (1, 2, 33, 100):
+        got = trajectory(g, range(g.n), rule=Rule.BD, steps=steps)
+        assert got.to_csv_text() == ref.trajectory(g, range(g.n), Rule.BD, steps).to_csv_text()
