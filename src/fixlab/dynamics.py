@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import _sparsetools, csr_matrix, identity
+from scipy.sparse import _sparsetools, csr_matrix
 
 from .graphs import check_config
 
@@ -129,42 +129,112 @@ def check_neighbours(graph, rule, what):
         raise ValueError(f"{name} {what} undefined: vertices {missing} have no {side} edges")
 
 
-def kernel_matrix(graph, rule):
-    """The sparse row-stochastic operator of one update step."""
+@dataclass(frozen=True)
+class EngineKernel:
+    """A neutral kernel as CSR arrays in the engine's vertex order.
+
+    Engine row k is vertex ``order[k]`` and vertex v is engine row
+    ``rank[v]``; ``indices`` holds engine labels too. The vertices are
+    in stable order of row length.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    order: np.ndarray
+    rank: np.ndarray
+
+
+def engine_kernel(graph, rule):
+    """The kernel engine's build of a neutral kernel, once per graph.
+
+    It is built straight from the graph's incoming arrays. Each row
+    holds the entries, bits and storage order of the sparse-arithmetic
+    kernel ``I + (W - diag(T)) / N`` (BD), ``diag(1 - 1/N) + diag(1 /
+    (N k_in)) U`` (DB) or ``diag(1 - k_in / m) + U / m`` (LD), where W
+    and U are the weighted and unweighted incoming matrices
+    (``tests/loop_kernel.py`` keeps that build):
+
+    - the in-edges are in order of source, and the diagonal sits at its
+      column, except under DB once a vertex has two in-edges, where it
+      comes last in every row;
+    - a scalar divisor is applied as ``* (1.0 / N)``, as scipy applies it;
+    - an entry that is exactly 0 (an LD diagonal where every edge enters
+      one vertex) is not stored.
+
+    ``kernel_matrix`` is that kernel in vertex order.
+    """
     rule = neutral_part(rule)
     key = ("kernel", rule)
     if key in graph._ops:
         return graph._ops[key]
-    n = graph.n
+    n, k_in, src = graph.n, graph.k_in, graph.in_src
+    row = np.repeat(np.arange(n), k_in)
     if rule is Rule.BD:
-        win = graph.incoming_matrix(weighted=True)
-        op = identity(n, format="csr") + (win - _diag(graph.temperatures)) / n
+        off, diag = graph.in_w * (1.0 / n), 1.0 - graph.temperatures * (1.0 / n)
     elif rule is Rule.DB:
         # the neutral birth-death kernel stays row-stochastic without out-edges
         check_neighbours(graph, rule, "step")
-        uin = graph.incoming_matrix(weighted=False)
-        scale = 1.0 / (n * graph.k_in)
-        op = _diag(np.full(n, 1.0 - 1.0 / n)) + _scale_rows(uin, scale)
+        off, diag = np.repeat(1.0 / (n * k_in), k_in), np.full(n, 1.0 - 1.0 / n)
     elif rule is Rule.LD:
         m = len(graph.edges)
         if m == 0:
             raise ValueError("link-dynamics step undefined on an edgeless graph")
-        uin = graph.incoming_matrix(weighted=False)
-        op = _diag(1.0 - graph.k_in / m) + uin / m
+        off, diag = np.full(m, 1.0 / m), 1.0 - k_in / m
     else:  # pragma: no cover
         raise ValueError(f"no deterministic kernel for {rule}")
-    op = op.tocsr()
-    graph._ops[key] = op
-    return op
+    # every row gains its diagonal at its column, but DB's comes after
+    # the in-edges once a row has two: scipy's row scaling then leaves
+    # the rows unsorted, and its sum appends the diagonal
+    at = np.arange(len(src)) + row
+    if rule is not Rule.DB or k_in.max() <= 1:
+        at += src > row
+    indptr = graph.in_ptr + np.arange(n + 1)
+    free = np.ones(indptr[-1], dtype=bool)
+    free[at] = False
+    indices, data = np.empty(indptr[-1], dtype=np.int64), np.empty(indptr[-1])
+    indices[at], data[at] = src, off
+    at = np.flatnonzero(free)
+    indices[at], data[at] = np.arange(n), diag
+    kept = data != 0.0
+    if not kept.all():
+        np.cumsum(np.bincount(np.repeat(np.arange(n), np.diff(indptr))[kept], minlength=n),
+                  out=indptr[1:])
+        indices, data = indices[kept], data[kept]
+    order = np.argsort(np.diff(indptr), kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(n)
+    indptr, indices, data = _rows(indptr, indices, data, order, rank)
+    # scipy's CSR kernel takes int32 or int64 indices; int32 ones are read faster
+    if len(data) <= np.iinfo(np.int32).max:
+        indptr, indices = indptr.astype(np.int32), indices.astype(np.int32)
+    graph._ops[key] = kernel = EngineKernel(indptr, indices, data, order, rank)
+    return kernel
 
 
-def _diag(values):
-    n = len(values)
-    return csr_matrix((np.asarray(values, dtype=float), (np.arange(n), np.arange(n))), shape=(n, n))
+def _rows(indptr, indices, data, rows, labels):
+    """CSR arrays of ``rows`` in turn, entries in order, columns renamed by ``labels``."""
+    lengths = np.diff(indptr)[rows]
+    ptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=ptr[1:])
+    at = np.repeat(indptr[:-1][rows] - ptr[:-1], lengths) + np.arange(ptr[-1])
+    return ptr, labels.take(indices.take(at)), data.take(at)
 
 
-def _scale_rows(m, scale):
-    return _diag(scale) @ m
+def kernel_matrix(graph, rule):
+    """The sparse row-stochastic operator of one update step, in vertex order.
+
+    The engine's build (``engine_kernel``) with its rows and columns put
+    back in vertex order, as a scipy CSR matrix.
+    """
+    rule = neutral_part(rule)
+    key = ("matrix", rule)
+    if key not in graph._ops:
+        kernel = engine_kernel(graph, rule)
+        indptr, indices, data = _rows(
+            kernel.indptr, kernel.indices, kernel.data, kernel.rank, kernel.order)
+        graph._ops[key] = csr_matrix((data, indices, indptr), shape=(graph.n, graph.n))
+    return graph._ops[key]
 
 
 # 32 rows spread the per-call costs of a step's statistics without computing
@@ -195,8 +265,32 @@ def blocks(graph, rule, values, steps=None):
     be a vector of length ``graph.n`` (anything numpy converts to one,
     read as float64), else ``ValueError``; it is never written. Each
     step is one call of scipy's CSR matrix-vector kernel, the one
-    ``op @ values`` runs, into its row, and every row is bit for bit
-    ``np.clip(op @ values, 0, 1)`` of the row before.
+    ``op @ values`` runs, and every row is bit for bit
+    ``np.clip(op @ values, 0, 1)`` of the row before, with ``op`` the
+    ``kernel_matrix``.
+
+    The steps run in the engine's vertex order (``engine_blocks``):
+    vertices in stable order of kernel row length, so that where a row
+    ends follows a pattern the CPU predicts. Each row keeps its entries
+    in their storage order, so each product has the bits of the
+    vertex-order one. ``values`` is gathered into that order once, and
+    each block is put back in vertex order with one ``take`` before it
+    is yielded. At N = 10^4 the product takes half the time it takes
+    in vertex order; at N <= 150 the branch predictor learns the rows
+    either way and the order gains nothing.
+    """
+    kernel = engine_kernel(graph, rule)
+    for block in engine_blocks(kernel, values, steps):
+        yield block.take(kernel.rank, axis=1)
+
+
+def engine_blocks(kernel, values, steps=None):
+    """``blocks`` of an ``EngineKernel``, with columns in its vertex order.
+
+    ``values`` is in vertex order. A statistic that does not depend on
+    the order of a row's entries (a min or a max, not a sum) can be
+    read off these blocks directly; ``row.take(kernel.rank)`` puts a row
+    back in vertex order.
 
     The clips run only where they can act. The first step is clipped
     to [0, 1], since the caller's vector may lie outside it. After it
@@ -208,17 +302,16 @@ def blocks(graph, rule, values, steps=None):
     passes it through), the block is redone from its first such row
     with the clip at 1, which then runs on every later step.
     """
-    op = kernel_matrix(graph, rule)
-    n = graph.n
+    n = len(kernel.order)
     values = np.asarray(values, dtype=np.float64)
     # the kernel does no bounds checking, so this guard keeps it in bounds
     if values.shape != (n,):
         raise ValueError(f"vector of shape {values.shape} != population size ({n},)")
     if steps is not None and steps < 0:
         raise ValueError(f"steps must be nonnegative, got {steps}")
-    values = np.ascontiguousarray(values)
+    values = values.take(kernel.order)
     matvec, minimum, fmax = _sparsetools.csr_matvec, np.minimum, np.fmax
-    indptr, indices, data = op.indptr, op.indices, op.data
+    indptr, indices, data = kernel.indptr, kernel.indices, kernel.data
     height = block_height(n)
     left = math.inf if steps is None else steps
     first, clip = True, False

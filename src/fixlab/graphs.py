@@ -18,7 +18,6 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 ROW_SUM_TOL = 1e-9
 
@@ -229,17 +228,6 @@ class EvolutionaryGraph:
         """Arrays (sources, weights) of the incoming edges of vertex i."""
         lo, hi = self.in_ptr[i], self.in_ptr[i + 1]
         return self.in_src[lo:hi], self.in_w[lo:hi]
-
-    def incoming_matrix(self, weighted=True):
-        """Sparse operator B with B[i, j] = w_ji (or 1) for each edge (j, i)."""
-        key = ("in", weighted)
-        if key not in self._ops:
-            rows = np.repeat(np.arange(self.n), np.diff(self.in_ptr))
-            data = self.in_w if weighted else np.ones_like(self.in_w)
-            self._ops[key] = csr_matrix(
-                (data, (rows, self.in_src)), shape=(self.n, self.n)
-            )
-        return self._ops[key]
 
     def to_json(self):
         weights = self.given_w.tolist()

@@ -19,7 +19,9 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .dynamics import Rule, blocks, init_vector, kernel_matrix, neutral_part, resolve_rule, std
+from .dynamics import (
+    Rule, blocks, engine_blocks, engine_kernel, init_vector, neutral_part, resolve_rule, std,
+)
 from .graphs import check_config, is_strongly_connected, stats
 
 
@@ -199,7 +201,15 @@ def solve(graph, config, options=SolveOptions()):
     since_best = 0
     iters = 0
     converged = tau <= options.epsilon
-    steps = () if converged else blocks(graph, options.rule, values, options.max_iters)
+    steps, rank = (), None
+    if not converged and options.criterion == "range" and not options.record_trajectory:
+        # a row's min and max do not depend on the order of its entries, so
+        # the range reads the engine's blocks and puts back only the row it
+        # stops on
+        kernel = engine_kernel(graph, options.rule)
+        steps, rank = engine_blocks(kernel, values, options.max_iters), kernel.rank
+    elif not converged:
+        steps = blocks(graph, options.rule, values, options.max_iters)
     for block in steps:
         stop = False
         for k, tau in enumerate(_criterion_stats(block, options.criterion)):
@@ -224,7 +234,8 @@ def solve(graph, config, options=SolveOptions()):
         half_range=tau,
         iterations=iters,
         converged=converged,
-        values=values.copy(),  # not a view that keeps the whole block alive
+        # not a view that keeps the whole block alive
+        values=values.copy() if rank is None else values.take(rank),
         trajectory=recorder.table(),
     )
 
@@ -320,7 +331,7 @@ def trajectory(graph, config, rule=Rule.BD, steps=100):
     if steps < 0:
         raise ValueError("steps must be nonnegative")
     rule = resolve_rule(rule, kernel=True)
-    kernel_matrix(graph, rule)  # validate rule/graph pairing up front
+    engine_kernel(graph, rule)  # validate rule/graph pairing up front
     members = check_config(graph, config)
     values = init_vector(graph, members).values
     recorder = _Recorder(True)

@@ -4,16 +4,19 @@ This is the loop that ``fixlab.iterate`` replaced with one direct call
 of scipy's CSR kernel and ufunc clips, together with the per-step
 statistics of ``solve``, ``trajectory``, ``mttf_lower_bound`` and
 ``speedup_benchmark`` written with the array methods
-(``.min()``/``.max()``/``.mean()``/``.std()``). The tests require the
-package to give the same bits.
+(``.min()``/``.max()``/``.mean()``/``.std()``), on the kernel that the
+sparse-arithmetic build of ``tests/loop_kernel.py`` gives. The tests
+require the package to give the same bits.
 """
 
 from itertools import chain, islice
 
 import numpy as np
 
-from fixlab import SolveOptions, SolveReport, TrajectoryTable, init_vector, kernel_matrix
+from fixlab import SolveOptions, SolveReport, TrajectoryTable, init_vector
 from fixlab.mttf import MttfReport, MttfTrace
+
+from .loop_kernel import kernel_matrix
 
 
 def iterate(graph, rule, values):
