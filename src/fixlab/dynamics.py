@@ -194,8 +194,8 @@ def engine_kernel(graph, rule):
     free[at] = False
     indices, data = np.empty(indptr[-1], dtype=np.int64), np.empty(indptr[-1])
     indices[at], data[at] = src, off
-    at = np.flatnonzero(free)
-    indices[at], data[at] = np.arange(n), diag
+    on_diag = np.flatnonzero(free)
+    indices[on_diag], data[on_diag] = np.arange(n), diag
     kept = data != 0.0
     if not kept.all():
         np.cumsum(np.bincount(np.repeat(np.arange(n), np.diff(indptr))[kept], minlength=n),
