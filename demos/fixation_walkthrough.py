@@ -32,7 +32,7 @@ summary = fx.estimate(graph, config, rule="bd", runs=20000, seed=3)
 print(f"simulated (20k)   : {summary.fixation_frequency:.4f} "
       f"+- {summary.std_error:.4f}")
 
-lo, hi = fx.bracket(report.values)
+lo, hi = report.bracket()
 print(f"final bracket     : [{lo:.10f}, {hi:.10f}] holds the exact value: "
       f"{lo <= exact <= hi}")
 

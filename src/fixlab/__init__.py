@@ -18,7 +18,6 @@ from .bounds import (
 from .dynamics import (
     BIASED_RULES,
     NEUTRAL_RULES,
-    ProbabilityVector,
     Rule,
     expected_mutants,
     expected_mutants_step_residual,
@@ -28,7 +27,6 @@ from .dynamics import (
     neutral_part,
     parse_rule,
     resolve_rule,
-    step,
     step_values,
 )
 from .graphs import (
@@ -63,7 +61,6 @@ from .mttf import (
     STOP_STDEV,
     MttfReport,
     MttfTrace,
-    mttf_exact,
     mttf_lower_bound,
 )
 from .oracle import (
@@ -85,7 +82,6 @@ from .solver import (
     SolveReport,
     TrajectoryTable,
     additivity_check,
-    bracket,
     degree_selection_class,
     solve,
     trajectory,
@@ -102,12 +98,12 @@ __all__ = [
     "stats", "generate", "feeder_pair_graph", "load_graph", "save_graph",
     # dynamics
     "Rule", "NEUTRAL_RULES", "BIASED_RULES", "parse_rule", "resolve_rule",
-    "neutral_part", "ProbabilityVector", "init_vector", "kernel_matrix",
-    "iterate", "step_values", "step",
+    "neutral_part", "init_vector", "kernel_matrix",
+    "iterate", "step_values",
     "expected_mutants", "expected_mutants_step_residual",
     # solver
     "NotStronglyConnected", "CRITERIA", "SolveOptions", "SolveReport",
-    "TrajectoryTable", "solve", "bracket", "trajectory",
+    "TrajectoryTable", "solve", "trajectory",
     "AdditivityReport", "additivity_check",
     "ClosedFormFixation", "undirected_closed_form", "degree_selection_class",
     # bounds
@@ -116,7 +112,7 @@ __all__ = [
     "ORACLE_CAP", "ChainModel", "MeanTimes", "build_chain",
     "fixation_exact", "mean_times_exact", "state_of", "config_of",
     # mttf
-    "STOP_STDEV", "MttfReport", "MttfTrace", "mttf_lower_bound", "mttf_exact",
+    "STOP_STDEV", "MttfReport", "MttfTrace", "mttf_lower_bound",
     # montecarlo
     "SimulationSummary", "RunResult", "RequiredRuns", "BenchmarkResult",
     "simulate_run", "estimate", "standard_error", "required_runs",

@@ -92,21 +92,13 @@ def neutral_part(rule):
     return _NEUTRAL_OF[resolve_rule(rule)]
 
 
-@dataclass(frozen=True)
-class ProbabilityVector:
-    """Per-vertex mutant probabilities after t update steps."""
-
-    values: np.ndarray
-    t: int = 0
-
-
 def init_vector(graph, config):
-    """Indicator vector of the initial mutant set, at step 0."""
+    """Indicator vector of the initial mutant set: a new float64 array of length n."""
     members = check_config(graph, config)
     values = np.zeros(graph.n)
     for v in members:
         values[v] = 1.0
-    return ProbabilityVector(values=values, t=0)
+    return values
 
 
 def check_neighbours(graph, rule, what):
@@ -361,11 +353,6 @@ def step_values(graph, rule, values):
     return next(blocks(graph, rule, values, 1))[0]
 
 
-def step(graph, rule, pv):
-    """One update step of a ProbabilityVector, advancing its time."""
-    return ProbabilityVector(values=step_values(graph, rule, pv.values), t=pv.t + 1)
-
-
 def std(values):
     """``np.std`` of each row of a float64 array, bit for bit.
 
@@ -382,9 +369,8 @@ def std(values):
     return out if values.ndim > 1 else float(out)
 
 
-def expected_mutants(pv):
+def expected_mutants(values):
     """Expected mutant count: the sum of the vector's entries."""
-    values = pv.values if isinstance(pv, ProbabilityVector) else pv
     return float(np.sum(values))
 
 
@@ -397,8 +383,8 @@ def expected_mutants_step_residual(graph, prev, nxt):
     (about 1e-12 * N) on any graph where every vertex has at least one
     outgoing edge; strong connectivity is not needed.
     """
-    p = prev.values if isinstance(prev, ProbabilityVector) else np.asarray(prev, dtype=float)
-    q = nxt.values if isinstance(nxt, ProbabilityVector) else np.asarray(nxt, dtype=float)
+    p = np.asarray(prev, dtype=float)
+    q = np.asarray(nxt, dtype=float)
     ex = float(np.sum(p))
     predicted = ex + ex / graph.n - float(graph.temperatures @ p) / graph.n
     return abs(float(np.sum(q)) - predicted)

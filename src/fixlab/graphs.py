@@ -542,7 +542,10 @@ def load_graph(path):
             parts = line.split()
             if len(parts) != 3:
                 raise ValueError(f"{path}:{line_no}: expected 'source target weight'")
-            edges.append((int(parts[0]), int(parts[1]), float(parts[2])))
+            try:
+                edges.append((int(parts[0]), int(parts[1]), float(parts[2])))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{line_no}: {exc}") from None
         if not edges:
             raise ValueError(f"{path}: no edges found")
         n = 1 + max(max(s, d) for s, d, _ in edges)

@@ -288,7 +288,11 @@ def _run_seed(master_seed, index):
 
 def step_cap_for(graph, step_cap=None):
     """The per-run event cap applied: ``step_cap``, or 10^6 events per vertex."""
-    return step_cap if step_cap is not None else 1_000_000 * graph.n
+    if step_cap is None:
+        return 1_000_000 * graph.n
+    if not step_cap >= 1:
+        raise ValueError(f"per-run event cap must be at least 1, got {step_cap}")
+    return step_cap
 
 
 def simulate_run(graph, config, rule=Rule.BD, r=1.0, seed=0, step_cap=None):
@@ -408,6 +412,8 @@ def required_runs(estimate_value, epsilon):
     """
     if not (0.0 <= estimate_value <= 1.0):
         raise ValueError(f"estimate must lie in [0, 1], got {estimate_value}")
+    if not math.isfinite(epsilon):
+        raise ValueError(f"epsilon must be finite, got {epsilon}")
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     if estimate_value in (0.0, 1.0):
@@ -452,6 +458,8 @@ def speedup_benchmark(
     ``fallback_stdev`` and ``entered_band`` is False.
     """
     rule = resolve_rule(rule, r)
+    if not fallback_stdev >= 0:
+        raise ValueError(f"fallback stdev threshold must be at least 0, got {fallback_stdev}")
     members = check_config(graph, config)
     if not (0 < len(members) < graph.n):
         raise ValueError("benchmark needs a nonempty proper starting set")
@@ -460,7 +468,7 @@ def speedup_benchmark(
     summary = estimate(graph, members, rule=rule, r=r, runs=mc_runs, seed=seed)
 
     t0 = perf_counter()
-    values = init_vector(graph, members).values
+    values = init_vector(graph, members)
     iters, entered = -1, False
     for block in chain([values[None]], blocks(graph, neutral_part(rule), values, max_iters)):
         avgs = (np.add.reduce(block, axis=1) / graph.n).tolist()

@@ -1,4 +1,4 @@
-"""Mean time to fixation: an iterative lower bound plus exact reference.
+"""Mean time to fixation: an iterative lower bound (exact times: ``oracle``).
 
 The probability that fixation has already happened by step t never
 exceeds the smallest vertex probability at step t. Charging each step
@@ -19,7 +19,6 @@ import numpy as np
 
 from .dynamics import Rule, blocks, init_vector, resolve_rule, std
 from .graphs import check_config, is_strongly_connected
-from .oracle import build_chain, mean_times_exact
 from .solver import NotStronglyConnected, _StepTable
 
 STOP_STDEV = 2.5e-6
@@ -61,8 +60,9 @@ def mttf_lower_bound(
     counted in the report instead of being silently absorbed.
     """
     rule = resolve_rule(rule, kernel=True)
-    if not math.isfinite(stop_stdev):
-        raise ValueError(f"stdev stopping threshold must be finite, got {stop_stdev}")
+    # a standard deviation is never below 0, so a negative threshold is never met
+    if not (math.isfinite(stop_stdev) and stop_stdev >= 0):
+        raise ValueError(f"stdev stopping threshold must be finite and at least 0, got {stop_stdev}")
     members = check_config(graph, config)
     if not members:
         raise ValueError("empty configuration never fixates; no time to bound")
@@ -72,7 +72,7 @@ def mttf_lower_bound(
     if not is_strongly_connected(graph):
         raise NotStronglyConnected("mean time to fixation")
 
-    p = init_vector(graph, members).values
+    p = init_vector(graph, members)
     p_min = float(np.minimum.reduce(p))
     stdev = std(p)
     total = 0.0
@@ -116,9 +116,3 @@ def mttf_lower_bound(
 def _empty_trace():
     z = np.zeros(0)
     return MttfTrace(t=z.astype(np.int64), p_min=z, increment=z, running_sum=z)
-
-
-def mttf_exact(graph, config, rule=Rule.BD, r=1.0, cap=16):
-    """Exact conditional mean times from the full configuration chain."""
-    chain = build_chain(graph, rule=rule, r=r, cap=cap)
-    return mean_times_exact(chain, config)

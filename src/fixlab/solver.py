@@ -153,6 +153,7 @@ class SolveReport:
     trajectory: TrajectoryTable | None = None
 
     def bracket(self):
+        """Guaranteed enclosure of the fixation probability: (min, max)."""
         return float(self.values.min()), float(self.values.max())
 
 
@@ -184,7 +185,7 @@ def solve(graph, config, options=SolveOptions()):
     members = check_config(graph, config)
     recorder = _Recorder(options.record_trajectory)
     if len(members) in (0, graph.n):
-        values = init_vector(graph, members).values
+        values = init_vector(graph, members)
         recorder.add(0, values[None])
         return SolveReport(
             fixation=float(len(members) == graph.n),
@@ -194,7 +195,7 @@ def solve(graph, config, options=SolveOptions()):
     if not is_strongly_connected(graph):
         raise NotStronglyConnected()
 
-    values = init_vector(graph, members).values
+    values = init_vector(graph, members)
     recorder.add(0, values[None])
     tau = _criterion_stats(values[None], options.criterion)[0]
     best = tau
@@ -238,12 +239,6 @@ def solve(graph, config, options=SolveOptions()):
         values=values.copy() if rank is None else values.take(rank),
         trajectory=recorder.table(),
     )
-
-
-def bracket(pv_or_values):
-    """Guaranteed enclosure of the fixation probability: (min, max)."""
-    values = getattr(pv_or_values, "values", pv_or_values)
-    return float(np.min(values)), float(np.max(values))
 
 
 @dataclass(frozen=True)
@@ -333,7 +328,7 @@ def trajectory(graph, config, rule=Rule.BD, steps=100):
     rule = resolve_rule(rule, kernel=True)
     engine_kernel(graph, rule)  # validate rule/graph pairing up front
     members = check_config(graph, config)
-    values = init_vector(graph, members).values
+    values = init_vector(graph, members)
     recorder = _Recorder(True)
     recorder.add(0, values[None])
     t = 1

@@ -52,7 +52,7 @@ def _stat(values, criterion):
 
 def solve(graph, config, options=SolveOptions()):
     """``fixlab.solve`` on a proper subset of a strongly connected graph."""
-    values = init_vector(graph, config).values
+    values = init_vector(graph, config)
     rows = [_row(0, values)]
     tau = _stat(values, options.criterion)
     best, since_best, iters = tau, 0, 0
@@ -83,7 +83,7 @@ def solve(graph, config, options=SolveOptions()):
 
 
 def trajectory(graph, config, rule, steps):
-    values = init_vector(graph, config).values
+    values = init_vector(graph, config)
     rows = [_row(0, values)]
     for t, values in enumerate(islice(iterate(graph, rule, values), steps), start=1):
         rows.append(_row(t, values))
@@ -92,7 +92,7 @@ def trajectory(graph, config, rule, steps):
 
 def mttf_lower_bound(graph, config, rule, stop_stdev, max_iters):
     """``fixlab.mttf_lower_bound`` with its trace, on a proper subset."""
-    p = init_vector(graph, config).values
+    p = init_vector(graph, config)
     p_min = float(p.min())
     stdev = float(np.std(p))
     total, t, negatives, rows = 0.0, 0, 0, []
@@ -122,7 +122,7 @@ def mttf_lower_bound(graph, config, rule, stop_stdev, max_iters):
 
 def speedup_solver(graph, config, rule, frequency, std_error, max_iters, fallback_stdev):
     """The iteration half of ``speedup_benchmark``: (estimate, iterations, entered)."""
-    values = init_vector(graph, config).values
+    values = init_vector(graph, config)
     entered = False
     for iters, values in enumerate(chain([values], iterate(graph, rule, values))):
         avg = float(values.mean())

@@ -34,6 +34,14 @@ def test_public_names_resolve():
     assert [name for name in BENCH_NAMES if name not in fixlab.__all__] == []
 
 
+@pytest.mark.parametrize("name", ["ProbabilityVector", "step", "bracket", "mttf_exact"])
+def test_removed_names_stay_gone(name):
+    # init_vector gives the array, step_values steps it, report.bracket()
+    # gives the bracket, mean_times_exact(build_chain(...)) the exact times
+    assert not hasattr(fixlab, name)
+    assert name not in fixlab.__all__
+
+
 GRAPH = complete_graph(4)
 
 # entry point -> call taking (rule, r); kernel routes take no fitness

@@ -213,6 +213,16 @@ def test_simulate_manifest_records_the_applied_cap_and_rule(capsys, two_cycle_fi
     assert (manifest["rule"], manifest["r"], manifest["steps"]) == ("ld", 1.5, 7)
 
 
+@pytest.mark.parametrize("steps", ["0", "-5"])
+def test_simulate_event_cap_below_one_exits_one(capsys, two_cycle_file, steps):
+    code, out = run_cli(capsys, [
+        "simulate", "--graph", two_cycle_file, "--config", "[0]",
+        "--runs", "3", "--steps", steps,
+    ])
+    assert code == 1
+    assert json.loads(out)["error"] == f"per-run event cap must be at least 1, got {steps}"
+
+
 def test_solve_replays_from_its_own_manifest(capsys, tmp_path):
     path = str(tmp_path / "g.json")
     assert main(["generate", "--generate", "ba:n=20,m=2,seed=7", "--out", path]) == 0
@@ -369,7 +379,7 @@ def test_mttf_with_trace(capsys, two_cycle_file, tmp_path):
     assert dest.read_text().startswith("t,P_min,increment,running_sum")
 
 
-@pytest.mark.parametrize("epsilon", ["nan", "inf"])
+@pytest.mark.parametrize("epsilon", ["nan", "inf", "-1"])
 def test_mttf_non_finite_epsilon_exits_one(capsys, two_cycle_file, epsilon):
     code, out = run_cli(capsys, [
         "mttf", "--graph", two_cycle_file, "--config", "[0]", "--epsilon", epsilon,

@@ -203,6 +203,18 @@ def test_text_edge_list_gives_the_loop_arrays(tmp_path):
         load_graph(str(path))
 
 
+@pytest.mark.parametrize("line, fragment", [
+    ("0 1 x", "could not convert string to float: 'x'"),
+    ("0 1.0 1", "invalid literal for int() with base 10: '1.0'"),
+    ("zero 1 1", "invalid literal for int() with base 10: 'zero'"),
+])
+def test_text_edge_list_names_the_line_that_does_not_parse(tmp_path, line, fragment):
+    path = tmp_path / "g.txt"
+    path.write_text(f"# header\n1 0 1.0\n{line}\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:3: {fragment}")):
+        load_graph(str(path))
+
+
 @pytest.mark.parametrize("n, edges", [
     (0, [(0, 1)]),
     (2, [(0, 1, 2), (1, 0, 1)]),

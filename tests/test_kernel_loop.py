@@ -392,7 +392,7 @@ def test_solve_and_mttf_stop_after_a_redo():
     g = _climber(closed=True)
     b = block_height(g.n)
     config = range(5)
-    start = init_vector(g, config).values
+    start = init_vector(g, config)
     first = _passes_one(g, start, 200)[0]
     assert (first - 1) // b >= 1 and (first - 1) % b > 0
     block_end = b * ((first - 1) // b + 1)

@@ -53,6 +53,14 @@ def test_step_cap_marks_runs():
     assert res.capped and not res.fixated and res.steps == 1
 
 
+@pytest.mark.parametrize("cap", [0, -5])
+def test_event_cap_below_one_is_refused(cap):
+    with pytest.raises(ValueError, match="event cap must be at least 1"):
+        simulate_run(two_cycle(), [0], step_cap=cap)
+    with pytest.raises(ValueError, match="event cap must be at least 1"):
+        estimate(two_cycle(), [0], runs=3, step_cap=cap)
+
+
 # ------------------------------------------------------------- summaries
 
 
@@ -133,6 +141,9 @@ def test_required_runs_values():
         required_runs(1.2, 0.01)
     with pytest.raises(ValueError):
         required_runs(0.5, 0.0)
+    for epsilon in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="epsilon must be finite"):
+            required_runs(0.5, epsilon)
 
 
 def test_error_shrinks_until_target():
@@ -279,3 +290,8 @@ def test_speedup_benchmark_needs_proper_config():
     g = random_digraph(61, 8)
     with pytest.raises(ValueError):
         speedup_benchmark(g, [], mc_runs=10)
+
+
+def test_speedup_benchmark_refuses_a_fallback_stdev_it_can_never_meet():
+    with pytest.raises(ValueError, match="fallback stdev threshold must be at least 0"):
+        speedup_benchmark(random_digraph(61, 8), [0], mc_runs=10, fallback_stdev=-1e-9)

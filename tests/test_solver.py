@@ -6,11 +6,9 @@ from fixlab import (
     Rule,
     SolveOptions,
     additivity_check,
-    bracket,
     build_chain,
     degree_selection_class,
     fixation_exact,
-    init_vector,
     solve,
     trajectory,
     undirected_closed_form,
@@ -279,15 +277,3 @@ def test_trajectory_write_csv_file(tmp_path):
 def test_trajectory_rejects_negative_steps():
     with pytest.raises(ValueError):
         trajectory(path3(), [0], steps=-1)
-
-
-# ------------------------------------------------------------- helpers
-
-
-def test_bracket_helper():
-    g = path3()
-    pv = init_vector(g, [1])
-    lo, hi = bracket(pv)
-    assert (lo, hi) == (0.0, 1.0)
-    lo2, hi2 = bracket(np.array([0.25, 0.5]))
-    assert (lo2, hi2) == (0.25, 0.5)
