@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import Rule, neutral_part, resolve_rule
+from .graphs import check_config
 from .solver import SolveOptions, solve
 
 UPPER_BOUND_RULES = (Rule.BD_B, Rule.BD_D, Rule.DB_B, Rule.DB_D)
@@ -48,8 +49,7 @@ def upper_bound_single(graph, i, r, rule):
     dynamics has no formula and is rejected here.
     """
     rule = resolve_rule(rule, r)
-    if not (0 <= i < graph.n):
-        raise ValueError(f"vertex {i} outside 0..{graph.n - 1}")
+    (i,) = check_config(graph, [i])
     if r < 1.0:
         raise ValueError(f"upper bound stated for fitness r >= 1, got {r}")
     return float(min(1.0, max(0.0, _raw_upper(graph, i, r, rule))))

@@ -36,8 +36,8 @@ from time import perf_counter
 import numpy as np
 
 from .dynamics import Rule, blocks, check_neighbours, init_vector, neutral_part, resolve_rule, std
-from .graphs import check_config, is_strongly_connected
-from .solver import NotStronglyConnected
+from .graphs import check_config
+from .solver import _starting_set
 
 # a run's draws come in chunks that start at _FIRST_CHUNK variates and
 # double up to _BUFFER, so a run that absorbs early draws few
@@ -297,9 +297,7 @@ def step_cap_for(graph, step_cap=None):
 
 def simulate_run(graph, config, rule=Rule.BD, r=1.0, seed=0, step_cap=None):
     """Play one trajectory to absorption; deterministic in the seed."""
-    members = check_config(graph, config)
-    if 0 < len(members) < graph.n and not is_strongly_connected(graph):
-        raise NotStronglyConnected("simulation to absorption")
+    members = _starting_set(graph, config, "simulation to absorption")
     proc = _Process(graph, rule, r)
     cap = step_cap_for(graph, step_cap)
     return _play(proc, proc.new_state(members), _Draws(_run_seed(int(seed), 0)), cap)
@@ -339,9 +337,7 @@ def estimate(
     """
     if runs < 2:
         raise ValueError("need at least 2 runs for an error estimate")
-    members = check_config(graph, config)
-    if 0 < len(members) < graph.n and not is_strongly_connected(graph):
-        raise NotStronglyConnected("simulation to absorption")
+    members = _starting_set(graph, config, "simulation to absorption")
     proc = _Process(graph, rule, r)
     cap = step_cap_for(graph, step_cap)
     seed = int(seed)
@@ -408,7 +404,8 @@ def required_runs(estimate_value, epsilon):
 
     Solves sqrt(S(1-S)/(R-1)) = epsilon for R. An estimate of exactly
     0 or 1 has no finite-variance reading; the minimal count of 2 is
-    returned with ``degenerate=True``.
+    returned with ``degenerate=True``. An epsilon so small that R is not
+    a finite number is refused.
     """
     if not (0.0 <= estimate_value <= 1.0):
         raise ValueError(f"estimate must lie in [0, 1], got {estimate_value}")
@@ -418,7 +415,10 @@ def required_runs(estimate_value, epsilon):
         raise ValueError("epsilon must be positive")
     if estimate_value in (0.0, 1.0):
         return RequiredRuns(runs=2, degenerate=True)
-    ratio = estimate_value * (1.0 - estimate_value) / epsilon**2
+    square = epsilon**2
+    ratio = estimate_value * (1.0 - estimate_value) / square if square else math.inf
+    if not math.isfinite(ratio):
+        raise ValueError(f"epsilon {epsilon} is too small for a finite run count")
     # snap values a few ulps off an integer so round inputs give the
     # textbook count instead of one extra run
     nearest = round(ratio)
@@ -460,11 +460,9 @@ def speedup_benchmark(
     rule = resolve_rule(rule, r)
     if not fallback_stdev >= 0:
         raise ValueError(f"fallback stdev threshold must be at least 0, got {fallback_stdev}")
-    members = check_config(graph, config)
+    members = _starting_set(graph, config, "speedup benchmark")
     if not (0 < len(members) < graph.n):
         raise ValueError("benchmark needs a nonempty proper starting set")
-    if not is_strongly_connected(graph):
-        raise NotStronglyConnected("speedup benchmark")
     summary = estimate(graph, members, rule=rule, r=r, runs=mc_runs, seed=seed)
 
     t0 = perf_counter()

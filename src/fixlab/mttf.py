@@ -18,8 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import Rule, blocks, init_vector, resolve_rule, std
-from .graphs import check_config, is_strongly_connected
-from .solver import NotStronglyConnected, _StepTable
+from .solver import _StepTable, _starting_set
 
 STOP_STDEV = 2.5e-6
 
@@ -63,14 +62,12 @@ def mttf_lower_bound(
     # a standard deviation is never below 0, so a negative threshold is never met
     if not (math.isfinite(stop_stdev) and stop_stdev >= 0):
         raise ValueError(f"stdev stopping threshold must be finite and at least 0, got {stop_stdev}")
-    members = check_config(graph, config)
+    members = _starting_set(graph, config, "mean time to fixation")
     if not members:
         raise ValueError("empty configuration never fixates; no time to bound")
     if len(members) == graph.n:
         return MttfReport(0.0, 0.0, 1.0, 0, False, 0,
                           trace=_empty_trace() if record else None)
-    if not is_strongly_connected(graph):
-        raise NotStronglyConnected("mean time to fixation")
 
     p = init_vector(graph, members)
     p_min = float(np.minimum.reduce(p))

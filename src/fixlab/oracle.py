@@ -20,6 +20,7 @@ import numpy as np
 from scipy.sparse import _sparsetools, csr_matrix, identity
 
 from .dynamics import Rule, check_neighbours, neutral_part, resolve_rule
+from .graphs import check_config, vertex_id
 
 ORACLE_CAP = 16
 
@@ -43,7 +44,7 @@ def state_of(config):
     """Bitmask state for a set of vertex ids."""
     s = 0
     for v in config:
-        s |= 1 << int(v)
+        s |= 1 << vertex_id(v)
     return s
 
 
@@ -74,7 +75,7 @@ class ChainModel:
         return t.indices[lo:hi].copy(), t.data[lo:hi].copy()
 
 
-def build_chain(graph, rule=Rule.BD, r=1.0, cap=ORACLE_CAP):
+def build_chain(graph, rule=Rule.BD, r=1.0):
     """Enumerate every one-event transition for each mutant set.
 
     One event under the BD family picks a breeder then one of its
@@ -93,8 +94,8 @@ def build_chain(graph, rule=Rule.BD, r=1.0, cap=ORACLE_CAP):
     """
     rule = resolve_rule(rule, r)
     n = graph.n
-    if n > cap:
-        raise ValueError(f"population {n} above the exact-chain cap {cap}")
+    if n > ORACLE_CAP:
+        raise ValueError(f"population {n} above the exact-chain cap {ORACLE_CAP}")
     check_neighbours(graph, rule, "chain")
 
     n_states = 1 << n
@@ -328,7 +329,7 @@ def _solutions(chain):
 
 def fixation_exact(chain, config):
     """Probability of absorbing in the all-mutant state from a given set."""
-    s = state_of(_checked(chain, config))
+    s = state_of(check_config(chain, config))
     if s == 0:
         return 0.0
     if s == chain.n_states - 1:
@@ -359,7 +360,7 @@ class MeanTimes:
 
 
 def mean_times_exact(chain, config):
-    s = state_of(_checked(chain, config))
+    s = state_of(check_config(chain, config))
     if s == 0:
         return MeanTimes(float("nan"), 0.0, 0.0, fixation_defined=False)
     if s == chain.n_states - 1:
@@ -376,11 +377,3 @@ def mean_times_exact(chain, config):
         fixation_defined=h > 0,
         extinction_defined=hbar > 0,
     )
-
-
-def _checked(chain, config):
-    members = frozenset(int(v) for v in config)
-    for v in members:
-        if not (0 <= v < chain.n):
-            raise ValueError(f"configuration vertex {v} outside 0..{chain.n - 1}")
-    return members

@@ -42,6 +42,18 @@ class NotStronglyConnected(ValueError):
         )
 
 
+def _starting_set(graph, config, what):
+    """``check_config(graph, config)``, refusing a proper nonempty set on a
+    graph that is not strongly connected with ``NotStronglyConnected(what)``.
+
+    The empty and the full set pass: each question decides what they mean.
+    """
+    members = check_config(graph, config)
+    if 0 < len(members) < graph.n and not is_strongly_connected(graph):
+        raise NotStronglyConnected(what)
+    return members
+
+
 CRITERIA = ("range", "stdev")
 
 
@@ -182,7 +194,7 @@ def solve(graph, config, options=SolveOptions()):
     iteration cap, or the statistic stalling at the floating-point
     floor, reports ``converged=False`` with the bracket reached.
     """
-    members = check_config(graph, config)
+    members = _starting_set(graph, config, "fixation probability")
     recorder = _Recorder(options.record_trajectory)
     if len(members) in (0, graph.n):
         values = init_vector(graph, members)
@@ -192,8 +204,6 @@ def solve(graph, config, options=SolveOptions()):
             half_range=0.0, iterations=0, converged=True,
             values=values, trajectory=recorder.table(),
         )
-    if not is_strongly_connected(graph):
-        raise NotStronglyConnected()
 
     values = init_vector(graph, members)
     recorder.add(0, values[None])
@@ -282,8 +292,7 @@ def undirected_closed_form(graph, i, rule=Rule.BD):
     st = stats(graph)
     if not (st.is_undirected and st.is_unweighted):
         raise ValueError("closed form needs an undirected unweighted graph")
-    if not (0 <= i < graph.n):
-        raise ValueError(f"vertex {i} outside 0..{graph.n - 1}")
+    (i,) = check_config(graph, [i])
     k_i = float(graph.k_out[i])
     if neutral_part(rule) is Rule.BD:
         limit = 1.0 / (k_i * st.mean_inverse_degree)

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 import fixlab
@@ -10,9 +11,15 @@ from fixlab import (
     bound_report,
     build_chain,
     estimate,
+    fixation_exact,
+    generate,
+    mean_times_exact,
     mttf_lower_bound,
     solve,
+    state_of,
     trajectory,
+    undirected_closed_form,
+    upper_bound_single,
 )
 from fixlab.cli import main
 
@@ -106,3 +113,35 @@ def test_rule_names_are_case_insensitive_everywhere(capsys, tmp_path, entry):
     assert _outcome(entry, "BD", 1.0) == _outcome(entry, "bd", 1.0)
     upper, lower = (_cli(capsys, tmp_path, entry, name, 1.0)[0] for name in ("BD", "bd"))
     assert upper == lower
+
+
+# undirected and unweighted, so the closed form applies
+ER6 = generate("erdos_renyi", 6, seed=1, p=0.6, weighting="unweighted")
+ER6_CHAIN = build_chain(ER6, "bd")
+
+# function -> call taking one vertex id
+ID_TAKERS = {
+    "fixation_exact": lambda v: fixation_exact(ER6_CHAIN, [v]),
+    "mean_times_exact": lambda v: mean_times_exact(ER6_CHAIN, [v]),
+    "state_of": lambda v: state_of([v]),
+    "upper_bound_single": lambda v: upper_bound_single(ER6, v, 2.0, "bd-b"),
+    "undirected_closed_form": lambda v: undirected_closed_form(ER6, v),
+}
+
+
+@pytest.mark.parametrize("bad", [1.5, True, np.float64(2.0)], ids=repr)
+@pytest.mark.parametrize("name", list(ID_TAKERS))
+def test_non_integer_vertex_ids_are_refused_not_truncated(name, bad):
+    with pytest.raises(ValueError, match="is not an integer"):
+        ID_TAKERS[name](bad)
+
+
+@pytest.mark.parametrize("name", list(ID_TAKERS))
+def test_numpy_integer_vertex_ids_give_the_int_answer(name):
+    assert ID_TAKERS[name](np.int64(1)) == ID_TAKERS[name](1)
+
+
+@pytest.mark.parametrize("name", ["fixation_exact", "upper_bound_single", "undirected_closed_form"])
+def test_vertex_ids_outside_the_graph_get_the_configuration_message(name):
+    with pytest.raises(ValueError, match=r"^configuration vertex -1 outside 0\.\.5$"):
+        ID_TAKERS[name](-1)

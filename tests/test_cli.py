@@ -459,6 +459,14 @@ def test_compare_csv(capsys, two_cycle_file):
     assert cells[0] == "2" and cells[1] == "bd"
 
 
+def test_compare_weak_graph_exits_two(capsys, weak_file):
+    code, out = run_cli(capsys, ["compare", "--graph", weak_file, "--config", "[0]", "--runs", "4"])
+    assert code == 2
+    payload = json.loads(out)
+    assert payload["error"] == "not_strongly_connected"
+    assert payload["detail"].startswith("speedup benchmark requires")
+
+
 def test_compare_out_file(capsys, two_cycle_file, tmp_path):
     dest = tmp_path / "bench.csv"
     code, out = run_cli(capsys, [

@@ -85,6 +85,15 @@ def test_in_star_drops_its_zero_ld_diagonal():
     assert_same_build(star_graph(6), Rule.LD)
 
 
+def test_bd_entry_that_underflows_to_zero_is_not_stored():
+    g = EvolutionaryGraph(3, [(0, 1, 1.0), (0, 2, 5e-324), (1, 2, 1.0), (2, 0, 1.0)])
+    # edge (0, 2) carries 5e-324 * (1/3), which rounds to 0
+    k = assert_same_build(g, Rule.BD)
+    assert k.nnz == 6
+    assert (k.data != 0).all()
+    assert 0 not in k.indices[k.indptr[2]:k.indptr[3]].tolist()
+
+
 def test_db_diagonal_sits_at_its_column_while_no_vertex_has_two_in_edges():
     for g in (cycle_graph(5), random_digraph(1, 2)):
         k = assert_same_build(g, Rule.DB)

@@ -144,6 +144,11 @@ def test_required_runs_values():
     for epsilon in (math.nan, math.inf):
         with pytest.raises(ValueError, match="epsilon must be finite"):
             required_runs(0.5, epsilon)
+    # epsilon**2 overflows the ratio to infinity (1e-160) or underflows to 0
+    for epsilon in (1e-160, 1e-200, 5e-324):
+        with pytest.raises(ValueError, match="too small for a finite run count"):
+            required_runs(0.5, epsilon)
+    assert required_runs(0.5, 1e-150).runs > 10**299
 
 
 def test_error_shrinks_until_target():

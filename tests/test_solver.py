@@ -2,14 +2,19 @@ import numpy as np
 import pytest
 
 from fixlab import (
+    EvolutionaryGraph,
     NotStronglyConnected,
     Rule,
     SolveOptions,
     additivity_check,
     build_chain,
     degree_selection_class,
+    estimate,
     fixation_exact,
+    mttf_lower_bound,
+    simulate_run,
     solve,
+    speedup_benchmark,
     trajectory,
     undirected_closed_form,
 )
@@ -67,6 +72,44 @@ def test_refuses_weakly_connected_graphs():
     with pytest.raises(NotStronglyConnected) as err:
         solve(g, [0])
     assert err.value.reason == "not_strongly_connected"
+
+
+# vertex 0 reaches 1 and 2, which never reach it back
+WEAK = EvolutionaryGraph(3, [(0, 1, 1.0), (1, 2, 1.0), (2, 1, 1.0)])
+
+# route -> (call taking a starting set, the label its refusal names)
+GATED_ROUTES = {
+    "solve": (lambda c: solve(WEAK, c), "fixation probability"),
+    "mttf_lower_bound": (lambda c: mttf_lower_bound(WEAK, c), "mean time to fixation"),
+    "estimate": (lambda c: estimate(WEAK, c, runs=4), "simulation to absorption"),
+    "simulate_run": (lambda c: simulate_run(WEAK, c), "simulation to absorption"),
+    "speedup_benchmark": (lambda c: speedup_benchmark(WEAK, c, mc_runs=4), "speedup benchmark"),
+}
+
+
+@pytest.mark.parametrize("route", list(GATED_ROUTES))
+@pytest.mark.parametrize("config", [[0], [1, 2], [0, 2]])
+def test_every_gated_route_refuses_a_proper_set_with_its_own_label(route, config):
+    call, what = GATED_ROUTES[route]
+    with pytest.raises(NotStronglyConnected) as err:
+        call(config)
+    assert str(err.value).startswith(f"{what} requires a strongly connected graph")
+
+
+def test_gated_routes_keep_their_own_answer_to_the_trivial_sets():
+    empty, full = [], [0, 1, 2]
+    assert (solve(WEAK, empty).fixation, solve(WEAK, full).fixation) == (0.0, 1.0)
+    assert estimate(WEAK, empty, runs=4).fixations == 0
+    assert estimate(WEAK, full, runs=4).fixations == 4
+    assert not simulate_run(WEAK, empty).fixated
+    assert simulate_run(WEAK, full).fixated
+    with pytest.raises(ValueError, match="empty configuration never fixates"):
+        mttf_lower_bound(WEAK, empty)
+    full_report = mttf_lower_bound(WEAK, full)
+    assert (full_report.lower_bound, full_report.iterations) == (0.0, 0)
+    for config in (empty, full):
+        with pytest.raises(ValueError, match="nonempty proper starting set"):
+            speedup_benchmark(WEAK, config, mc_runs=4)
 
 
 def test_options_validation():
