@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse import _sparsetools, csr_matrix
 
-from .graphs import check_config
+from .graphs import check_config, vertex_id
 
 
 class Rule(enum.Enum):
@@ -128,6 +128,12 @@ class EngineKernel:
     Engine row k is vertex ``order[k]`` and vertex v is engine row
     ``rank[v]``; ``indices`` holds engine labels too. The vertices are
     in stable order of row length.
+
+    ``stacked`` holds the CSR arrays ``(indptr, indices, data)`` of
+    ``depth`` copies of the kernel, one below the other: copy t is rows
+    t n .. (t + 1) n - 1, with every column label shifted by t n. Called
+    with c n rows, scipy's CSR kernel runs the first c copies.
+    ``indptr``, ``indices`` and ``data`` are the first copy, as views.
     """
 
     indptr: np.ndarray
@@ -135,6 +141,8 @@ class EngineKernel:
     data: np.ndarray
     order: np.ndarray
     rank: np.ndarray
+    depth: int
+    stacked: tuple
 
 
 def engine_kernel(graph, rule):
@@ -193,14 +201,22 @@ def engine_kernel(graph, rule):
         np.cumsum(np.bincount(np.repeat(np.arange(n), np.diff(indptr))[kept], minlength=n),
                   out=indptr[1:])
         indices, data = indices[kept], data[kept]
-    order = np.argsort(np.diff(indptr), kind="stable")
+    # a stable sort's permutation is unique, and numpy sorts the smallest
+    # unsigned type that holds the lengths by radix, not by timsort
+    lengths = np.diff(indptr)
+    order = np.argsort(lengths.astype(np.min_scalar_type(lengths.max())), kind="stable")
     rank = np.empty_like(order)
     rank[order] = np.arange(n)
     indptr, indices, data = _rows(indptr, indices, data, order, rank)
+    nnz, depth = len(data), stack_depth(len(data))
+    shift = np.arange(depth)[:, None]
+    indptr = np.append((indptr[:-1] + nnz * shift).ravel(), depth * nnz)
+    indices, data = (indices + n * shift).ravel(), np.tile(data, depth)
     # scipy's CSR kernel takes int32 or int64 indices; int32 ones are read faster
-    if len(data) <= np.iinfo(np.int32).max:
+    if max(len(indptr), len(data)) <= np.iinfo(np.int32).max:
         indptr, indices = indptr.astype(np.int32), indices.astype(np.int32)
-    graph._ops[key] = kernel = EngineKernel(indptr, indices, data, order, rank)
+    graph._ops[key] = kernel = EngineKernel(
+        indptr[:n + 1], indices[:nnz], data[:nnz], order, rank, depth, (indptr, indices, data))
     return kernel
 
 
@@ -242,6 +258,33 @@ def block_height(n):
     return max(1, min(_BLOCK_ROWS, _BLOCK_CELLS // n))
 
 
+# a call of the CSR kernel costs about 1 µs beside its sparse work, which at
+# N <= 150 is the larger part of a step; the entries cap keeps the stacked
+# copies of a kernel within 192 KB of indices and data, and leaves a kernel
+# of more than 2^13 entries one copy, so the steps of a large N are one call
+# each
+_STACK_ROWS = 16
+_STACK_ENTRIES = 1 << 14
+
+
+def stack_depth(nnz):
+    """Stacked kernel copies at ``nnz`` stored entries: up to 16, 1 past 2^13."""
+    return max(1, min(_STACK_ROWS, _STACK_ENTRIES // nnz))
+
+
+def step_count(steps, what="steps", least=0):
+    """A count of steps as an int of at least ``least``, else ``ValueError``.
+
+    Bools and non-integers are refused, not truncated, as ``vertex_id``
+    refuses them; numpy integers are taken.
+    """
+    steps = vertex_id(steps, what)
+    if steps < least:
+        bound = "nonnegative" if least == 0 else f"at least {least}"
+        raise ValueError(f"{what} must be {bound}, got {steps}")
+    return steps
+
+
 def blocks(graph, rule, values, steps=None):
     """The kernel engine: yield the steps from ``values`` a block at a time.
 
@@ -255,9 +298,10 @@ def blocks(graph, rule, values, steps=None):
 
     The kernel is looked up once and ``values`` is checked once: it must
     be a vector of length ``graph.n`` (anything numpy converts to one,
-    read as float64), else ``ValueError``; it is never written. Each
-    step is one call of scipy's CSR matrix-vector kernel, the one
-    ``op @ values`` runs, and every row is bit for bit
+    read as float64), else ``ValueError``; it is never written. The
+    steps are calls of scipy's CSR matrix-vector kernel, the one
+    ``op @ values`` runs, several steps a call at small N
+    (``engine_blocks``), and every row is bit for bit
     ``np.clip(op @ values, 0, 1)`` of the row before, with ``op`` the
     ``kernel_matrix``.
 
@@ -284,6 +328,13 @@ def engine_blocks(kernel, values, steps=None):
     read off these blocks directly; ``row.take(kernel.rank)`` puts a row
     back in vertex order.
 
+    Row 0 of a block is one call of the kernel's first copy, from the
+    row before the block. The later rows take one call per
+    ``kernel.depth`` rows: the stacked copies read the block's flat
+    buffer from one row and write it from the next, and each product
+    keeps the bits of the one-row call, since the kernel sums each row in
+    storage order.
+
     The clips run only where they can act. The first step is clipped
     to [0, 1], since the caller's vector may lie outside it. After it
     every kernel entry is >= 0 and every value lies in [0, 1] (or is
@@ -299,40 +350,50 @@ def engine_blocks(kernel, values, steps=None):
     # the kernel does no bounds checking, so this guard keeps it in bounds
     if values.shape != (n,):
         raise ValueError(f"vector of shape {values.shape} != population size ({n},)")
-    if steps is not None and steps < 0:
-        raise ValueError(f"steps must be nonnegative, got {steps}")
+    if steps is not None:
+        steps = step_count(steps)
     values = values.take(kernel.order)
     matvec, minimum, fmax = _sparsetools.csr_matvec, np.minimum, np.fmax
-    indptr, indices, data = kernel.indptr, kernel.indices, kernel.data
+    # called with n rows, the kernel runs the first copy
+    (indptr, indices, data), depth = kernel.stacked, kernel.depth
     height = block_height(n)
     left = math.inf if steps is None else steps
     first, clip = True, False
     while left > 0:
-        block = rows = np.zeros((min(height, left), n))
-        if first:
-            row = block[0]
-            matvec(n, n, indptr, indices, data, values, row)
+        block = np.zeros((min(height, left), n))
+        # row 0 from the row before the block, with one copy
+        row = block[0]
+        matvec(n, n, indptr, indices, data, values, row)
+        if first or clip:
             minimum(row, 1.0, out=row)
+        if first:
             np.maximum(row, 0.0, out=row)
-            values, first = row, False
-            # a one-step block (``step_values``) has nothing left to run or check
-            rows = block[1:] if len(block) > 1 else ()
+        start = 1  # the first row the clipped loop runs
         if not clip:
-            for row in rows:
-                matvec(n, n, indptr, indices, data, values, row)
-                values = row
-            if len(rows) and fmax.reduce(rows, axis=None) > 1.0:
+            # the first c = m / n copies run rows k + 1 .. k + c from rows
+            # k .. k + c - 1, in one call on the block's flat buffer: the
+            # kernel finishes each row before it starts the next, so row
+            # k + 1 is written before copy 1 reads it
+            flat, last = block.reshape(-1), len(block) - 1
+            for k in range(0, last, depth):
+                m = n * min(depth, last - k)
+                matvec(m, m, indptr, indices, data, flat[k * n:], flat[k * n + n:])
+            # the first block's row 0 is clipped already
+            lo = 1 if first else 0
+            if len(block) > lo and fmax.reduce(block[lo:], axis=None) > 1.0:
                 # redo from the first row past 1, clipping from there on
-                k = int(np.argmax(fmax.reduce(rows, axis=1) > 1.0))
-                values, rows, clip = rows[k], rows[k + 1:], True
-                minimum(values, 1.0, out=values)
+                k = lo + int(np.argmax(fmax.reduce(block[lo:], axis=1) > 1.0))
+                minimum(block[k], 1.0, out=block[k])
                 # the kernel adds onto its output row
-                rows.fill(0.0)
+                block[k + 1:].fill(0.0)
+                clip, start = True, k + 1
         if clip:
-            for row in rows:
+            values = block[start - 1]
+            for row in block[start:]:
                 matvec(n, n, indptr, indices, data, values, row)
                 minimum(row, 1.0, out=row)
                 values = row
+        values, first = block[-1], False
         left -= len(block)
         yield block
 

@@ -35,7 +35,9 @@ from time import perf_counter
 
 import numpy as np
 
-from .dynamics import Rule, blocks, check_neighbours, init_vector, neutral_part, resolve_rule, std
+from .dynamics import (
+    Rule, blocks, check_neighbours, init_vector, neutral_part, resolve_rule, std, step_count,
+)
 from .graphs import check_config
 from .solver import _starting_set
 
@@ -458,6 +460,7 @@ def speedup_benchmark(
     ``fallback_stdev`` and ``entered_band`` is False.
     """
     rule = resolve_rule(rule, r)
+    max_iters = step_count(max_iters, "max_iters")
     if not fallback_stdev >= 0:
         raise ValueError(f"fallback stdev threshold must be at least 0, got {fallback_stdev}")
     members = _starting_set(graph, config, "speedup benchmark")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Rule, blocks, init_vector, resolve_rule, std
+from .dynamics import Rule, blocks, init_vector, resolve_rule, std, step_count
 from .solver import _StepTable, _starting_set
 
 STOP_STDEV = 2.5e-6
@@ -59,6 +59,7 @@ def mttf_lower_bound(
     counted in the report instead of being silently absorbed.
     """
     rule = resolve_rule(rule, kernel=True)
+    max_iters = step_count(max_iters, "max_iters")
     # a standard deviation is never below 0, so a negative threshold is never met
     if not (math.isfinite(stop_stdev) and stop_stdev >= 0):
         raise ValueError(f"stdev stopping threshold must be finite and at least 0, got {stop_stdev}")

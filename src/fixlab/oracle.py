@@ -41,10 +41,17 @@ RESTARTS = 3
 
 
 def state_of(config):
-    """Bitmask state for a set of vertex ids."""
+    """Bitmask state for a set of vertex ids.
+
+    Each id must be an integer of at least 0, else ``ValueError``. Ids
+    are not checked against a population size, since there is none here.
+    """
     s = 0
     for v in config:
-        s |= 1 << vertex_id(v)
+        v = vertex_id(v)
+        if v < 0:
+            raise ValueError(f"vertex id {v} is negative")
+        s |= 1 << v
     return s
 
 

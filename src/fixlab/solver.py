@@ -21,6 +21,7 @@ import numpy as np
 
 from .dynamics import (
     Rule, blocks, engine_blocks, engine_kernel, init_vector, neutral_part, resolve_rule, std,
+    step_count,
 )
 from .graphs import check_config, is_strongly_connected, stats
 
@@ -75,8 +76,8 @@ class SolveOptions:
             )
         if self.criterion not in CRITERIA:
             raise ValueError(f"criterion must be one of {CRITERIA}")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
+        for name in ("max_iters", "stall_window"):
+            object.__setattr__(self, name, step_count(getattr(self, name), name, least=1))
 
 
 def write_csv(target, header, rows):
@@ -332,8 +333,7 @@ def trajectory(graph, config, rule=Rule.BD, steps=100):
     Works on any graph, strongly connected or not; kernels are defined
     pointwise and vertices without incoming edges simply never change.
     """
-    if steps < 0:
-        raise ValueError("steps must be nonnegative")
+    steps = step_count(steps)
     rule = resolve_rule(rule, kernel=True)
     engine_kernel(graph, rule)  # validate rule/graph pairing up front
     members = check_config(graph, config)

@@ -1,6 +1,7 @@
 """The public surface, and one answer from every entry point to a bad rule or fitness."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -16,12 +17,14 @@ from fixlab import (
     mean_times_exact,
     mttf_lower_bound,
     solve,
+    speedup_benchmark,
     state_of,
     trajectory,
     undirected_closed_form,
     upper_bound_single,
 )
 from fixlab.cli import main
+from fixlab.dynamics import blocks
 
 from .util import complete_graph
 
@@ -145,3 +148,43 @@ def test_numpy_integer_vertex_ids_give_the_int_answer(name):
 def test_vertex_ids_outside_the_graph_get_the_configuration_message(name):
     with pytest.raises(ValueError, match=r"^configuration vertex -1 outside 0\.\.5$"):
         ID_TAKERS[name](-1)
+
+
+def test_negative_state_ids_are_refused_by_name():
+    with pytest.raises(ValueError, match=r"^vertex id -1 is negative$"):
+        state_of([0, -1])
+
+
+# call taking one step count -> the parameter its messages name; the
+# answer is made comparable with ==
+COUNT_TAKERS = {
+    "SolveOptions max_iters": ("max_iters", lambda c: SolveOptions(max_iters=c)),
+    "SolveOptions stall_window": ("stall_window", lambda c: SolveOptions(stall_window=c)),
+    "trajectory": ("steps", lambda c: trajectory(ER6, [0], steps=c).to_csv_text()),
+    "mttf_lower_bound": ("max_iters", lambda c: mttf_lower_bound(ER6, [0], max_iters=c)),
+    "speedup_benchmark": (
+        "max_iters",
+        lambda c: speedup_benchmark(ER6, [0], mc_runs=4, max_iters=c).solver_iterations),
+    "blocks": ("steps", lambda c: np.concatenate(
+        list(blocks(ER6, "bd", np.eye(ER6.n)[0], c))).tobytes()),
+}
+
+
+@pytest.mark.parametrize("bad", [2.5, True, np.float64(3.0), "3"], ids=repr)
+@pytest.mark.parametrize("name", list(COUNT_TAKERS))
+def test_non_integer_step_counts_are_refused_by_name(name, bad):
+    param, call = COUNT_TAKERS[name]
+    with pytest.raises(ValueError, match=f"^{param} {re.escape(repr(bad))} is not an integer$"):
+        call(bad)
+
+
+@pytest.mark.parametrize("name", list(COUNT_TAKERS))
+def test_numpy_integer_step_counts_give_the_int_answer(name):
+    _, call = COUNT_TAKERS[name]
+    assert call(np.int64(3)) == call(3)
+
+
+@pytest.mark.parametrize("window", [0, -3])
+def test_stall_window_below_one_is_refused(window):
+    with pytest.raises(ValueError, match=f"^stall_window must be at least 1, got {window}$"):
+        SolveOptions(stall_window=window)

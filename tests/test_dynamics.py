@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.sparse import _sparsetools
 
 from itertools import islice
 
@@ -154,6 +155,22 @@ def test_blocks_hold_exactly_the_steps_asked_for(rule):
         assert [r.tobytes() for b in got for r in b] == [r.tobytes() for r in want]
     with pytest.raises(ValueError, match="steps must be nonnegative"):
         next(blocks(g, rule, values, -1))
+
+
+def test_csr_kernel_runs_rows_in_order_on_the_callers_buffers():
+    # the engine's stacked call passes one buffer as input and, one row on,
+    # as output: row t + 1 is read after the kernel wrote it. Through a
+    # matrix that copies the previous entry, that gives all ones only if
+    # the kernel reads and writes the caller's memory (no copy of the
+    # input) and finishes each row before the next
+    n = 64
+    buffer = np.zeros(n + 1)
+    buffer[0] = 1.0
+    for index in (np.int32, np.int64):
+        buffer[1:] = 0.0
+        ptr, cols = np.arange(n + 1, dtype=index), np.arange(n, dtype=index)
+        _sparsetools.csr_matvec(n, n, ptr, cols, np.ones(n), buffer[:-1], buffer[1:])
+        assert buffer.tolist() == [1.0] * (n + 1)
 
 
 @settings(max_examples=60, deadline=None)

@@ -5,9 +5,10 @@ per block, calling scipy's CSR kernel directly and clipping with
 ufuncs, and every route takes its per-step statistics once per block.
 Each route that runs on the engine is compared here, field by field
 and exactly, against ``tests/loop_iterate.py``, including stops on
-either side of a block boundary. The engine runs the vertices in order
-of kernel row length; on every graph here from n = 6 that order is not
-the identity, and nothing of it may show in an output.
+either side of a block boundary and of a stacked chunk (the rows one
+call of the kernel runs). The engine runs the vertices in order of
+kernel row length; on every graph here from n = 6 that order is not the
+identity, and nothing of it may show in an output.
 """
 
 from dataclasses import replace
@@ -33,11 +34,11 @@ from fixlab import (
     trajectory,
 )
 from fixlab.cli import main
-from fixlab.dynamics import block_height, blocks, engine_kernel, step_values
+from fixlab.dynamics import block_height, blocks, engine_kernel, stack_depth, step_values
 
 from . import loop_iterate as ref
 from . import loop_kernel
-from .util import random_digraph
+from .util import normalize_rows, random_digraph
 
 SIZES = (3, 4, 6, 9, 14, 22, 35, 60)
 
@@ -226,14 +227,16 @@ def test_mttf_trace_file_matches_the_reference_loop(capsys, tmp_path, rule):
 # ------------------------------------------------------------- block boundaries
 
 
-def _boundaries(b, records):
-    """Iteration counts at rows 1, B-1, B and B+1 of a block, in the first
-    block whose four counts all are records of ``records``."""
-    for start in range(0, len(records) - b - 1, b):
-        targets = sorted({start + 1, start + b - 1, start + b, start + b + 1})
+def _boundaries(b, records, rows=None):
+    """Iteration counts at ``rows`` of a block (by default rows 1, B-1, B
+    and B+1, counted from 1), in the first block whose counts all are
+    records of ``records``."""
+    rows = (1, b - 1, b, b + 1) if rows is None else rows
+    for start in range(0, len(records) - max(rows), b):
+        targets = sorted({start + r for r in rows})
         if all(records[t] for t in targets):
             return targets
-    raise AssertionError("no block whose boundary rows are all records")
+    raise AssertionError("no block whose rows are all records")
 
 
 def _taus(table, criterion):
@@ -254,15 +257,13 @@ def _since_best(taus):
     return out
 
 
-@pytest.mark.parametrize("criterion", ["range", "stdev"])
-@pytest.mark.parametrize("rule", NEUTRAL_RULES)
-def test_solve_stops_on_either_side_of_a_block_boundary(rule, criterion):
-    g = random_digraph(21, 7)
-    config = [1, 4]
+def _assert_stops_at(g, config, rule, criterion, rows, iters=1000):
+    """Solves that converge, stall and reach the cap at ``rows`` of a block
+    (counted from 1), each the reference's report; ``iters`` steps must
+    reach the float floor."""
     b = block_height(g.n)
-    assert b == 32
     run = SolveOptions(rule=rule, criterion=criterion, epsilon=1e-300,
-                       stall_window=10**9, max_iters=1000, record_trajectory=True)
+                       stall_window=10**9, max_iters=iters, record_trajectory=True)
     taus = _taus(ref.solve(g, config, run).trajectory, criterion)
     # converged: epsilon is the statistic at the target, a new low there
     lows = [t > 0 and tau < min(taus[:t]) for t, tau in enumerate(taus)]
@@ -271,16 +272,61 @@ def test_solve_stops_on_either_side_of_a_block_boundary(rule, criterion):
     since = _since_best(taus)
     highs = [t > 0 and n > max(since[:t]) for t, n in enumerate(since)]
     cases = []
-    for target in _boundaries(b, lows):
+    for target in _boundaries(b, lows, rows):
         cases.append((target, True, replace(run, epsilon=taus[target])))
-    for target in _boundaries(b, highs):
+    for target in _boundaries(b, highs, rows):
         cases.append((target, False, replace(run, stall_window=since[target])))
-    for target in (1, b - 1, b, b + 1):
+    for target in rows:
         cases.append((target, False, replace(run, max_iters=target)))
     for target, converged, opts in cases:
         want = ref.solve(g, config, opts)
         assert (want.iterations, want.converged) == (target, converged)
         assert_same_report(solve(g, config, opts), want)
+
+
+@pytest.mark.parametrize("criterion", ["range", "stdev"])
+@pytest.mark.parametrize("rule", NEUTRAL_RULES)
+def test_solve_stops_on_either_side_of_a_block_boundary(rule, criterion):
+    g = random_digraph(21, 7)
+    b = block_height(g.n)
+    assert b == 32
+    _assert_stops_at(g, [1, 4], rule, criterion, (1, b - 1, b, b + 1))
+
+
+@pytest.fixture(scope="module")
+def dense34():
+    # 1.1k kernel entries: 14 stacked copies, so a 32-row block runs row 0
+    # alone, then chunks of 14, 14 and 3 rows; the statistics reach the
+    # float floor in 1200-1450 steps
+    return random_digraph(0, 34, p=0.95)
+
+
+def _chunk_rows(depth):
+    """Rows 1, D - 1, D and D + 1 of the block's first stacked chunk, as
+    rows of the block counted from 1 (the chunk starts at block row 2)."""
+    return (2, depth, depth + 1, depth + 2)
+
+
+@pytest.mark.parametrize("criterion", ["range", "stdev"])
+@pytest.mark.parametrize("rule", NEUTRAL_RULES)
+def test_solve_stops_on_either_side_of_a_stacked_chunk(dense34, rule, criterion):
+    depth = engine_kernel(dense34, rule).depth
+    assert depth == 14 and block_height(dense34.n) == 32
+    _assert_stops_at(dense34, [2, 9, 30], rule, criterion, _chunk_rows(depth), iters=2000)
+
+
+@pytest.mark.parametrize("rule", NEUTRAL_RULES)
+def test_mttf_and_trajectory_cut_on_either_side_of_a_stacked_chunk(dense34, rule):
+    g, config = dense34, [2, 9, 30]
+    b, depth = block_height(g.n), engine_kernel(g, rule).depth
+    # in the first block, in a later one, and in the block's short last chunk
+    cuts = list(_chunk_rows(depth)) + [b + r for r in _chunk_rows(depth)] + [b - 1, b]
+    for steps in cuts:
+        got = trajectory(g, config, rule=rule, steps=steps)
+        assert got.to_csv_text() == ref.trajectory(g, config, rule, steps).to_csv_text()
+        got = mttf_lower_bound(g, config, rule=rule, stop_stdev=0.0, max_iters=steps, record=True)
+        assert got.truncated and got.iterations == steps
+        assert_same_mttf(got, ref.mttf_lower_bound(g, config, rule, 0.0, steps))
 
 
 @pytest.mark.parametrize("rule", NEUTRAL_RULES)
@@ -316,10 +362,39 @@ def test_large_graph_cuts_inside_a_block(ba10k, rule):
     assert got.to_csv_text() == ref.trajectory(ba10k, config, rule, b + 1).to_csv_text()
 
 
+def _dense(n, edges, seed):
+    """The first ``edges`` of the n(n - 1) ordered pairs in a random order,
+    with random weights: a birth-death kernel of n + edges entries."""
+    rng = np.random.default_rng(seed)
+    pairs = [(s, d) for s in range(n) for d in range(n) if s != d]
+    picked = rng.permutation(len(pairs))[:edges]
+    raw = [(*pairs[i], float(rng.uniform(0.5, 1.0))) for i in sorted(picked)]
+    return EvolutionaryGraph(n, normalize_rows(n, raw))
+
+
+@pytest.mark.parametrize("entries, depth", [(8192, 2), (8193, 1)])
+def test_kernel_at_the_one_copy_boundary_matches_the_reference_loop(entries, depth):
+    assert stack_depth(entries) == depth
+    g = _dense(100, entries - 100, seed=entries)
+    kernel = engine_kernel(g, Rule.BD)
+    assert len(kernel.data) == entries and kernel.depth == depth
+    b = block_height(g.n)
+    config = [3, 50]
+    for steps in (1, 2, 3, b - 1, b, b + 3):
+        got = trajectory(g, config, rule=Rule.BD, steps=steps)
+        assert got.to_csv_text() == ref.trajectory(g, config, Rule.BD, steps).to_csv_text()
+    opts = SolveOptions(epsilon=1e-12, max_iters=2 * b + 1)
+    assert_same_report(solve(g, config, opts), ref.solve(g, config, opts))
+    values = np.random.default_rng(entries).random(g.n)
+    rows = np.concatenate(list(blocks(g, Rule.BD, values, b + 2)))
+    want = list(islice(ref.iterate(g, Rule.BD, values), b + 2))
+    assert rows.tobytes() == np.array(want).tobytes()
+
+
 # ------------------------------------------------------------- the clip at 1
 
 
-def _climber(closed):
+def _climber(closed, seed=287):
     """Five vertices with no in-edges feed vertex 5, which feeds vertex 6.
 
     From ones on 0-4 the values of 5 and 6 climb towards 1, and row 5 of
@@ -327,9 +402,9 @@ def _climber(closed):
     passes 1 many steps in. Vertex 6 has no out-edges, so a NaN there
     stays there. ``closed`` adds the edges 5 -> 0-4, each weighing
     1e-20 (too little to move a value), and 6 -> 5, which make the graph
-    strongly connected.
+    strongly connected. ``seed`` draws the weights into 5.
     """
-    weights = np.random.default_rng(287).uniform(0.5, 1.0, size=5).tolist()
+    weights = np.random.default_rng(seed).uniform(0.5, 1.0, size=5).tolist()
     edges = [(5, 6, 1.0)]
     for s, w in enumerate(weights):
         edges += [(s, 5, w), (s, 6, 1 - w)]
@@ -412,6 +487,47 @@ def test_solve_and_mttf_stop_after_a_redo():
     for cut in (first, block_end + 1, 300):
         got = mttf_lower_bound(g, config, rule=Rule.BD, stop_stdev=0.0, max_iters=cut, record=True)
         assert got.truncated and got.iterations == cut
+        assert_same_mttf(got, ref.mttf_lower_bound(g, config, Rule.BD, 0.0, cut))
+
+
+def _in_second_chunk(graph, step):
+    """Whether ``step`` is an inner row of the second stacked chunk of its block."""
+    depth = engine_kernel(graph, Rule.BD).depth
+    row = (step - 1) % block_height(graph.n)
+    return depth + 1 < row < 2 * depth
+
+
+def test_clip_redoes_from_a_row_past_one_in_any_call_of_a_block():
+    g = _climber(closed=False, seed=203)
+    b = block_height(g.n)
+    ones = np.array([1.0] * 5 + [0.0, 0.0])
+    first = _passes_one(g, ones, 120)[0]
+    assert (first - 1) // b == 1 and _in_second_chunk(g, first)
+    starts = [(ones, first)]
+    # started 30 steps on, the same step sits in the first block's second
+    # chunk; started 22 steps on, it is row 0 of the second block, which
+    # the one-copy call runs
+    for skip in (30, 22):
+        starts.append((next(islice(ref.iterate(g, Rule.BD, ones), skip - 1, None)), first - skip))
+    assert _in_second_chunk(g, first - 30) and first - 30 <= b
+    assert first - 22 == b + 1
+    for start, past in starts:
+        assert _passes_one(g, start, past) == [past]
+        _assert_same_steps(g, start, 120)
+        for steps in (past - 1, past, past + 1, b * ((past - 1) // b + 1), 3 * b + 1):
+            rows = np.concatenate(list(blocks(g, Rule.BD, start, steps)))
+            want = list(islice(ref.iterate(g, Rule.BD, start), steps))
+            assert rows.tobytes() == np.array(want).tobytes()
+    # a solve and an mttf bound that stop past a redo inside a later chunk
+    g = _climber(closed=True, seed=263)
+    config = range(5)
+    first = _passes_one(g, init_vector(g, config), 200)[0]
+    assert (first - 1) // b == 2 and _in_second_chunk(g, first)
+    run = SolveOptions(epsilon=1e-300, stall_window=10**9, record_trajectory=True)
+    for cut in (first, first + 1, 300):
+        opts = replace(run, max_iters=cut)
+        assert_same_report(solve(g, config, opts), ref.solve(g, config, opts))
+        got = mttf_lower_bound(g, config, rule=Rule.BD, stop_stdev=0.0, max_iters=cut, record=True)
         assert_same_mttf(got, ref.mttf_lower_bound(g, config, Rule.BD, 0.0, cut))
 
 
