@@ -116,7 +116,7 @@ def _cmd_generate(args):
     payload = {
         "manifest": _manifest(args, "generate"),
         "n": graph.n,
-        "edge_count": len(graph.edges),
+        "edge_count": len(graph.out_dst),
         "strongly_connected": graphs.is_strongly_connected(graph),
     }
     if args.out:

@@ -126,29 +126,25 @@ class EngineKernel:
     """A neutral kernel as CSR arrays in the engine's vertex order.
 
     Engine row k is vertex ``order[k]`` and vertex v is engine row
-    ``rank[v]``; ``indices`` holds engine labels too. The vertices are
+    ``rank[v]``; column labels are engine labels too. The vertices are
     in stable order of row length.
 
     ``stacked`` holds the CSR arrays ``(indptr, indices, data)`` of
     ``depth`` copies of the kernel, one below the other: copy t is rows
     t n .. (t + 1) n - 1, with every column label shifted by t n. Called
     with c n rows, scipy's CSR kernel runs the first c copies.
-    ``indptr``, ``indices`` and ``data`` are the first copy, as views.
     """
 
-    indptr: np.ndarray
-    indices: np.ndarray
-    data: np.ndarray
     order: np.ndarray
     rank: np.ndarray
     depth: int
     stacked: tuple
 
 
-def engine_kernel(graph, rule):
-    """The kernel engine's build of a neutral kernel, once per graph.
+def _vertex_kernel(graph, rule):
+    """CSR arrays ``(indptr, indices, data)`` of a neutral kernel, in vertex order.
 
-    It is built straight from the graph's incoming arrays. Each row
+    They are built straight from the graph's incoming arrays. Each row
     holds the entries, bits and storage order of the sparse-arithmetic
     kernel ``I + (W - diag(T)) / N`` (BD), ``diag(1 - 1/N) + diag(1 /
     (N k_in)) U`` (DB) or ``diag(1 - k_in / m) + U / m`` (LD), where W
@@ -162,12 +158,9 @@ def engine_kernel(graph, rule):
     - an entry that is exactly 0 (an LD diagonal where every edge enters
       one vertex) is not stored.
 
-    ``kernel_matrix`` is that kernel in vertex order.
+    ``kernel_matrix`` wraps these arrays and ``engine_kernel`` reorders
+    them; neither caches them as they are.
     """
-    rule = neutral_part(rule)
-    key = ("kernel", rule)
-    if key in graph._ops:
-        return graph._ops[key]
     n, k_in, src = graph.n, graph.k_in, graph.in_src
     row = np.repeat(np.arange(n), k_in)
     if rule is Rule.BD:
@@ -177,7 +170,7 @@ def engine_kernel(graph, rule):
         check_neighbours(graph, rule, "step")
         off, diag = np.repeat(1.0 / (n * k_in), k_in), np.full(n, 1.0 - 1.0 / n)
     elif rule is Rule.LD:
-        m = len(graph.edges)
+        m = len(graph.out_dst)
         if m == 0:
             raise ValueError("link-dynamics step undefined on an edgeless graph")
         off, diag = np.full(m, 1.0 / m), 1.0 - k_in / m
@@ -201,13 +194,32 @@ def engine_kernel(graph, rule):
         np.cumsum(np.bincount(np.repeat(np.arange(n), np.diff(indptr))[kept], minlength=n),
                   out=indptr[1:])
         indices, data = indices[kept], data[kept]
+    return indptr, indices, data
+
+
+def engine_kernel(graph, rule):
+    """The kernel engine's build of a neutral kernel, once per graph.
+
+    The vertex-order arrays of ``_vertex_kernel`` with the vertices in
+    stable order of row length, stacked ``stack_depth`` times.
+    """
+    rule = neutral_part(rule)
+    key = ("kernel", rule)
+    if key in graph._ops:
+        return graph._ops[key]
+    n = graph.n
+    indptr, indices, data = _vertex_kernel(graph, rule)
     # a stable sort's permutation is unique, and numpy sorts the smallest
     # unsigned type that holds the lengths by radix, not by timsort
     lengths = np.diff(indptr)
     order = np.argsort(lengths.astype(np.min_scalar_type(lengths.max())), kind="stable")
     rank = np.empty_like(order)
     rank[order] = np.arange(n)
-    indptr, indices, data = _rows(indptr, indices, data, order, rank)
+    # one gather puts the rows in that order, entries in storage order
+    lengths = lengths[order]
+    ptr = np.append(0, np.cumsum(lengths))
+    at = np.repeat(indptr[:-1][order] - ptr[:-1], lengths) + np.arange(ptr[-1])
+    indptr, indices, data = ptr, rank.take(indices.take(at)), data.take(at)
     nnz, depth = len(data), stack_depth(len(data))
     shift = np.arange(depth)[:, None]
     indptr = np.append((indptr[:-1] + nnz * shift).ravel(), depth * nnz)
@@ -215,32 +227,20 @@ def engine_kernel(graph, rule):
     # scipy's CSR kernel takes int32 or int64 indices; int32 ones are read faster
     if max(len(indptr), len(data)) <= np.iinfo(np.int32).max:
         indptr, indices = indptr.astype(np.int32), indices.astype(np.int32)
-    graph._ops[key] = kernel = EngineKernel(
-        indptr[:n + 1], indices[:nnz], data[:nnz], order, rank, depth, (indptr, indices, data))
+    graph._ops[key] = kernel = EngineKernel(order, rank, depth, (indptr, indices, data))
     return kernel
-
-
-def _rows(indptr, indices, data, rows, labels):
-    """CSR arrays of ``rows`` in turn, entries in order, columns renamed by ``labels``."""
-    lengths = np.diff(indptr)[rows]
-    ptr = np.zeros(len(rows) + 1, dtype=np.int64)
-    np.cumsum(lengths, out=ptr[1:])
-    at = np.repeat(indptr[:-1][rows] - ptr[:-1], lengths) + np.arange(ptr[-1])
-    return ptr, labels.take(indices.take(at)), data.take(at)
 
 
 def kernel_matrix(graph, rule):
     """The sparse row-stochastic operator of one update step, in vertex order.
 
-    The engine's build (``engine_kernel``) with its rows and columns put
-    back in vertex order, as a scipy CSR matrix.
+    ``_vertex_kernel``'s arrays as a scipy CSR matrix, once per graph.
+    The engine reorders the same build; this one is never remapped.
     """
     rule = neutral_part(rule)
     key = ("matrix", rule)
     if key not in graph._ops:
-        kernel = engine_kernel(graph, rule)
-        indptr, indices, data = _rows(
-            kernel.indptr, kernel.indices, kernel.data, kernel.rank, kernel.order)
+        indptr, indices, data = _vertex_kernel(graph, rule)
         graph._ops[key] = csr_matrix((data, indices, indptr), shape=(graph.n, graph.n))
     return graph._ops[key]
 

@@ -167,11 +167,11 @@ class EvolutionaryGraph:
     what ``to_json`` writes, so a saved graph reads back with bit-equal
     weights. Both adjacency directions are stored in CSR-style arrays
     so kernels and samplers can slice neighborhoods without building
-    Python lists.
+    Python lists; edge e is position e of the outgoing arrays.
     """
 
     __slots__ = (
-        "n", "edges", "given_w",
+        "n", "given_w",
         "out_ptr", "out_dst", "out_w", "out_cum",
         "in_ptr", "in_src", "in_w",
         "k_in", "k_out", "temperatures",
@@ -191,7 +191,6 @@ class EvolutionaryGraph:
         # the sums have the bits of a Python loop (tests/loop_ingest.py)
         row_sums = np.bincount(src, weights=self.given_w, minlength=n)
         wgt = self.given_w / row_sums[src]
-        self.edges = tuple(zip(src.tolist(), dst.tolist(), wgt))
 
         self.k_out = np.bincount(src, minlength=n).astype(np.int64)
         self.k_in = np.bincount(dst, minlength=n).astype(np.int64)
@@ -219,6 +218,13 @@ class EvolutionaryGraph:
 
         self._ops = {}
 
+    @property
+    def edges(self):
+        """Edges (source, target, weight) in (source, target) order, rebuilt
+        from the outgoing arrays on each read: ints and float64 weights."""
+        src = np.repeat(np.arange(self.n), self.k_out).tolist()
+        return tuple(zip(src, self.out_dst.tolist(), self.out_w))
+
     def out_neighbors(self, i):
         """Arrays (targets, weights) of the outgoing edges of vertex i."""
         lo, hi = self.out_ptr[i], self.out_ptr[i + 1]
@@ -234,7 +240,7 @@ class EvolutionaryGraph:
         return {"n": self.n, "edges": [[s, d, w] for (s, d, _), w in zip(self.edges, weights)]}
 
     def __repr__(self):
-        return f"EvolutionaryGraph(n={self.n}, edges={len(self.edges)})"
+        return f"EvolutionaryGraph(n={self.n}, edges={len(self.out_dst)})"
 
 
 def vertex_id(v, what="vertex id"):
@@ -407,7 +413,7 @@ def generate(kind, n, *, seed, weighting="random", m=1, p=0.5, k=2, retries=100)
     Every undirected edge of the growth model becomes two directed
     edges, so connectivity of the grown graph gives strong
     connectivity of the result. Disconnected draws are retried with
-    derived seeds up to ``retries`` times and then reported.
+    derived seeds up to ``retries`` times, then refused (``ValueError``).
     """
     if n < 2:
         raise ValueError(f"need at least 2 vertices, got {n}")
@@ -443,7 +449,7 @@ def generate(kind, n, *, seed, weighting="random", m=1, p=0.5, k=2, retries=100)
             )
             edges = _assign_weights(n, sorted(g.edges()), weighting, rng)
             return EvolutionaryGraph(n, edges)
-    raise RuntimeError(
+    raise ValueError(
         f"{kind} generator produced no connected graph in {retries} attempts "
         f"(n={n}, m={m}, p={p}, k={k})"
     )
@@ -508,7 +514,7 @@ def feeder_pair_graph(core_n, *, seed, p=0.5, relation="equal", retries=100):
             feeder_mutant=fm, feeder_resident=fr,
             target_mutant=t_mut, target_resident=t_res,
         )
-    raise RuntimeError(f"no attachment pair with relation {relation!r} in {retries} attempts")
+    raise ValueError(f"no attachment pair with relation {relation!r} in {retries} attempts")
 
 
 def load_graph(path):

@@ -126,8 +126,8 @@ class _Process:
         self.in_ptr = graph.in_ptr.tolist()
         self.in_src = graph.in_src.tolist()
         self.k_in = graph.k_in.tolist()
-        self.n_edges = len(graph.edges)
-        self.edge_src = [graph.edges[e][0] for e in range(self.n_edges)]
+        self.n_edges = len(graph.out_dst)
+        self.edge_src = np.repeat(np.arange(self.n), graph.k_out).tolist()
 
     def new_state(self, members):
         st = _State()

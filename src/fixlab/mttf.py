@@ -66,10 +66,7 @@ def mttf_lower_bound(
     members = _starting_set(graph, config, "mean time to fixation")
     if not members:
         raise ValueError("empty configuration never fixates; no time to bound")
-    if len(members) == graph.n:
-        return MttfReport(0.0, 0.0, 1.0, 0, False, 0,
-                          trace=_empty_trace() if record else None)
-
+    # the full set is at consensus: its deviation of 0 skips the loop
     p = init_vector(graph, members)
     p_min = float(np.minimum.reduce(p))
     stdev = std(p)
@@ -109,8 +106,3 @@ def mttf_lower_bound(
         iterations=t, truncated=truncated, negative_increments=negatives,
         trace=trace,
     )
-
-
-def _empty_trace():
-    z = np.zeros(0)
-    return MttfTrace(t=z.astype(np.int64), p_min=z, increment=z, running_sum=z)

@@ -126,7 +126,7 @@ def build_chain(graph, rule=Rule.BD, r=1.0):
     chain.sort_indices()
     chain.eliminate_zeros()
     sums = np.asarray(chain.sum(axis=1)).ravel()
-    bad = np.flatnonzero(np.abs(sums - 1.0) > ROW_SUM_TOL * max(1, len(graph.edges)))
+    bad = np.flatnonzero(np.abs(sums - 1.0) > ROW_SUM_TOL * max(1, len(graph.out_dst)))
     if bad.size:
         raise ArithmeticError(f"chain rows {bad[:5].tolist()} do not sum to 1")
     return ChainModel(n, rule, r, chain)

@@ -188,24 +188,16 @@ def solve(graph, config, options=SolveOptions()):
     """Fixation probability of a mutant set, with trajectory on request.
 
     The empty set fixates with probability 0 and the full vertex set
-    with probability 1; both return immediately. Any other set requires
-    strong connectivity and iterates the chosen neutral kernel until
-    the convergence statistic (half range, or standard deviation for
-    the ``stdev`` criterion) drops to ``options.epsilon``. Hitting the
+    with probability 1: both are at consensus before the first step, so
+    the loop never starts. Any other set requires strong connectivity
+    and iterates the chosen neutral kernel until the convergence
+    statistic (half range, or standard deviation for the ``stdev``
+    criterion) drops to ``options.epsilon``. Hitting the
     iteration cap, or the statistic stalling at the floating-point
     floor, reports ``converged=False`` with the bracket reached.
     """
     members = _starting_set(graph, config, "fixation probability")
     recorder = _Recorder(options.record_trajectory)
-    if len(members) in (0, graph.n):
-        values = init_vector(graph, members)
-        recorder.add(0, values[None])
-        return SolveReport(
-            fixation=float(len(members) == graph.n),
-            half_range=0.0, iterations=0, converged=True,
-            values=values, trajectory=recorder.table(),
-        )
-
     values = init_vector(graph, members)
     recorder.add(0, values[None])
     tau = _criterion_stats(values[None], options.criterion)[0]
@@ -282,24 +274,35 @@ class ClosedFormFixation:
     fixation: float
 
 
+def _degree_stats(graph, what):
+    """``stats(graph)`` of a connected undirected unweighted graph of two or more
+    vertices; a disconnected graph is refused with ``NotStronglyConnected``."""
+    st = stats(graph)
+    if not (st.is_undirected and st.is_unweighted):
+        raise ValueError(f"{what} needs an undirected unweighted graph")
+    if graph.n < 2:
+        raise ValueError(f"{what} needs at least 2 vertices, got {graph.n}")
+    if not st.is_strongly_connected:
+        raise NotStronglyConnected(what)
+    return st
+
+
 def undirected_closed_form(graph, i, rule=Rule.BD):
-    """Exact single-mutant answer on undirected unweighted graphs.
+    """Exact single-mutant answer on connected undirected unweighted graphs.
 
     For BD the expected mutant count from a single mutant at vertex i
     converges to 1 / (k_i * <1/k>) and fixation is that limit over N.
     For DB fixation is k_i / (2 * theta) with theta the undirected edge
     count. Other rules have no closed form here.
     """
-    st = stats(graph)
-    if not (st.is_undirected and st.is_unweighted):
-        raise ValueError("closed form needs an undirected unweighted graph")
+    st = _degree_stats(graph, "closed form")
     (i,) = check_config(graph, [i])
     k_i = float(graph.k_out[i])
     if neutral_part(rule) is Rule.BD:
         limit = 1.0 / (k_i * st.mean_inverse_degree)
         return ClosedFormFixation(limit, limit / graph.n)
     if neutral_part(rule) is Rule.DB:
-        theta = len(graph.edges) / 2.0
+        theta = len(graph.out_dst) / 2.0
         fix = k_i / (2.0 * theta)
         return ClosedFormFixation(graph.n * fix, fix)
     raise ValueError(f"no closed form for rule {rule}")
@@ -308,13 +311,11 @@ def undirected_closed_form(graph, i, rule=Rule.BD):
 def degree_selection_class(graph):
     """Label each vertex amplifier, suppressor, or neutral.
 
-    On undirected unweighted graphs a single mutant on a vertex of
-    degree below 1 / <1/k> takes over more than its share in
+    On connected undirected unweighted graphs a single mutant on a
+    vertex of degree below 1 / <1/k> takes over more than its share in
     expectation (amplifier); above it, less (suppressor).
     """
-    st = stats(graph)
-    if not (st.is_undirected and st.is_unweighted):
-        raise ValueError("degree classification needs an undirected unweighted graph")
+    st = _degree_stats(graph, "degree classification")
     threshold = 1.0 / st.mean_inverse_degree
     labels = []
     for k in graph.k_out:

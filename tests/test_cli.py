@@ -157,6 +157,17 @@ def test_generate_bad_spec(capsys):
     assert "unknown generator" in json.loads(out)["error"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["generate", "--generate", "er:n=10,p=0"],
+    ["solve", "--generate", "er:n=6,p=0.01", "--config", "[0]"],
+])
+def test_a_generator_that_finds_no_connected_graph_prints_the_error(capsys, argv):
+    code, out = run_cli(capsys, argv)
+    assert code == 1
+    assert json.loads(out)["error"].startswith(
+        "erdos_renyi generator produced no connected graph in 100 attempts")
+
+
 # ------------------------------------------------------------- simulate
 
 
@@ -442,6 +453,27 @@ def test_amplifier_star(capsys, tmp_path):
     assert payload["labels"][0] == "suppressor"
     assert payload["labels"][1:] == ["amplifier"] * 4
     assert payload["degree_threshold"] == pytest.approx(1.0 / 0.85)
+
+
+@pytest.mark.parametrize("n, edges", [
+    # two components, and an edge beside an isolated vertex
+    (4, [[0, 1, 1.0], [1, 0, 1.0], [2, 3, 1.0], [3, 2, 1.0]]),
+    (3, [[0, 1, 1.0], [1, 0, 1.0]]),
+])
+def test_amplifier_on_a_disconnected_graph_exits_two(capsys, tmp_path, n, edges):
+    path = tmp_path / "apart.json"
+    path.write_text(json.dumps({"n": n, "edges": edges}))
+    code, out = run_cli(capsys, ["amplifier", "--graph", str(path)])
+    assert code == 2
+    assert json.loads(out)["error"] == "not_strongly_connected"
+
+
+def test_amplifier_on_a_single_vertex_exits_one(capsys, tmp_path):
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps({"n": 1, "edges": []}))
+    code, out = run_cli(capsys, ["amplifier", "--graph", str(path)])
+    assert code == 1
+    assert "at least 2 vertices" in json.loads(out)["error"]
 
 
 # ------------------------------------------------------------- compare

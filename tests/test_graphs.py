@@ -96,6 +96,15 @@ def test_degrees_and_temperatures():
     assert g.temperatures[0] == pytest.approx(0.5)
 
 
+def test_edges_are_rebuilt_from_the_outgoing_arrays():
+    g = random_digraph(5, 9)
+    assert "edges" not in EvolutionaryGraph.__slots__
+    src, dst, wgt = zip(*g.edges)
+    assert list(src) == np.repeat(np.arange(g.n), g.k_out).tolist()
+    assert list(dst) == g.out_dst.tolist()
+    assert np.array(wgt).tobytes() == g.out_w.tobytes()
+
+
 def test_incoming_matrix_matches_edges():
     g = random_digraph(3, 5)
     b = np.zeros((g.n, g.n))
@@ -408,7 +417,7 @@ def test_generate_rejects_bad_parameters():
 
 def test_generate_reports_impossible_draws():
     # p = 0 passes validation but can never connect; retries must surface
-    with pytest.raises(RuntimeError, match="no connected graph"):
+    with pytest.raises(ValueError, match="no connected graph"):
         generate("erdos_renyi", 6, seed=0, p=0.0, retries=3)
 
 
@@ -443,6 +452,12 @@ def test_feeder_pair_graph_relations(relation, cmp):
     exp = feeder_pair_graph(20, seed=8, relation=relation)
     core_deg = exp.graph.k_out[:20]
     assert cmp(core_deg[exp.target_mutant], core_deg[exp.target_resident])
+
+
+def test_feeder_pair_graph_reports_an_impossible_relation():
+    # a complete core has no two attachment targets of different degree
+    with pytest.raises(ValueError, match="no attachment pair"):
+        feeder_pair_graph(5, seed=0, p=1.0, relation="mutant_lower", retries=2)
 
 
 # ------------------------------------------------------------- files

@@ -2,8 +2,8 @@
 
 ``fixlab.dynamics.engine_kernel`` builds each neutral kernel straight
 from the graph's incoming arrays, with the vertices relabelled in order
-of row length. ``kernel_matrix`` puts it back in vertex order. Both are
-compared here, bit for bit and entry by entry in storage order, with
+of row length. ``kernel_matrix`` is the same build in vertex order. Both
+are compared here, bit for bit and entry by entry in storage order, with
 ``tests/loop_kernel.py``, the build they replaced.
 """
 
@@ -31,14 +31,23 @@ def assert_same_build(graph, rule):
     kernel = engine_kernel(graph, rule)
     assert np.array_equal(np.sort(kernel.order), np.arange(graph.n))
     assert np.array_equal(kernel.rank[kernel.order], np.arange(graph.n))
-    lengths = np.diff(kernel.indptr)
+    # the first copy of the stacked arrays
+    indptr, indices, data = kernel.stacked
+    lengths = np.diff(indptr[:graph.n + 1])
     assert (np.diff(lengths) >= 0).all()
     for k, v in enumerate(kernel.order.tolist()):
-        lo, hi = kernel.indptr[k], kernel.indptr[k + 1]
+        lo, hi = indptr[k], indptr[k + 1]
         wlo, whi = want.indptr[v], want.indptr[v + 1]
-        assert kernel.order[kernel.indices[lo:hi]].tolist() == want.indices[wlo:whi].tolist()
-        assert kernel.data[lo:hi].tobytes() == want.data[wlo:whi].tobytes()
+        assert kernel.order[indices[lo:hi]].tolist() == want.indices[wlo:whi].tolist()
+        assert data[lo:hi].tobytes() == want.data[wlo:whi].tobytes()
     return got
+
+
+@pytest.mark.parametrize("rule", NEUTRAL_RULES)
+def test_kernel_matrix_builds_no_engine_kernel(rule):
+    g = random_digraph(3, 12)
+    kernel_matrix(g, rule)
+    assert ("matrix", rule) in g._ops and ("kernel", rule) not in g._ops
 
 
 @pytest.mark.parametrize("rule", NEUTRAL_RULES)

@@ -377,7 +377,7 @@ def test_kernel_at_the_one_copy_boundary_matches_the_reference_loop(entries, dep
     assert stack_depth(entries) == depth
     g = _dense(100, entries - 100, seed=entries)
     kernel = engine_kernel(g, Rule.BD)
-    assert len(kernel.data) == entries and kernel.depth == depth
+    assert len(kernel.stacked[2]) == depth * entries and kernel.depth == depth
     b = block_height(g.n)
     config = [3, 50]
     for steps in (1, 2, 3, b - 1, b, b + 3):

@@ -112,6 +112,39 @@ def test_gated_routes_keep_their_own_answer_to_the_trivial_sets():
             speedup_benchmark(WEAK, config, mc_runs=4)
 
 
+@pytest.mark.parametrize("record", [False, True])
+@pytest.mark.parametrize("criterion", ["range", "stdev"])
+def test_trivial_sets_pin_every_field_of_their_reports(criterion, record):
+    options = SolveOptions(criterion=criterion, record_trajectory=record)
+    for graph in (WEAK, cycle_graph(3)):
+        for config, value in (([], 0.0), ([0, 1, 2], 1.0)):
+            rep = solve(graph, config, options)
+            assert [type(x) for x in (rep.fixation, rep.half_range, rep.iterations)] \
+                == [float, float, int]
+            assert (rep.fixation, rep.half_range, rep.iterations, rep.converged) \
+                == (value, 0.0, 0, True)
+            assert rep.values.dtype == np.float64 and rep.values.tolist() == [value] * 3
+            if record:
+                assert rep.trajectory.t.dtype == np.int64
+                assert rep.trajectory.to_csv_text() == (
+                    f"t,min,max,avg,stdev,ex\r\n0,{value},{value},{value},0.0,{3 * value}\r\n")
+            else:
+                assert rep.trajectory is None
+        full = mttf_lower_bound(graph, [0, 1, 2], record=record)
+        fields = (full.lower_bound, full.partial_sum, full.normalizer, full.iterations,
+                  full.truncated, full.negative_increments)
+        assert [type(x) for x in fields] == [float, float, float, int, bool, int]
+        assert fields == (0.0, 0.0, 1.0, 0, False, 0)
+        if record:
+            trace = full.trace
+            assert len(trace) == 0 and trace.t.dtype == np.int64
+            assert [a.dtype for a in (trace.p_min, trace.increment, trace.running_sum)] \
+                == [np.float64] * 3
+            assert trace.to_csv_text() == "t,P_min,increment,running_sum\r\n"
+        else:
+            assert full.trace is None
+
+
 def test_options_validation():
     with pytest.raises(ValueError):
         SolveOptions(rule=Rule.BD_B)
@@ -227,6 +260,23 @@ def test_path_closed_forms():
     assert db_leaf.fixation == pytest.approx(0.25)
 
 
+# two disjoint undirected edges, and a path beside an isolated vertex
+APART = (undirected_graph(4, [(0, 1), (2, 3)]), undirected_graph(3, [(0, 1)]))
+
+
+@pytest.mark.parametrize("graph", APART)
+@pytest.mark.parametrize("rule", [Rule.BD, Rule.DB])
+def test_closed_form_refuses_a_disconnected_graph(graph, rule):
+    with pytest.raises(NotStronglyConnected, match="closed form requires"):
+        undirected_closed_form(graph, 0, rule)
+
+
+@pytest.mark.parametrize("rule", [Rule.BD, Rule.DB])
+def test_closed_form_refuses_a_single_vertex(rule):
+    with pytest.raises(ValueError, match="needs at least 2 vertices, got 1"):
+        undirected_closed_form(EvolutionaryGraph(1, []), 0, rule)
+
+
 def test_closed_form_matches_solver_on_random_undirected():
     from .util import random_undirected
     g = random_undirected(5, 12, p=0.35)
@@ -257,6 +307,17 @@ def test_degree_classes_on_path():
 def test_degree_classes_on_regular_graph():
     square = undirected_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
     assert degree_selection_class(square) == ["neutral"] * 4
+
+
+@pytest.mark.parametrize("graph", APART)
+def test_degree_classes_refuse_a_disconnected_graph(graph):
+    with pytest.raises(NotStronglyConnected, match="degree classification requires"):
+        degree_selection_class(graph)
+
+
+def test_degree_classes_refuse_a_single_vertex():
+    with pytest.raises(ValueError, match="needs at least 2 vertices, got 1"):
+        degree_selection_class(EvolutionaryGraph(1, []))
 
 
 def test_degree_classes_on_star():
