@@ -320,6 +320,17 @@ def blocks(graph, rule, values, steps=None):
         yield block.take(kernel.rank, axis=1)
 
 
+def _stream(graph, rule, values, steps):
+    """``values`` as a one-row block (row 0), then the blocks of ``blocks``.
+
+    The step-defined routes read their rows from here. The kernel is
+    looked up only when the block after row 0 is asked for, so a caller
+    that stops on row 0 never builds one.
+    """
+    yield values[None]
+    yield from blocks(graph, rule, values, steps)
+
+
 def engine_blocks(kernel, values, steps=None):
     """``blocks`` of an ``EngineKernel``, with columns in its vertex order.
 

@@ -364,7 +364,7 @@ def _shape_flags(graph):
 
 
 def _derived_seed(seed, *key):
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in key))
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=key)
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
@@ -414,16 +414,21 @@ def generate(kind, n, *, seed, weighting="random", m=1, p=0.5, k=2, retries=100)
     edges, so connectivity of the grown graph gives strong
     connectivity of the result. Disconnected draws are retried with
     derived seeds up to ``retries`` times, then refused (``ValueError``).
+    Counts and the seed are integers; anything else is refused, not
+    truncated, before any draw.
     """
+    n, seed, retries = vertex_id(n, "n"), vertex_id(seed, "seed"), vertex_id(retries, "retries")
     if n < 2:
         raise ValueError(f"need at least 2 vertices, got {n}")
     if kind == "preferential_attachment":
+        m = vertex_id(m, "m")
         if not (1 <= m < n):
             raise ValueError(f"attachment count m={m} must satisfy 1 <= m < n")
     elif kind == "erdos_renyi":
         if not (0.0 <= p <= 1.0):
             raise ValueError(f"edge probability p={p} must lie in [0, 1]")
     elif kind == "small_world":
+        k = vertex_id(k, "k")
         if not (1 <= k < n):
             raise ValueError(f"ring degree k={k} must satisfy 1 <= k < n")
         if not (0.0 <= p <= 1.0):
@@ -445,7 +450,7 @@ def generate(kind, n, *, seed, weighting="random", m=1, p=0.5, k=2, retries=100)
             g = nx.newman_watts_strogatz_graph(n, k, p, seed=grow_seed)
         if g.number_of_edges() > 0 and nx.is_connected(g):
             rng = np.random.default_rng(
-                np.random.SeedSequence(entropy=int(seed), spawn_key=(attempt, 1))
+                np.random.SeedSequence(entropy=seed, spawn_key=(attempt, 1))
             )
             edges = _assign_weights(n, sorted(g.edges()), weighting, rng)
             return EvolutionaryGraph(n, edges)
@@ -477,6 +482,8 @@ def feeder_pair_graph(core_n, *, seed, p=0.5, relation="equal", retries=100):
     ``relation`` controls the core degrees of the two attachment
     targets: ``equal``, ``mutant_lower``, or ``mutant_higher``.
     """
+    core_n, seed = vertex_id(core_n, "core_n"), vertex_id(seed, "seed")
+    retries = vertex_id(retries, "retries")
     if core_n < 3:
         raise ValueError("core needs at least 3 vertices")
     for attempt in range(retries):

@@ -30,15 +30,14 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import chain
 from time import perf_counter
 
 import numpy as np
 
 from .dynamics import (
-    Rule, blocks, check_neighbours, init_vector, neutral_part, resolve_rule, std, step_count,
+    Rule, _stream, check_neighbours, init_vector, neutral_part, resolve_rule, std, step_count,
 )
-from .graphs import check_config
+from .graphs import check_config, vertex_id
 from .solver import _starting_set
 
 # a run's draws come in chunks that start at _FIRST_CHUNK variates and
@@ -292,9 +291,7 @@ def step_cap_for(graph, step_cap=None):
     """The per-run event cap applied: ``step_cap``, or 10^6 events per vertex."""
     if step_cap is None:
         return 1_000_000 * graph.n
-    if not step_cap >= 1:
-        raise ValueError(f"per-run event cap must be at least 1, got {step_cap}")
-    return step_cap
+    return step_count(step_cap, "per-run event cap", least=1)
 
 
 def simulate_run(graph, config, rule=Rule.BD, r=1.0, seed=0, step_cap=None):
@@ -302,7 +299,8 @@ def simulate_run(graph, config, rule=Rule.BD, r=1.0, seed=0, step_cap=None):
     members = _starting_set(graph, config, "simulation to absorption")
     proc = _Process(graph, rule, r)
     cap = step_cap_for(graph, step_cap)
-    return _play(proc, proc.new_state(members), _Draws(_run_seed(int(seed), 0)), cap)
+    seed = vertex_id(seed, "seed")
+    return _play(proc, proc.new_state(members), _Draws(_run_seed(seed, 0)), cap)
 
 
 @dataclass(frozen=True)
@@ -337,12 +335,13 @@ def estimate(
     (absorption not reached) are excluded from the time averages and
     reported in ``capped_runs``.
     """
+    runs = step_count(runs, "runs")
     if runs < 2:
         raise ValueError("need at least 2 runs for an error estimate")
     members = _starting_set(graph, config, "simulation to absorption")
     proc = _Process(graph, rule, r)
     cap = step_cap_for(graph, step_cap)
-    seed = int(seed)
+    seed = vertex_id(seed, "seed")
 
     t0 = perf_counter()
     results = [
@@ -380,9 +379,10 @@ def sample_transitions(graph, config, rule=Rule.BD, r=1.0, events=100_000, seed=
     from the same starting set (bit i set means vertex i is a mutant).
     Used to pin the sampler to the exact chain, state by state.
     """
+    events = step_count(events, "events")
     members = check_config(graph, config)
     proc = _Process(graph, rule, r)
-    draws = _Draws(_run_seed(int(seed), 0))
+    draws = _Draws(_run_seed(vertex_id(seed, "seed"), 0))
     counts = {}
     for _ in range(events):
         st = proc.new_state(members)
@@ -461,8 +461,10 @@ def speedup_benchmark(
     """
     rule = resolve_rule(rule, r)
     max_iters = step_count(max_iters, "max_iters")
-    if not fallback_stdev >= 0:
-        raise ValueError(f"fallback stdev threshold must be at least 0, got {fallback_stdev}")
+    if not (math.isfinite(fallback_stdev) and fallback_stdev >= 0):
+        raise ValueError(
+            f"fallback stdev threshold must be at least 0 and finite, got {fallback_stdev}"
+        )
     members = _starting_set(graph, config, "speedup benchmark")
     if not (0 < len(members) < graph.n):
         raise ValueError("benchmark needs a nonempty proper starting set")
@@ -470,21 +472,18 @@ def speedup_benchmark(
 
     t0 = perf_counter()
     values = init_vector(graph, members)
-    iters, entered = -1, False
-    for block in chain([values[None]], blocks(graph, neutral_part(rule), values, max_iters)):
-        avgs = (np.add.reduce(block, axis=1) / graph.n).tolist()
-        for avg, stdev in zip(avgs, std(block).tolist()):
-            iters += 1
-            if iters >= max_iters:
-                break
-            if summary.std_error > 0 and abs(avg - summary.fixation_frequency) <= summary.std_error:
-                entered = True
-                break
-            if stdev <= fallback_stdev:
-                break
-        else:
-            continue
-        break
+    start = 0  # the index of the block's row 0
+    for block in _stream(graph, neutral_part(rule), values, max_iters):
+        avgs = np.add.reduce(block, axis=1) / graph.n
+        band = (summary.std_error > 0) & (
+            np.abs(avgs - summary.fixation_frequency) <= summary.std_error)
+        # the row at the max_iters cap, the stream's last, ends the loop unchecked
+        stop = np.flatnonzero((band | (std(block) <= fallback_stdev))[:max_iters - start])
+        if len(stop):
+            break
+        start += len(block)
+    k = int(stop[0]) if len(stop) else len(block) - 1
+    iters = start + k if len(stop) else max_iters
     solver_time = perf_counter() - t0
 
     return BenchmarkResult(
@@ -493,7 +492,7 @@ def speedup_benchmark(
         speedup=(summary.wall_time / solver_time) if solver_time > 0 else float("inf"),
         mc_estimate=summary.fixation_frequency,
         mc_std_error=summary.std_error,
-        solver_estimate=avg,
+        solver_estimate=float(avgs[k]),
         solver_iterations=iters,
-        entered_band=entered,
+        entered_band=bool(len(stop)) and bool(band[k]),
     )

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Rule, blocks, init_vector, resolve_rule, std, step_count
+from .dynamics import Rule, _stream, init_vector, resolve_rule, std, step_count
 from .solver import _StepTable, _starting_set
 
 STOP_STDEV = 2.5e-6
@@ -66,43 +66,28 @@ def mttf_lower_bound(
     members = _starting_set(graph, config, "mean time to fixation")
     if not members:
         raise ValueError("empty configuration never fixates; no time to bound")
-    # the full set is at consensus: its deviation of 0 skips the loop
-    p = init_vector(graph, members)
-    p_min = float(np.minimum.reduce(p))
-    stdev = std(p)
-    total = 0.0
-    t = 0
-    negatives = 0
-    rows = [] if record else None
-    steps = blocks(graph, rule, p, max_iters) if stdev > stop_stdev else ()
-    for block in steps:
-        p_mins, stdevs = np.minimum.reduce(block, axis=1).tolist(), std(block).tolist()
-        for k, stdev in enumerate(stdevs):
-            t += 1
-            prev_min, p_min = p_min, p_mins[k]
-            inc = t * (p_min - prev_min)
-            if inc < 0:
-                negatives += 1
-            total += inc
-            if record:
-                rows.append((t, p_min, inc, total))
-            if stdev <= stop_stdev:
-                break
-        p = block[k]
-        if stdev <= stop_stdev:
+    # the full set is at consensus: its deviation of 0 stops on row 0
+    p_mins = []
+    for block in _stream(graph, rule, init_vector(graph, members), max_iters):
+        stdevs = std(block)
+        stop = np.flatnonzero(stdevs <= stop_stdev)
+        if len(stop):
+            block, stdevs = block[:stop[0] + 1], stdevs[:stop[0] + 1]
+        p_mins.append(np.minimum.reduce(block, axis=1))
+        if len(stop):
             break
-    truncated = stdev > stop_stdev
-    normalizer = float(np.mean(p))
-    bound = total / normalizer if normalizer > 0 else 0.0
-    trace = None
-    if record:
-        arr = np.array(rows, dtype=float) if rows else np.zeros((0, 4))
-        trace = MttfTrace(
-            t=arr[:, 0].astype(np.int64), p_min=arr[:, 1],
-            increment=arr[:, 2], running_sum=arr[:, 3],
-        )
+    p_min = np.concatenate(p_mins)
+    t = np.arange(1, len(p_min), dtype=np.int64)
+    increment = t * np.diff(p_min)
+    # np.add.accumulate adds in order, so the sum has the bits of a running
+    # total from 0.0 (which turns a first increment of -0.0 into 0.0)
+    running = np.add.accumulate(np.concatenate(([0.0], increment)))
+    total = float(running[-1])
+    normalizer = float(np.mean(block[-1]))
     return MttfReport(
-        lower_bound=bound, partial_sum=total, normalizer=normalizer,
-        iterations=t, truncated=truncated, negative_increments=negatives,
-        trace=trace,
+        lower_bound=total / normalizer if normalizer > 0 else 0.0,
+        partial_sum=total, normalizer=normalizer, iterations=len(t),
+        truncated=bool(stdevs[-1] > stop_stdev),
+        negative_increments=int(np.count_nonzero(increment < 0)),
+        trace=MttfTrace(t, p_min[1:], increment, running[1:]) if record else None,
     )

@@ -20,8 +20,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .dynamics import (
-    Rule, blocks, engine_blocks, engine_kernel, init_vector, neutral_part, resolve_rule, std,
-    step_count,
+    Rule, _stream, blocks, engine_blocks, engine_kernel, init_vector, neutral_part, resolve_rule,
+    std, step_count,
 )
 from .graphs import check_config, is_strongly_connected, stats
 
@@ -131,29 +131,21 @@ class TrajectoryTable(_StepTable):
     ex: np.ndarray
 
 
-class _Recorder:
-    def __init__(self, enabled):
-        self.enabled = enabled
-        self.parts = [] if enabled else None
+def _row_stats(block):
+    """Per-row min, max, sum and standard deviation of a ``(rows, n)`` block."""
+    return (
+        np.minimum.reduce(block, axis=1), np.maximum.reduce(block, axis=1),
+        np.add.reduce(block, axis=1), std(block),
+    )
 
-    def add(self, t, block):
-        """Record rows t, t + 1, ... from the rows of a ``(rows, n)`` block."""
-        if self.enabled:
-            total = np.add.reduce(block, axis=1)
-            self.parts.append(np.column_stack((
-                np.arange(t, t + len(block)),
-                np.minimum.reduce(block, axis=1), np.maximum.reduce(block, axis=1),
-                total / block.shape[1], std(block), total,
-            )))
 
-    def table(self):
-        if not self.enabled:
-            return None
-        arr = np.concatenate(self.parts)
-        return TrajectoryTable(
-            t=arr[:, 0].astype(np.int64), min=arr[:, 1], max=arr[:, 2],
-            avg=arr[:, 3], stdev=arr[:, 4], ex=arr[:, 5],
-        )
+def _trajectory_table(parts, n):
+    """The ``TrajectoryTable`` of the ``_row_stats`` of consecutive blocks from row 0."""
+    lo, hi, total, stdev = (np.concatenate(column) for column in zip(*parts))
+    return TrajectoryTable(
+        t=np.arange(len(total), dtype=np.int64), min=lo, max=hi,
+        avg=total / n, stdev=stdev, ex=total,
+    )
 
 
 @dataclass(frozen=True)
@@ -197,9 +189,8 @@ def solve(graph, config, options=SolveOptions()):
     floor, reports ``converged=False`` with the bracket reached.
     """
     members = _starting_set(graph, config, "fixation probability")
-    recorder = _Recorder(options.record_trajectory)
     values = init_vector(graph, members)
-    recorder.add(0, values[None])
+    parts = [_row_stats(values[None])] if options.record_trajectory else None
     tau = _criterion_stats(values[None], options.criterion)[0]
     best = tau
     since_best = 0
@@ -228,7 +219,8 @@ def solve(graph, config, options=SolveOptions()):
                 if since_best >= options.stall_window:
                     stop = True  # statistic stopped improving; at the float floor
                     break
-        recorder.add(iters + 1, block[:k + 1])
+        if parts is not None:
+            parts.append(_row_stats(block[:k + 1]))
         iters += k + 1
         values = block[k]
         if stop:
@@ -240,7 +232,7 @@ def solve(graph, config, options=SolveOptions()):
         converged=converged,
         # not a view that keeps the whole block alive
         values=values.copy() if rank is None else values.take(rank),
-        trajectory=recorder.table(),
+        trajectory=None if parts is None else _trajectory_table(parts, graph.n),
     )
 
 
@@ -337,12 +329,6 @@ def trajectory(graph, config, rule=Rule.BD, steps=100):
     steps = step_count(steps)
     rule = resolve_rule(rule, kernel=True)
     engine_kernel(graph, rule)  # validate rule/graph pairing up front
-    members = check_config(graph, config)
-    values = init_vector(graph, members)
-    recorder = _Recorder(True)
-    recorder.add(0, values[None])
-    t = 1
-    for block in blocks(graph, rule, values, steps):
-        recorder.add(t, block)
-        t += len(block)
-    return recorder.table()
+    values = init_vector(graph, config)
+    parts = [_row_stats(block) for block in _stream(graph, rule, values, steps)]
+    return _trajectory_table(parts, graph.n)

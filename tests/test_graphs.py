@@ -415,6 +415,26 @@ def test_generate_rejects_bad_parameters():
         generate("preferential_attachment", 3, seed=0, m=5)
 
 
+# each call with one count or seed that networkx or range would refuse
+# with a TypeError, or that the seed derivation would truncate
+NON_INTEGER_GENERATOR_ARGUMENTS = {
+    "n": lambda: generate("erdos_renyi", 2.5, seed=1),
+    "m": lambda: generate("preferential_attachment", 8, seed=1, m=2.5),
+    "k": lambda: generate("small_world", 8, seed=1, k=2.5),
+    "retries": lambda: generate("erdos_renyi", 8, seed=1, retries=2.5),
+    "seed": lambda: generate("erdos_renyi", 8, seed=1.5),
+    "core_n": lambda: feeder_pair_graph(5.5, seed=1),
+    "feeder seed": lambda: feeder_pair_graph(5, seed=True),
+    "feeder retries": lambda: feeder_pair_graph(5, seed=1, retries=2.5),
+}
+
+
+@pytest.mark.parametrize("name", list(NON_INTEGER_GENERATOR_ARGUMENTS))
+def test_generator_counts_and_seeds_are_refused_not_truncated(name):
+    with pytest.raises(ValueError, match="is not an integer$"):
+        NON_INTEGER_GENERATOR_ARGUMENTS[name]()
+
+
 def test_generate_reports_impossible_draws():
     # p = 0 passes validation but can never connect; retries must surface
     with pytest.raises(ValueError, match="no connected graph"):

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import pytest
@@ -18,7 +19,7 @@ from fixlab import (
     standard_error,
     state_of,
 )
-from fixlab.montecarlo import _BUFFER, _Draws, _play, _Process, _run_seed
+from fixlab.montecarlo import _BUFFER, _Draws, _play, _Process, _run_seed, step_cap_for
 
 from .util import complete_graph, random_digraph, two_cycle
 
@@ -300,3 +301,48 @@ def test_speedup_benchmark_needs_proper_config():
 def test_speedup_benchmark_refuses_a_fallback_stdev_it_can_never_meet():
     with pytest.raises(ValueError, match="fallback stdev threshold must be at least 0"):
         speedup_benchmark(random_digraph(61, 8), [0], mc_runs=10, fallback_stdev=-1e-9)
+
+
+def test_speedup_benchmark_refuses_an_infinite_fallback_stdev():
+    # an infinite threshold would stop on row 0, a comparison over 0 iterations
+    with pytest.raises(ValueError, match="fallback stdev threshold must be at least 0 and finite"):
+        speedup_benchmark(random_digraph(61, 8), [0], mc_runs=10, fallback_stdev=math.inf)
+
+
+# ------------------------------------------------------------- counts and seeds
+
+
+def test_estimate_refuses_a_non_integer_run_count():
+    with pytest.raises(ValueError, match=r"^runs 2\.5 is not an integer$"):
+        estimate(two_cycle(), [0], runs=2.5)
+
+
+@pytest.mark.parametrize("events,message", [
+    (2.5, r"^events 2\.5 is not an integer$"),
+    (-1, r"^events must be nonnegative, got -1$"),
+])
+def test_sample_transitions_refuses_a_bad_event_count(events, message):
+    with pytest.raises(ValueError, match=message):
+        sample_transitions(two_cycle(), [0], events=events)
+
+
+@pytest.mark.parametrize("cap", [2.5, math.inf, True])
+def test_event_caps_are_refused_unless_integer(cap):
+    with pytest.raises(ValueError, match=f"^per-run event cap {re.escape(repr(cap))} is not an integer$"):
+        step_cap_for(two_cycle(), cap)
+
+
+SEED_TAKERS = {
+    "estimate": lambda seed: estimate(two_cycle(), [0], runs=4, seed=seed),
+    "simulate_run": lambda seed: simulate_run(two_cycle(), [0], seed=seed),
+    "sample_transitions": lambda seed: sample_transitions(two_cycle(), [0], events=4, seed=seed),
+    "speedup_benchmark": lambda seed: speedup_benchmark(
+        random_digraph(61, 8), [0], mc_runs=4, seed=seed),
+}
+
+
+@pytest.mark.parametrize("bad", [1.5, True], ids=repr)
+@pytest.mark.parametrize("name", list(SEED_TAKERS))
+def test_simulator_seeds_are_refused_not_truncated(name, bad):
+    with pytest.raises(ValueError, match=f"^seed {re.escape(repr(bad))} is not an integer$"):
+        SEED_TAKERS[name](bad)

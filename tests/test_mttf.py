@@ -3,12 +3,16 @@ import io
 import pytest
 
 from fixlab import (
+    EvolutionaryGraph,
     NotStronglyConnected,
     Rule,
+    SolveOptions,
     build_chain,
     mean_times_exact,
     mttf_lower_bound,
+    solve,
 )
+from fixlab.mttf import MttfReport
 
 from .util import cycle_graph, random_digraph, two_cycle
 
@@ -98,3 +102,13 @@ def test_normalizer_is_mean_final_probability():
     rep = mttf_lower_bound(two_cycle(), [0])
     assert rep.normalizer == pytest.approx(0.5)
     assert rep.partial_sum == pytest.approx(0.5)
+
+
+def test_a_start_at_consensus_builds_no_kernel():
+    # vertex 0 has no in-edges, so the death-birth kernel is undefined; the
+    # full set stops on row 0, before the row stream asks for a kernel
+    g = EvolutionaryGraph(3, [(0, 1, 1.0), (1, 2, 1.0), (2, 1, 1.0)])
+    report = solve(g, [0, 1, 2], SolveOptions(rule="db"))
+    assert (report.fixation, report.iterations) == (1.0, 0)
+    assert mttf_lower_bound(g, [0, 1, 2], rule="db") == MttfReport(0.0, 0.0, 1.0, 0, False, 0)
+    assert ("kernel", Rule.DB) not in g._ops
