@@ -14,9 +14,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import _sparsetools, csr_matrix
 
-from .graphs import check_config, vertex_id
+from .graphs import check_config, step_count
 
 
 class Rule(enum.Enum):
@@ -237,6 +236,11 @@ def kernel_matrix(graph, rule):
     ``_vertex_kernel``'s arrays as a scipy CSR matrix, once per graph.
     The engine reorders the same build; this one is never remapped.
     """
+    # scipy.sparse is imported here and in engine_blocks, not at module
+    # level: ingest, simulation and the closed forms never use it, and it
+    # is more than half the modules ``import fixlab`` would load
+    from scipy.sparse import csr_matrix
+
     rule = neutral_part(rule)
     key = ("matrix", rule)
     if key not in graph._ops:
@@ -270,19 +274,6 @@ _STACK_ENTRIES = 1 << 14
 def stack_depth(nnz):
     """Stacked kernel copies at ``nnz`` stored entries: up to 16, 1 past 2^13."""
     return max(1, min(_STACK_ROWS, _STACK_ENTRIES // nnz))
-
-
-def step_count(steps, what="steps", least=0):
-    """A count of steps as an int of at least ``least``, else ``ValueError``.
-
-    Bools and non-integers are refused, not truncated, as ``vertex_id``
-    refuses them; numpy integers are taken.
-    """
-    steps = vertex_id(steps, what)
-    if steps < least:
-        bound = "nonnegative" if least == 0 else f"at least {least}"
-        raise ValueError(f"{what} must be {bound}, got {steps}")
-    return steps
 
 
 def blocks(graph, rule, values, steps=None):
@@ -364,6 +355,9 @@ def engine_blocks(kernel, values, steps=None):
     if steps is not None:
         steps = step_count(steps)
     values = values.take(kernel.order)
+    # scipy.sparse is imported on first use, as in kernel_matrix
+    from scipy.sparse import _sparsetools
+
     matvec, minimum, fmax = _sparsetools.csr_matvec, np.minimum, np.fmax
     # called with n rows, the kernel runs the first copy
     (indptr, indices, data), depth = kernel.stacked, kernel.depth

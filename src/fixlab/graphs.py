@@ -253,6 +253,20 @@ def vertex_id(v, what="vertex id"):
     raise ValueError(f"{what} {v!r} is not an integer")
 
 
+def step_count(steps, what="steps", least=0):
+    """A count (of steps, runs, retries) as an int of at least ``least``.
+
+    Anything else is a ``ValueError`` naming ``what``. Bools and
+    non-integers are refused, not truncated, as ``vertex_id`` refuses
+    them; numpy integers are taken.
+    """
+    steps = vertex_id(steps, what)
+    if steps < least:
+        bound = "nonnegative" if least == 0 else f"at least {least}"
+        raise ValueError(f"{what} must be {bound}, got {steps}")
+    return steps
+
+
 def _edge(e):
     """``e`` as (src, dst, weight); anything but a triple with a numeric weight is refused."""
     try:
@@ -414,10 +428,11 @@ def generate(kind, n, *, seed, weighting="random", m=1, p=0.5, k=2, retries=100)
     edges, so connectivity of the grown graph gives strong
     connectivity of the result. Disconnected draws are retried with
     derived seeds up to ``retries`` times, then refused (``ValueError``).
-    Counts and the seed are integers; anything else is refused, not
-    truncated, before any draw.
+    Counts and the seed are integers, and ``retries`` is at least 1;
+    anything else is refused, not truncated, before any draw.
     """
-    n, seed, retries = vertex_id(n, "n"), vertex_id(seed, "seed"), vertex_id(retries, "retries")
+    n, seed = vertex_id(n, "n"), vertex_id(seed, "seed")
+    retries = step_count(retries, "retries", least=1)
     if n < 2:
         raise ValueError(f"need at least 2 vertices, got {n}")
     if kind == "preferential_attachment":
@@ -483,7 +498,7 @@ def feeder_pair_graph(core_n, *, seed, p=0.5, relation="equal", retries=100):
     targets: ``equal``, ``mutant_lower``, or ``mutant_higher``.
     """
     core_n, seed = vertex_id(core_n, "core_n"), vertex_id(seed, "seed")
-    retries = vertex_id(retries, "retries")
+    retries = step_count(retries, "retries", least=1)
     if core_n < 3:
         raise ValueError("core needs at least 3 vertices")
     for attempt in range(retries):

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import _sparsetools, csr_matrix, identity
 
 from .dynamics import Rule, check_neighbours, neutral_part, resolve_rule
 from .graphs import check_config, vertex_id
@@ -119,6 +118,9 @@ def build_chain(graph, rule=Rule.BD, r=1.0):
     cols = np.empty((n_states, n + 1), dtype=np.int64)
     cols[:, :n] = states[:, None] ^ flips
     cols[:, n] = states
+    # scipy.sparse is imported on first use, as in dynamics.kernel_matrix
+    from scipy.sparse import csr_matrix
+
     chain = csr_matrix(
         (data.ravel(), cols.ravel(), np.arange(0, data.size + 1, n + 1)),
         shape=(n_states, n_states),
@@ -198,6 +200,8 @@ def bicgstab(a, b, x=None):
     layers: ``csr_matvec`` into zeroed vectors, ``dinv * p`` for the
     preconditioner and in-place vector updates.
     """
+    from scipy.sparse import _sparsetools
+
     n = len(b)
     dot, multiply, sqrt = np.dot, np.multiply, math.sqrt
     dinv = 1.0 / a.diagonal()
@@ -295,7 +299,9 @@ def _solutions(chain):
     """
     if chain._solutions is not None:
         return chain._solutions
-    # csgraph is a quarter of the modules scipy would add to ``import fixlab``
+    # csgraph (with sparse.linalg and scipy.linalg) adds about 90 modules
+    # to scipy.sparse's, and only the solves use it
+    from scipy.sparse import identity
     from scipy.sparse.csgraph import breadth_first_order
 
     full = chain.n_states - 1

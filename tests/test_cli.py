@@ -589,19 +589,47 @@ def test_console_script_entry(two_cycle_file):
     assert json.loads(proc.stdout)["fixation"] == pytest.approx(0.5, abs=1e-5)
 
 
-def test_import_loads_no_networkx():
-    # networkx is imported by the graph generators alone, on first use, and
-    # scipy's csgraph (which brings sparse.linalg and scipy.linalg) by the
-    # oracle's first solve; an oracle query still works after the import
+def test_scipy_loads_on_first_kernel_or_chain_build(tmp_path):
+    # networkx is imported by the graph generators alone, on first use,
+    # scipy.sparse by the first kernel or chain build, and scipy's csgraph
+    # (which brings sparse.linalg and scipy.linalg) by the oracle's first
+    # solve; each step below checks what the calls before it loaded
+    path = tmp_path / "triangle.json"
+    edges = [[a, b, 0.5] for a in range(3) for b in range(3) if a != b]
+    path.write_text(json.dumps({"n": 3, "edges": edges}))
     code = """
-import sys, fixlab, fixlab.cli
-lazy = ["networkx", "scipy.sparse.csgraph", "scipy.sparse.linalg", "scipy.linalg"]
-loaded = [name for name in lazy if name in sys.modules]
-assert not loaded, loaded
-chain = fixlab.build_chain(fixlab.EvolutionaryGraph(2, [(0, 1, 1.0), (1, 0, 1.0)]), "bd")
+import contextlib, io, sys
+import fixlab, fixlab.cli
+
+def scipy_free(after):
+    loaded = sorted(name for name in sys.modules if name.startswith("scipy"))
+    assert not loaded, (after, loaded[:5])
+
+scipy_free("import")
+graph = fixlab.load_graph(sys.argv[1])
+scipy_free("load_graph")
+assert fixlab.estimate(graph, [0], "bd-d", 1.5, runs=20, seed=1).runs == 20
+fixlab.simulate_run(graph, [0], "db-b", 1.5, seed=1)
+scipy_free("estimate and simulate_run")
+assert abs(fixlab.undirected_closed_form(graph, 0).fixation - 1 / 3) < 1e-12
+assert fixlab.degree_selection_class(graph) == ["neutral"] * 3
+assert 0 < fixlab.upper_bound_single(graph, 0, 1.5, "bd-b") <= 1
+scipy_free("closed form, degree classes and upper bound")
+for argv in (["simulate", "--config", "[0]", "--runs", "20"], ["amplifier"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert fixlab.cli.main(argv + ["--graph", sys.argv[1]]) == 0
+scipy_free("CLI simulate and amplifier")
+assert "networkx" not in sys.modules
+
+two = fixlab.EvolutionaryGraph(2, [(0, 1, 1.0), (1, 0, 1.0)])
+assert abs(fixlab.solve(two, [0]).fixation - 0.5) < 1e-6
+assert "scipy.sparse" in sys.modules and "scipy.sparse.csgraph" not in sys.modules
+chain = fixlab.build_chain(two, "bd")
 assert abs(fixlab.fixation_exact(chain, [0]) - 0.5) < 1e-12
 """
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(path)], capture_output=True, text=True, timeout=60,
+    )
     assert proc.returncode == 0, proc.stderr
 
 

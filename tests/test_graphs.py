@@ -435,6 +435,21 @@ def test_generator_counts_and_seeds_are_refused_not_truncated(name):
         NON_INTEGER_GENERATOR_ARGUMENTS[name]()
 
 
+@pytest.mark.parametrize("retries", [0, -3, np.int64(0)])
+@pytest.mark.parametrize("build", [
+    lambda retries: generate("erdos_renyi", 8, seed=1, retries=retries),
+    lambda retries: feeder_pair_graph(6, seed=1, retries=retries),
+], ids=["generate", "feeder"])
+def test_retries_below_one_are_refused_by_name(build, retries):
+    # refused before any draw, not reported as a search that found nothing
+    with pytest.raises(ValueError, match=f"^retries must be at least 1, got {retries}$"):
+        build(retries)
+
+
+def test_one_retry_is_taken():
+    assert generate("erdos_renyi", 8, seed=1, p=1.0, retries=1).n == 8
+
+
 def test_generate_reports_impossible_draws():
     # p = 0 passes validation but can never connect; retries must surface
     with pytest.raises(ValueError, match="no connected graph"):
