@@ -19,10 +19,8 @@ from .dynamics import (
     BIASED_RULES,
     NEUTRAL_RULES,
     Rule,
-    expected_mutants,
     expected_mutants_step_residual,
     init_vector,
-    iterate,
     kernel_matrix,
     neutral_part,
     parse_rule,
@@ -99,8 +97,7 @@ __all__ = [
     # dynamics
     "Rule", "NEUTRAL_RULES", "BIASED_RULES", "parse_rule", "resolve_rule",
     "neutral_part", "init_vector", "kernel_matrix",
-    "iterate", "step_values",
-    "expected_mutants", "expected_mutants_step_residual",
+    "step_values", "expected_mutants_step_residual",
     # solver
     "NotStronglyConnected", "CRITERIA", "SolveOptions", "SolveReport",
     "TrajectoryTable", "solve", "trajectory",

@@ -403,17 +403,6 @@ def engine_blocks(kernel, values, steps=None):
         yield block
 
 
-def iterate(graph, rule, values):
-    """Yield the vector after each step of the kernel, without end.
-
-    The rows of ``blocks``, one by one: each is its own memory, never
-    written after it is yielded, and the caller's vector is never
-    written; callers stop the loop.
-    """
-    for block in blocks(graph, rule, values):
-        yield from block
-
-
 def step_values(graph, rule, values):
     """One update step on a raw array, returning a new array."""
     return next(blocks(graph, rule, values, 1))[0]
@@ -433,11 +422,6 @@ def std(values):
     np.square(dev, out=dev)
     out = np.sqrt(np.add.reduce(dev, axis=-1) / n)
     return out if values.ndim > 1 else float(out)
-
-
-def expected_mutants(values):
-    """Expected mutant count: the sum of the vector's entries."""
-    return float(np.sum(values))
 
 
 def expected_mutants_step_residual(graph, prev, nxt):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import Rule, check_neighbours, neutral_part, resolve_rule
-from .graphs import check_config, vertex_id
+from .graphs import check_config, reaches_all, vertex_id
 
 ORACLE_CAP = 16
 
@@ -68,6 +68,9 @@ class ChainModel:
         self.rule = rule
         self.r = float(r)
         self.transitions = transitions
+        # whether every state reaches fixation or extinction; build_chain
+        # decides it on the graph, and the first solve refuses a chain without
+        self._absorbs = True
         self._solutions = None
         # filled by the first query that solves: system name -> largest
         # residual (as checked against RESIDUAL_TOL) and BiCGSTAB iterations
@@ -131,7 +134,9 @@ def build_chain(graph, rule=Rule.BD, r=1.0):
     bad = np.flatnonzero(np.abs(sums - 1.0) > ROW_SUM_TOL * max(1, len(graph.out_dst)))
     if bad.size:
         raise ArithmeticError(f"chain rows {bad[:5].tolist()} do not sum to 1")
-    return ChainModel(n, rule, r, chain)
+    model = ChainModel(n, rule, r, chain)
+    model._absorbs = any(reaches_all(graph, [v]) for v in range(n))
+    return model
 
 
 def _replacement_odds(graph, rule, r, mutant):
@@ -288,36 +293,30 @@ def _solutions(chain):
 
     With Q the transient-to-transient block, h = (I - Q)^-1 b_fix gives
     fixation probabilities, (I - Q) u = h the fixation-weighted times,
-    and (I - Q) a = 1 the absorption times. Conditional means are then
-    u/h (fixation) and symmetric for extinction.
+    and (I - Q) a = 1 the absorption times. Every state absorbs, so the
+    extinction probabilities are 1 - h; conditional means are then u/h
+    (fixation) and symmetric for extinction.
 
     Each system goes through ``checked_solve``: absolute accuracy for the
-    probabilities h, relative to the largest time for u and a. Restarts
-    are needed on the directed 5-cycle, and on stars at extreme fitness
-    where BiCGSTAB breaks down. The residuals and iteration counts are
-    kept on the chain.
+    probabilities h, so 1 - h meets the same bound, relative to the
+    largest time for u and a. Restarts are needed on the directed
+    5-cycle, and on stars at extreme fitness where BiCGSTAB breaks down.
+    The residuals and iteration counts of the four solves are kept on
+    the chain.
     """
     if chain._solutions is not None:
         return chain._solutions
-    # csgraph (with sparse.linalg and scipy.linalg) adds about 90 modules
-    # to scipy.sparse's, and only the solves use it
+    if not chain._absorbs:
+        raise ArithmeticError(
+            "no vertex reaches every other, so states that hold two source "
+            "components apart never reach fixation or extinction"
+        )
     from scipy.sparse import identity
-    from scipy.sparse.csgraph import breadth_first_order
 
     full = chain.n_states - 1
     transient = np.arange(1, full)
     p = chain.transitions[transient]
     system = (identity(len(transient), format="csr") - p[:, transient]).tocsr()
-    # a state that cannot reach either end leaves the systems singular
-    back = chain.transitions.T.tocsr()
-    absorbs = np.zeros(chain.n_states, dtype=bool)
-    for end in (0, full):
-        absorbs[breadth_first_order(back, end, return_predecessors=False)] = True
-    if not absorbs.all():
-        raise ArithmeticError(
-            f"chain states {np.flatnonzero(~absorbs)[:5].tolist()} never reach "
-            "fixation or extinction"
-        )
     chain.residuals, chain.iterations = {}, {}
 
     def solve(name, rhs):
@@ -325,11 +324,10 @@ def _solutions(chain):
         return x
 
     h_fix = solve("h_fix", p[:, [full]].toarray().ravel())
-    h_ext = solve("h_ext", p[:, [0]].toarray().ravel())
     # checked unclamped above; the solve is accurate in absolute terms only,
     # so a probability far below RESIDUAL_TOL can land a hair outside [0, 1]
-    for h in (h_fix, h_ext):
-        np.clip(h, 0.0, 1.0, out=h)
+    np.clip(h_fix, 0.0, 1.0, out=h_fix)
+    h_ext = 1.0 - h_fix
     a_all = solve("a_all", np.ones(len(transient)))
     chain._solutions = {
         "transient": transient,

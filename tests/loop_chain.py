@@ -9,6 +9,7 @@ nonzero pattern and the same entries up to float64 rounding.
 
 import numpy as np
 from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import breadth_first_order
 
 from fixlab import Rule, resolve_rule
 
@@ -92,3 +93,17 @@ def loop_transitions(graph, rule=Rule.BD, r=1.0):
 def _flip_to(state, vertex, make_mutant):
     bit = 1 << vertex
     return (state | bit) if make_mutant else (state & ~bit)
+
+
+def chain_absorbs(chain):
+    """True iff every state of ``chain`` reaches the empty or the full state.
+
+    The chain-level search the oracle once ran before its first solve: a
+    breadth-first search from each absorbing end over the transposed
+    transition matrix marks every state that can reach it.
+    """
+    back = chain.transitions.T.tocsr()
+    absorbs = np.zeros(chain.n_states, dtype=bool)
+    for end in (0, chain.n_states - 1):
+        absorbs[breadth_first_order(back, end, return_predecessors=False)] = True
+    return bool(absorbs.all())

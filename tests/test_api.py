@@ -44,10 +44,13 @@ def test_public_names_resolve():
     assert [name for name in BENCH_NAMES if name not in fixlab.__all__] == []
 
 
-@pytest.mark.parametrize("name", ["ProbabilityVector", "step", "bracket", "mttf_exact"])
+@pytest.mark.parametrize("name", [
+    "ProbabilityVector", "step", "bracket", "mttf_exact", "iterate", "expected_mutants",
+])
 def test_removed_names_stay_gone(name):
     # init_vector gives the array, step_values steps it, report.bracket()
-    # gives the bracket, mean_times_exact(build_chain(...)) the exact times
+    # gives the bracket, mean_times_exact(build_chain(...)) the exact times,
+    # the rows of blocks(...) the steps and np.sum(values) the mutant count
     assert not hasattr(fixlab, name)
     assert name not in fixlab.__all__
 

@@ -322,7 +322,7 @@ def test_oracle_reports_its_solve(capsys):
     assert code == 0
     solve = json.loads(out)["solve"]
     assert (solve["method"], solve["preconditioner"]) == ("bicgstab", "jacobi")
-    assert set(solve["iterations"]) == {"h_fix", "h_ext", "a_all", "u_fix", "u_ext"}
+    assert set(solve["iterations"]) == {"h_fix", "a_all", "u_fix", "u_ext"}
     assert all(k >= 1 for k in solve["iterations"].values())
     assert 0.0 <= solve["max_residual"] <= solve["residual_bound"] == RESIDUAL_TOL
 
@@ -591,9 +591,10 @@ def test_console_script_entry(two_cycle_file):
 
 def test_scipy_loads_on_first_kernel_or_chain_build(tmp_path):
     # networkx is imported by the graph generators alone, on first use,
-    # scipy.sparse by the first kernel or chain build, and scipy's csgraph
-    # (which brings sparse.linalg and scipy.linalg) by the oracle's first
-    # solve; each step below checks what the calls before it loaded
+    # and scipy.sparse by the first kernel or chain build; scipy's csgraph
+    # (which brings sparse.linalg and scipy.linalg) is never imported, the
+    # oracle's solves included; each step below checks what the calls
+    # before it loaded
     path = tmp_path / "triangle.json"
     edges = [[a, b, 0.5] for a in range(3) for b in range(3) if a != b]
     path.write_text(json.dumps({"n": 3, "edges": edges}))
@@ -626,6 +627,8 @@ assert abs(fixlab.solve(two, [0]).fixation - 0.5) < 1e-6
 assert "scipy.sparse" in sys.modules and "scipy.sparse.csgraph" not in sys.modules
 chain = fixlab.build_chain(two, "bd")
 assert abs(fixlab.fixation_exact(chain, [0]) - 0.5) < 1e-12
+assert fixlab.mean_times_exact(chain, [0]).extinction_defined
+assert "scipy.sparse.csgraph" not in sys.modules and "scipy.linalg" not in sys.modules
 """
     proc = subprocess.run(
         [sys.executable, "-c", code, str(path)], capture_output=True, text=True, timeout=60,

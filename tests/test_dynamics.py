@@ -12,11 +12,9 @@ from fixlab import (
     NEUTRAL_RULES,
     EvolutionaryGraph,
     Rule,
-    expected_mutants,
     expected_mutants_step_residual,
     generate,
     init_vector,
-    iterate,
     kernel_matrix,
     neutral_part,
     parse_rule,
@@ -84,7 +82,7 @@ def test_iterate_refuses_anything_but_a_vector_of_length_n(rule, shape):
     buf = np.full(8, np.nan)
     values = buf[:shape[0]] if len(shape) == 1 else np.zeros(shape)
     with pytest.raises(ValueError, match=r"population size \(6,\)"):
-        next(iterate(g, rule, values))
+        next(blocks(g, rule, values))
     with pytest.raises(ValueError, match=r"population size \(6,\)"):
         step_values(g, rule, values)
 
@@ -103,9 +101,9 @@ def test_iterate_never_writes_the_callers_vector(rule):
     # the guard copies a strided vector but reads a contiguous one in place
     for values in (np.linspace(0.0, 1.0, 6), np.linspace(0.0, 1.0, 12)[::2]):
         before = values.copy()
-        seen = [v for _, v in zip(range(4), iterate(g, rule, values))]
+        seen = next(blocks(g, rule, values))
         assert values.tobytes() == before.tobytes()
-        assert len({id(v) for v in [values, *seen]}) == 5
+        assert not np.shares_memory(seen, values)
 
 
 @settings(max_examples=200, deadline=None)
@@ -205,7 +203,7 @@ def test_first_step_clips_a_vector_outside_the_unit_interval(rule):
     values = np.array([-3.0, 2.5, 0.2, -0.5, 1.7, 0.0, 1.0, 0.4])
     raw = kernel_matrix(g, rule) @ values
     assert raw.min() < 0.0 and raw.max() > 1.0  # the product leaves [0, 1] both ways
-    got = list(islice(iterate(g, rule, values), 3))
+    got = list(next(blocks(g, rule, values, 3)))
     want = list(islice(ref.iterate(g, rule, values), 3))
     assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
     assert got[0].min() == 0.0 and got[0].max() == 1.0
@@ -331,12 +329,6 @@ def test_kernel_accepts_rule_names():
 
 
 # ------------------------------------------------------------- observables
-
-
-def test_expected_mutants_sums_probabilities():
-    g = path3()
-    values = init_vector(g, [0, 2])
-    assert expected_mutants(values) == pytest.approx(2.0)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])

@@ -5,6 +5,7 @@ import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse import diags, identity
+from scipy.sparse.linalg import spsolve
 
 from fixlab import (
     ORACLE_CAP,
@@ -21,7 +22,7 @@ from fixlab import (
 from fixlab import oracle
 from fixlab.oracle import MAX_ITERATIONS, RESIDUAL_TOL, RTOL
 
-from .loop_chain import loop_transitions
+from .loop_chain import chain_absorbs, loop_transitions
 from .util import (
     complete_graph,
     cycle_graph,
@@ -148,14 +149,31 @@ def test_chain_at_the_cap_agrees_with_iteration():
     options = SolveOptions(rule=Rule.BD, epsilon=1e-8)
     for v in range(g.n):
         assert exact[v] == pytest.approx(solve(g, [v], options).fixation, abs=1e-6)
-    assert set(chain.residuals) == {"h_fix", "h_ext", "a_all", "u_fix", "u_ext"}
+    assert set(chain.residuals) == {"h_fix", "a_all", "u_fix", "u_ext"}
     assert max(chain.residuals.values()) <= RESIDUAL_TOL
     assert all(k >= 1 for k in chain.iterations.values())
 
 
-def test_solve_restarts_past_a_bicgstab_breakdown():
-    # a single BiCGSTAB run breaks down on h_ext for this star
+def test_solve_restarts_past_a_bicgstab_breakdown(monkeypatch):
+    # a single BiCGSTAB run breaks down on this star's extinction system
+    # (I - Q) x = P[:, 0]; the oracle takes extinction as 1 - fixation, so
+    # the system is built and solved here
     chain = build_chain(star_graph(11), Rule.BD_B, r=0.01)
+    system, p = _absorption_system(chain)
+    b = p[:, [0]].toarray().ravel()
+    infos = []
+    real = oracle.bicgstab
+
+    def recorded(*args, **kwargs):
+        result = real(*args, **kwargs)
+        infos.append(result[1])
+        return result
+
+    monkeypatch.setattr(oracle, "bicgstab", recorded)
+    x, residual, _ = oracle.checked_solve(system, b, "h_ext")
+    assert infos[0] == -10 and infos[-1] == 0
+    assert residual <= RESIDUAL_TOL
+    assert np.max(np.abs(b - system @ x)) <= RESIDUAL_TOL * max(1.0, np.max(np.abs(x)))
     h = fixation_exact(chain, [1])
     times = mean_times_exact(chain, [1])
     assert max(chain.residuals.values()) <= RESIDUAL_TOL
@@ -211,8 +229,66 @@ def test_chain_that_never_absorbs_is_refused():
     ])
     for rule in (Rule.BD, Rule.DB, Rule.LD):
         chain = build_chain(g, rule)
+        assert not chain_absorbs(chain)
         with pytest.raises(ArithmeticError, match="never reach fixation or extinction"):
             fixation_exact(chain, [0])
+        with pytest.raises(ArithmeticError, match="no vertex reaches every other"):
+            mean_times_exact(chain, [0])
+        assert fixation_exact(chain, []) == 0.0
+        assert fixation_exact(chain, range(6)) == 1.0
+
+
+def _digraphs(seed, count):
+    """Random digraphs with n = 2..6 and row-stochastic weights, strongly
+    connected or not: the vertices fall in two groups, and a pair is an
+    edge with one drawn chance inside a group and another, often 0, for
+    each direction between them."""
+    rng = np.random.default_rng(seed)
+    while count:
+        n = int(rng.integers(2, 7))
+        group = rng.integers(0, 2, n)
+        inside = rng.uniform(0.6, 1.0)
+        across = rng.choice([0.0, 0.4], 2)
+        pairs = [(a, b) for a in range(n) for b in range(n) if a != b and rng.random() < (
+            inside if group[a] == group[b] else across[group[a]])]
+        if not pairs:
+            continue
+        raw = rng.uniform(0.1, 1.0, len(pairs))
+        sums = np.bincount([a for a, _ in pairs], weights=raw, minlength=n)
+        yield EvolutionaryGraph(n, [(a, b, w / sums[a]) for (a, b), w in zip(pairs, raw)])
+        count -= 1
+
+
+@pytest.mark.parametrize("rule, r", [
+    (rule, r) for rule in ALL_RULES
+    for r in ((1.0,) if rule in (Rule.BD, Rule.DB) else (1.0, 0.3, 2.5))
+])
+def test_graph_level_absorption_matches_the_chain_search(rule, r):
+    # the oracle decides absorption on the graph (some vertex reaches every
+    # vertex); the reference searches the chain backwards from both ends
+    absorbing = refused = 0
+    for g in _digraphs(41, 80):
+        try:
+            chain = build_chain(g, rule, r=r)
+        except ValueError:  # a vertex the rule's family cannot draw from
+            continue
+        config = [0]
+        if not chain_absorbs(chain):
+            refused += 1
+            with pytest.raises(ArithmeticError, match="never reach fixation or extinction"):
+                fixation_exact(chain, config)
+            continue
+        absorbing += 1
+        h_fix = fixation_exact(chain, config)
+        system, p = _absorption_system(chain)
+        h_ext = spsolve(system.tocsc(), p[:, [0]].toarray().ravel())[state_of(config) - 1]
+        assert abs(h_ext - (1.0 - h_fix)) <= 2 * RESIDUAL_TOL
+        times = mean_times_exact(chain, config)
+        assert max(chain.residuals.values()) <= RESIDUAL_TOL
+        if 1e-6 < h_fix < 1 - 1e-6:
+            blended = h_fix * times.fixation + (1.0 - h_fix) * times.extinction
+            assert blended == pytest.approx(times.absorption, rel=1e-8)
+    assert absorbing and refused
 
 
 def test_trivial_configs():
