@@ -62,15 +62,16 @@ def config_of(state, n):
 class ChainModel:
     """Transition structure of the replacement process on all 2^n states."""
 
-    def __init__(self, n, rule, r, transitions):
+    def __init__(self, n, rule, r, transitions, source):
         self.n = n
         self.n_states = 1 << n
         self.rule = rule
         self.r = float(r)
         self.transitions = transitions
-        # whether every state reaches fixation or extinction; build_chain
-        # decides it on the graph, and the first solve refuses a chain without
-        self._absorbs = True
+        # bitmask of the vertices that reach every vertex: the graph's one
+        # source component, or 0 when it has two or more and some states
+        # never absorb, which the first solve refuses
+        self.source = source
         self._solutions = None
         # filled by the first query that solves: system name -> largest
         # residual (as checked against RESIDUAL_TOL) and BiCGSTAB iterations
@@ -134,9 +135,8 @@ def build_chain(graph, rule=Rule.BD, r=1.0):
     bad = np.flatnonzero(np.abs(sums - 1.0) > ROW_SUM_TOL * max(1, len(graph.out_dst)))
     if bad.size:
         raise ArithmeticError(f"chain rows {bad[:5].tolist()} do not sum to 1")
-    model = ChainModel(n, rule, r, chain)
-    model._absorbs = any(reaches_all(graph, [v]) for v in range(n))
-    return model
+    source = sum(1 << v for v in range(n) if reaches_all(graph, [v]))
+    return ChainModel(n, rule, r, chain, source)
 
 
 def _replacement_odds(graph, rule, r, mutant):
@@ -294,8 +294,9 @@ def _solutions(chain):
     With Q the transient-to-transient block, h = (I - Q)^-1 b_fix gives
     fixation probabilities, (I - Q) u = h the fixation-weighted times,
     and (I - Q) a = 1 the absorption times. Every state absorbs, so the
-    extinction probabilities are 1 - h; conditional means are then u/h
-    (fixation) and symmetric for extinction.
+    extinction probabilities are 1 - h, and exactly 0 where the mutants
+    hold the whole source component, which residents can never re-enter;
+    conditional means are then u/h (fixation) and symmetric for extinction.
 
     Each system goes through ``checked_solve``: absolute accuracy for the
     probabilities h, so 1 - h meets the same bound, relative to the
@@ -306,7 +307,7 @@ def _solutions(chain):
     """
     if chain._solutions is not None:
         return chain._solutions
-    if not chain._absorbs:
+    if not chain.source:
         raise ArithmeticError(
             "no vertex reaches every other, so states that hold two source "
             "components apart never reach fixation or extinction"
@@ -328,6 +329,7 @@ def _solutions(chain):
     # so a probability far below RESIDUAL_TOL can land a hair outside [0, 1]
     np.clip(h_fix, 0.0, 1.0, out=h_fix)
     h_ext = 1.0 - h_fix
+    h_ext[(~transient & chain.source) == 0] = 0.0
     a_all = solve("a_all", np.ones(len(transient)))
     chain._solutions = {
         "transient": transient,

@@ -95,15 +95,19 @@ def _flip_to(state, vertex, make_mutant):
     return (state | bit) if make_mutant else (state & ~bit)
 
 
-def chain_absorbs(chain):
-    """True iff every state of ``chain`` reaches the empty or the full state.
+def states_reaching(chain, end):
+    """Boolean mask of the states of ``chain`` from which state ``end`` is reached.
 
     The chain-level search the oracle once ran before its first solve: a
-    breadth-first search from each absorbing end over the transposed
-    transition matrix marks every state that can reach it.
+    breadth-first search from ``end`` over the transposed transition
+    matrix marks every state that can reach it.
     """
-    back = chain.transitions.T.tocsr()
-    absorbs = np.zeros(chain.n_states, dtype=bool)
-    for end in (0, chain.n_states - 1):
-        absorbs[breadth_first_order(back, end, return_predecessors=False)] = True
-    return bool(absorbs.all())
+    reached = np.zeros(chain.n_states, dtype=bool)
+    order = breadth_first_order(chain.transitions.T.tocsr(), end, return_predecessors=False)
+    reached[order] = True
+    return reached
+
+
+def chain_absorbs(chain):
+    """True iff every state of ``chain`` reaches the empty or the full state."""
+    return bool((states_reaching(chain, 0) | states_reaching(chain, chain.n_states - 1)).all())

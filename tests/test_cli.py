@@ -366,6 +366,11 @@ def test_oracle_answers_where_the_chain_absorbs_without_strong_connectivity(caps
     transient = np.arange(1, 7)
     h = np.linalg.solve(np.eye(6) - p[np.ix_(transient, transient)], p[transient, 7])
     assert json.loads(out)["fixation"] == pytest.approx(h[0], abs=1e-12)
+    # {0, 1} is the source component: all mutant, extinction cannot happen
+    argv[3] = "[0, 1]"
+    code, out = run_cli(capsys, ["oracle", *argv])
+    assert code == 0
+    assert json.loads(out)["mean_extinction_time"] is None
 
 
 def test_oracle_neutral_rejects_fitness(capsys, two_cycle_file):

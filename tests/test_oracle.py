@@ -22,7 +22,7 @@ from fixlab import (
 from fixlab import oracle
 from fixlab.oracle import MAX_ITERATIONS, RESIDUAL_TOL, RTOL
 
-from .loop_chain import chain_absorbs, loop_transitions
+from .loop_chain import chain_absorbs, loop_transitions, states_reaching
 from .util import (
     complete_graph,
     cycle_graph,
@@ -288,7 +288,38 @@ def test_graph_level_absorption_matches_the_chain_search(rule, r):
         if 1e-6 < h_fix < 1 - 1e-6:
             blended = h_fix * times.fixation + (1.0 - h_fix) * times.extinction
             assert blended == pytest.approx(times.absorption, rel=1e-8)
+        # an end is possible from a state exactly when the chain reaches it
+        to_empty = states_reaching(chain, 0)
+        to_full = states_reaching(chain, chain.n_states - 1)
+        for s in range(1, chain.n_states - 1):
+            times = mean_times_exact(chain, config_of(s, chain.n))
+            assert (times.extinction_defined, times.fixation_defined) == (
+                to_empty[s], to_full[s])
     assert absorbing and refused
+
+
+def test_extinction_is_undefined_where_mutants_hold_the_source_component():
+    # vertex 2 is a sink fed by vertex 0, so {0, 1} is the source component;
+    # once it is all mutant no resident can come back and extinction has no
+    # mean, though the fixation probability solves to just below 1
+    g = EvolutionaryGraph(3, [(0, 1, 0.5), (0, 2, 0.5), (1, 0, 1.0)])
+    chain = build_chain(g, Rule.DB)
+    assert chain.source == 0b011
+    times = mean_times_exact(chain, [0, 1])
+    assert not times.extinction_defined and np.isnan(times.extinction)
+    assert times.fixation_defined and times.fixation == pytest.approx(3.0)
+    assert mean_times_exact(chain, [0]).extinction_defined
+    assert not mean_times_exact(chain, [2]).fixation_defined
+
+
+def test_chain_with_no_source_component_is_refused_however_built():
+    g = EvolutionaryGraph(2, [(0, 1, 1.0), (1, 0, 1.0)])
+    built = build_chain(g, Rule.BD)
+    assert built.source == 0b11
+    chain = oracle.ChainModel(2, Rule.BD, 1.0, built.transitions, 0)
+    with pytest.raises(ArithmeticError, match="never reach fixation or extinction"):
+        fixation_exact(chain, [0])
+    assert fixation_exact(chain, [0, 1]) == 1.0
 
 
 def test_trivial_configs():
