@@ -40,7 +40,6 @@ from .graphs import (
     reaches_all,
     save_graph,
     stats,
-    validate,
 )
 from .montecarlo import (
     BenchmarkResult,
@@ -92,8 +91,8 @@ __all__ = [
     "__version__",
     # graphs
     "EvolutionaryGraph", "GraphStats", "FeederExperiment", "GENERATOR_KINDS",
-    "validate", "check_config", "is_strongly_connected", "reaches_all",
-    "stats", "generate", "feeder_pair_graph", "load_graph", "save_graph",
+    "check_config", "is_strongly_connected", "reaches_all", "stats",
+    "generate", "feeder_pair_graph", "load_graph", "save_graph",
     # dynamics
     "Rule", "NEUTRAL_RULES", "BIASED_RULES", "parse_rule", "resolve_rule",
     "neutral_part", "init_vector", "kernel_matrix",

@@ -276,16 +276,15 @@ def stack_depth(nnz):
     return max(1, min(_STACK_ROWS, _STACK_ENTRIES // nnz))
 
 
-def blocks(graph, rule, values, steps=None):
+def blocks(graph, rule, values, steps):
     """The kernel engine: yield the steps from ``values`` a block at a time.
 
     Each block is a fresh ``(rows, n)`` float64 array of
     ``block_height(n)`` rows; row k holds the vector one step after row
     k - 1, and the first row of the first block is one step after
-    ``values``. With ``steps`` given the blocks hold exactly that many
-    rows in all (the last one is cut short), else they never end.
-    Callers take their per-step statistics once per block, with
-    axis-1 ufunc reductions, and stop the loop.
+    ``values``. The blocks hold exactly ``steps`` rows in all (the last
+    one is cut short). Callers take their per-step statistics once per
+    block, with axis-1 ufunc reductions, and may stop the loop early.
 
     The kernel is looked up once and ``values`` is checked once: it must
     be a vector of length ``graph.n`` (anything numpy converts to one,
@@ -322,7 +321,7 @@ def _stream(graph, rule, values, steps):
     yield from blocks(graph, rule, values, steps)
 
 
-def engine_blocks(kernel, values, steps=None):
+def engine_blocks(kernel, values, steps):
     """``blocks`` of an ``EngineKernel``, with columns in its vertex order.
 
     ``values`` is in vertex order. A statistic that does not depend on
@@ -352,8 +351,7 @@ def engine_blocks(kernel, values, steps=None):
     # the kernel does no bounds checking, so this guard keeps it in bounds
     if values.shape != (n,):
         raise ValueError(f"vector of shape {values.shape} != population size ({n},)")
-    if steps is not None:
-        steps = step_count(steps)
+    left = step_count(steps)
     values = values.take(kernel.order)
     # scipy.sparse is imported on first use, as in kernel_matrix
     from scipy.sparse import _sparsetools
@@ -362,7 +360,6 @@ def engine_blocks(kernel, values, steps=None):
     # called with n rows, the kernel runs the first copy
     (indptr, indices, data), depth = kernel.stacked, kernel.depth
     height = block_height(n)
-    left = math.inf if steps is None else steps
     first, clip = True, False
     while left > 0:
         block = np.zeros((min(height, left), n))

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import gc
 import json
-import math
 import numbers
 import operator
 from dataclasses import dataclass
@@ -23,58 +22,8 @@ ROW_SUM_TOL = 1e-9
 
 GENERATOR_KINDS = ("preferential_attachment", "erdos_renyi", "small_world")
 
-
-def validate(n, edges):
-    """Check raw edge data against the model constraints.
-
-    Parameters
-    ----------
-    n : int
-        Number of vertices; ids must lie in 0..n-1.
-    edges : iterable of (int, int, float)
-        Directed edges (source, target, weight).
-
-    Returns
-    -------
-    list of str
-        Human-readable violations, edge by edge in input order and then
-        row sums by vertex; empty means the data is valid.
-
-    The values are compared as given, not coerced. ``EvolutionaryGraph``
-    makes the same checks as arrays on the edges it has coerced, and
-    refuses a graph with the message this list gives for those edges.
-    """
-    problems = []
-    if n < 1:
-        problems.append(f"population size must be at least 1, got {n}")
-        return problems
-    seen = set()
-    row_sums = {}
-    for src, dst, w in edges:
-        if not (0 <= src < n) or not (0 <= dst < n):
-            problems.append(f"edge ({src},{dst}) uses a vertex id outside 0..{n - 1}")
-            continue
-        if src == dst:
-            problems.append(f"vertex {src} has a self-loop")
-            continue
-        if not math.isfinite(w):
-            problems.append(f"edge ({src},{dst}) has non-finite weight {w}")
-            continue
-        if w <= 0:
-            problems.append(f"edge ({src},{dst}) has non-positive weight {w}")
-            continue
-        if (src, dst) in seen:
-            problems.append(f"edge ({src},{dst}) appears more than once")
-            continue
-        seen.add((src, dst))
-        row_sums[src] = row_sums.get(src, 0.0) + w
-    for src in sorted(row_sums):
-        total = row_sums[src]
-        if abs(total - 1.0) > ROW_SUM_TOL:
-            problems.append(
-                f"outgoing weights of vertex {src} sum to {total:.12g}, expected 1"
-            )
-    return problems
+# derived seeds a generator draws before it refuses
+RETRIES = 100
 
 
 def _columns(edges):
@@ -107,9 +56,8 @@ def _ids(ids):
 
 
 def _checked(n, s, d, w):
-    """``validate``'s list for the columns ``s, d, w`` (see ``_columns``),
-    their arrays, and the order that sorts the accepted edges by
-    (source, target).
+    """The problems of the columns ``s, d, w`` (see ``_columns``), their
+    arrays, and the order that sorts the accepted edges by (source, target).
 
     Each edge is charged with its first failed check, in the order
     range, self-loop, finite, positive, duplicate; a duplicate is a
@@ -163,7 +111,9 @@ class EvolutionaryGraph:
 
     Rows are renormalized exactly on ingest when they are within
     ``ROW_SUM_TOL`` of one; anything farther off is rejected. The
-    weights as given are kept in ``given_w`` (in edge order) and are
+    constructor is the one validator: its ``ValueError`` lists every
+    problem, edge by edge in input order and then row sums by vertex.
+    The weights as given are kept in ``given_w`` (in edge order) and are
     what ``to_json`` writes, so a saved graph reads back with bit-equal
     weights. Both adjacency directions are stored in CSR-style arrays
     so kernels and samplers can slice neighborhoods without building
@@ -236,8 +186,9 @@ class EvolutionaryGraph:
         return self.in_src[lo:hi], self.in_w[lo:hi]
 
     def to_json(self):
-        weights = self.given_w.tolist()
-        return {"n": self.n, "edges": [[s, d, w] for (s, d, _), w in zip(self.edges, weights)]}
+        src = np.repeat(np.arange(self.n), self.k_out).tolist()
+        edges = zip(src, self.out_dst.tolist(), self.given_w.tolist())
+        return {"n": self.n, "edges": [list(e) for e in edges]}
 
     def __repr__(self):
         return f"EvolutionaryGraph(n={self.n}, edges={len(self.out_dst)})"
@@ -254,7 +205,7 @@ def vertex_id(v, what="vertex id"):
 
 
 def step_count(steps, what="steps", least=0):
-    """A count (of steps, runs, retries) as an int of at least ``least``.
+    """A count (of steps or runs) as an int of at least ``least``.
 
     Anything else is a ``ValueError`` naming ``what``. Bools and
     non-integers are refused, not truncated, as ``vertex_id`` refuses
@@ -404,7 +355,7 @@ def _assign_weights(n, undirected_edges, weighting, rng):
     return edges
 
 
-def generate(kind, n, *, seed, weighting="random", m=1, p=0.5, k=2, retries=100):
+def generate(kind, n, *, seed, weighting="random", m=1, p=0.5, k=2):
     """Build a strongly connected directed graph from an undirected growth model.
 
     Parameters
@@ -427,12 +378,11 @@ def generate(kind, n, *, seed, weighting="random", m=1, p=0.5, k=2, retries=100)
     Every undirected edge of the growth model becomes two directed
     edges, so connectivity of the grown graph gives strong
     connectivity of the result. Disconnected draws are retried with
-    derived seeds up to ``retries`` times, then refused (``ValueError``).
-    Counts and the seed are integers, and ``retries`` is at least 1;
-    anything else is refused, not truncated, before any draw.
+    derived seeds up to ``RETRIES`` times, then refused (``ValueError``).
+    Counts and the seed are integers; anything else is refused, not
+    truncated, before any draw.
     """
     n, seed = vertex_id(n, "n"), vertex_id(seed, "seed")
-    retries = step_count(retries, "retries", least=1)
     if n < 2:
         raise ValueError(f"need at least 2 vertices, got {n}")
     if kind == "preferential_attachment":
@@ -455,7 +405,7 @@ def generate(kind, n, *, seed, weighting="random", m=1, p=0.5, k=2, retries=100)
     # it, and it is a third of the modules a bare ``import fixlab`` loads
     import networkx as nx
 
-    for attempt in range(retries):
+    for attempt in range(RETRIES):
         grow_seed = _derived_seed(seed, attempt)
         if kind == "preferential_attachment":
             g = nx.barabasi_albert_graph(n, m, seed=grow_seed)
@@ -470,7 +420,7 @@ def generate(kind, n, *, seed, weighting="random", m=1, p=0.5, k=2, retries=100)
             edges = _assign_weights(n, sorted(g.edges()), weighting, rng)
             return EvolutionaryGraph(n, edges)
     raise ValueError(
-        f"{kind} generator produced no connected graph in {retries} attempts "
+        f"{kind} generator produced no connected graph in {RETRIES} attempts "
         f"(n={n}, m={m}, p={p}, k={k})"
     )
 
@@ -484,7 +434,7 @@ class FeederExperiment:
     target_resident: int
 
 
-def feeder_pair_graph(core_n, *, seed, p=0.5, relation="equal", retries=100):
+def feeder_pair_graph(core_n, *, seed, p=0.5, relation="equal"):
     """Random core plus two one-way feeder vertices.
 
     Builds an undirected unweighted Erdős–Rényi core of ``core_n``
@@ -498,10 +448,9 @@ def feeder_pair_graph(core_n, *, seed, p=0.5, relation="equal", retries=100):
     targets: ``equal``, ``mutant_lower``, or ``mutant_higher``.
     """
     core_n, seed = vertex_id(core_n, "core_n"), vertex_id(seed, "seed")
-    retries = step_count(retries, "retries", least=1)
     if core_n < 3:
         raise ValueError("core needs at least 3 vertices")
-    for attempt in range(retries):
+    for attempt in range(RETRIES):
         core = generate(
             "erdos_renyi", core_n,
             seed=_derived_seed(seed, 7, attempt), weighting="unweighted", p=p,
@@ -536,7 +485,7 @@ def feeder_pair_graph(core_n, *, seed, p=0.5, relation="equal", retries=100):
             feeder_mutant=fm, feeder_resident=fr,
             target_mutant=t_mut, target_resident=t_res,
         )
-    raise ValueError(f"no attachment pair with relation {relation!r} in {retries} attempts")
+    raise ValueError(f"no attachment pair with relation {relation!r} in {RETRIES} attempts")
 
 
 def load_graph(path):

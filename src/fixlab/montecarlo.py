@@ -38,6 +38,7 @@ from .dynamics import (
     Rule, _stream, check_neighbours, init_vector, neutral_part, resolve_rule, std, step_count,
 )
 from .graphs import check_config, vertex_id
+from .mttf import STOP_STDEV
 from .solver import _starting_set
 
 # a run's draws come in chunks that start at _FIRST_CHUNK variates and
@@ -446,9 +447,7 @@ class BenchmarkResult:
 
 
 def speedup_benchmark(
-    graph, config, rule=Rule.BD, r=1.0,
-    mc_runs=2000, seed=0,
-    max_iters=10_000_000, fallback_stdev=2.5e-6,
+    graph, config, rule=Rule.BD, r=1.0, mc_runs=2000, seed=0, max_iters=10_000_000,
 ):
     """Wall-clock comparison: simulation versus iteration to the same error.
 
@@ -457,14 +456,11 @@ def speedup_benchmark(
     error of the simulated frequency. If the band is never entered
     (possible when the frequency is off by more than one error bar),
     iteration stops once the vector standard deviation reaches
-    ``fallback_stdev`` and ``entered_band`` is False.
+    ``STOP_STDEV``, the mttf stopping threshold, and ``entered_band`` is
+    False.
     """
     rule = resolve_rule(rule, r)
     max_iters = step_count(max_iters, "max_iters")
-    if not (math.isfinite(fallback_stdev) and fallback_stdev >= 0):
-        raise ValueError(
-            f"fallback stdev threshold must be at least 0 and finite, got {fallback_stdev}"
-        )
     members = _starting_set(graph, config, "speedup benchmark")
     if not (0 < len(members) < graph.n):
         raise ValueError("benchmark needs a nonempty proper starting set")
@@ -478,7 +474,7 @@ def speedup_benchmark(
         band = (summary.std_error > 0) & (
             np.abs(avgs - summary.fixation_frequency) <= summary.std_error)
         # the row at the max_iters cap, the stream's last, ends the loop unchecked
-        stop = np.flatnonzero((band | (std(block) <= fallback_stdev))[:max_iters - start])
+        stop = np.flatnonzero((band | (std(block) <= STOP_STDEV))[:max_iters - start])
         if len(stop):
             break
         start += len(block)

@@ -57,6 +57,10 @@ def _starting_set(graph, config, what):
 
 CRITERIA = ("range", "stdev")
 
+# steps without a new low of the statistic after which a solve stops, stalled
+# at the floating-point floor
+STALL_WINDOW = 1000
+
 
 @dataclass(frozen=True)
 class SolveOptions:
@@ -65,7 +69,6 @@ class SolveOptions:
     criterion: str = "range"
     max_iters: int = 10_000_000
     record_trajectory: bool = False
-    stall_window: int = 1000
 
     def __post_init__(self):
         object.__setattr__(self, "rule", resolve_rule(self.rule, kernel=True))
@@ -76,8 +79,7 @@ class SolveOptions:
             )
         if self.criterion not in CRITERIA:
             raise ValueError(f"criterion must be one of {CRITERIA}")
-        for name in ("max_iters", "stall_window"):
-            object.__setattr__(self, name, step_count(getattr(self, name), name, least=1))
+        object.__setattr__(self, "max_iters", step_count(self.max_iters, "max_iters", least=1))
 
 
 def write_csv(target, header, rows):
@@ -186,14 +188,14 @@ def solve(graph, config, options=SolveOptions()):
     statistic (half range, or standard deviation for the ``stdev``
     criterion) drops to ``options.epsilon``. Hitting the
     iteration cap, or the statistic stalling at the floating-point
-    floor, reports ``converged=False`` with the bracket reached.
+    floor (no new low in ``STALL_WINDOW`` steps), reports
+    ``converged=False`` with the bracket reached.
     """
     members = _starting_set(graph, config, "fixation probability")
     values = init_vector(graph, members)
     parts = [_row_stats(values[None])] if options.record_trajectory else None
     tau = _criterion_stats(values[None], options.criterion)[0]
-    best = tau
-    since_best = 0
+    best, since_best, window = tau, 0, STALL_WINDOW
     iters = 0
     converged = tau <= options.epsilon
     steps, rank = (), None
@@ -216,7 +218,7 @@ def solve(graph, config, options=SolveOptions()):
                 since_best = 0
             else:
                 since_best += 1
-                if since_best >= options.stall_window:
+                if since_best >= window:
                     stop = True  # statistic stopped improving; at the float floor
                     break
         if parts is not None:

@@ -50,8 +50,9 @@ def _stat(values, criterion):
     return float(values.std())
 
 
-def solve(graph, config, options=SolveOptions()):
-    """``fixlab.solve`` on a proper subset of a strongly connected graph."""
+def solve(graph, config, options=SolveOptions(), stall_window=1000):
+    """``fixlab.solve`` on a proper subset of a strongly connected graph,
+    with ``fixlab.solver.STALL_WINDOW`` at ``stall_window``."""
     values = init_vector(graph, config)
     rows = [_row(0, values)]
     tau = _stat(values, options.criterion)
@@ -68,7 +69,7 @@ def solve(graph, config, options=SolveOptions()):
             best, since_best = tau, 0
         else:
             since_best += 1
-            if since_best >= options.stall_window:
+            if since_best >= stall_window:
                 converged = False
                 break
     if options.criterion == "range":

@@ -1,5 +1,6 @@
 """The public surface, and one answer from every entry point to a bad rule or fitness."""
 
+import dataclasses
 import json
 import re
 
@@ -12,6 +13,7 @@ from fixlab import (
     bound_report,
     build_chain,
     estimate,
+    feeder_pair_graph,
     fixation_exact,
     generate,
     mean_times_exact,
@@ -46,13 +48,38 @@ def test_public_names_resolve():
 
 @pytest.mark.parametrize("name", [
     "ProbabilityVector", "step", "bracket", "mttf_exact", "iterate", "expected_mutants",
+    "validate",
 ])
 def test_removed_names_stay_gone(name):
     # init_vector gives the array, step_values steps it, report.bracket()
     # gives the bracket, mean_times_exact(build_chain(...)) the exact times,
-    # the rows of blocks(...) the steps and np.sum(values) the mutant count
+    # the rows of blocks(...) the steps, np.sum(values) the mutant count and
+    # the ValueError of EvolutionaryGraph(n, edges) the problems of a graph
     assert not hasattr(fixlab, name)
     assert name not in fixlab.__all__
+
+
+# each call passes an option that is now a module constant, or leaves out
+# the step count the engine requires
+REMOVED_OPTIONS = {
+    "SolveOptions stall_window": lambda: SolveOptions(stall_window=20),
+    "speedup_benchmark fallback_stdev":
+        lambda: speedup_benchmark(complete_graph(4), [0], mc_runs=4, fallback_stdev=1e-3),
+    "generate retries": lambda: generate("erdos_renyi", 8, seed=1, retries=3),
+    "feeder_pair_graph retries": lambda: feeder_pair_graph(5, seed=1, retries=3),
+    "blocks without steps": lambda: blocks(complete_graph(4), "bd", np.eye(4)[0]),
+}
+
+
+@pytest.mark.parametrize("name", list(REMOVED_OPTIONS))
+def test_removed_options_are_refused(name):
+    with pytest.raises(TypeError):
+        REMOVED_OPTIONS[name]()
+
+
+def test_solve_options_have_five_fields():
+    assert [f.name for f in dataclasses.fields(SolveOptions)] == [
+        "rule", "epsilon", "criterion", "max_iters", "record_trajectory"]
 
 
 GRAPH = complete_graph(4)
@@ -162,7 +189,6 @@ def test_negative_state_ids_are_refused_by_name():
 # answer is made comparable with ==
 COUNT_TAKERS = {
     "SolveOptions max_iters": ("max_iters", lambda c: SolveOptions(max_iters=c)),
-    "SolveOptions stall_window": ("stall_window", lambda c: SolveOptions(stall_window=c)),
     "trajectory": ("steps", lambda c: trajectory(ER6, [0], steps=c).to_csv_text()),
     "mttf_lower_bound": ("max_iters", lambda c: mttf_lower_bound(ER6, [0], max_iters=c)),
     "speedup_benchmark": (
@@ -186,8 +212,3 @@ def test_numpy_integer_step_counts_give_the_int_answer(name):
     _, call = COUNT_TAKERS[name]
     assert call(np.int64(3)) == call(3)
 
-
-@pytest.mark.parametrize("window", [0, -3])
-def test_stall_window_below_one_is_refused(window):
-    with pytest.raises(ValueError, match=f"^stall_window must be at least 1, got {window}$"):
-        SolveOptions(stall_window=window)

@@ -82,7 +82,7 @@ def test_iterate_refuses_anything_but_a_vector_of_length_n(rule, shape):
     buf = np.full(8, np.nan)
     values = buf[:shape[0]] if len(shape) == 1 else np.zeros(shape)
     with pytest.raises(ValueError, match=r"population size \(6,\)"):
-        next(blocks(g, rule, values))
+        next(blocks(g, rule, values, 1))
     with pytest.raises(ValueError, match=r"population size \(6,\)"):
         step_values(g, rule, values)
 
@@ -101,7 +101,7 @@ def test_iterate_never_writes_the_callers_vector(rule):
     # the guard copies a strided vector but reads a contiguous one in place
     for values in (np.linspace(0.0, 1.0, 6), np.linspace(0.0, 1.0, 12)[::2]):
         before = values.copy()
-        seen = next(blocks(g, rule, values))
+        seen = next(blocks(g, rule, values, 1))
         assert values.tobytes() == before.tobytes()
         assert not np.shares_memory(seen, values)
 

@@ -20,22 +20,34 @@ from fixlab import (
     reaches_all,
     save_graph,
     stats,
-    validate,
 )
 from fixlab import graphs as graphs_mod
 
+from . import loop_ingest
 from .util import path3, random_digraph, two_cycle, undirected_graph
 
 
 # ------------------------------------------------------------- validation
 
 
+def refusal(n, edges):
+    """The constructor's message for a graph it refuses: the problems of the
+    reference loop, joined."""
+    with pytest.raises(ValueError) as refused:
+        EvolutionaryGraph(n, edges)
+    message = str(refused.value)
+    assert message == "invalid graph: " + "; ".join(loop_ingest.validate(n, edges))
+    return message
+
+
 def test_validate_accepts_clean_input():
-    assert validate(2, [(0, 1, 1.0), (1, 0, 1.0)]) == []
+    edges = [(0, 1, 1.0), (1, 0, 1.0)]
+    assert loop_ingest.validate(2, edges) == []
+    assert EvolutionaryGraph(2, edges).n == 2
 
 
 def test_validate_flags_each_violation():
-    problems = validate(3, [
+    text = refusal(3, [
         (0, 3, 1.0),       # id out of range
         (1, 1, 1.0),       # self-loop
         (0, 1, -2.0),      # non-positive weight
@@ -43,7 +55,6 @@ def test_validate_flags_each_violation():
         (2, 0, 0.3),       # duplicate
         (1, 0, 0.4),       # row sum off
     ])
-    text = "; ".join(problems)
     assert "outside 0..2" in text
     assert "self-loop" in text
     assert "non-positive weight" in text
@@ -52,7 +63,7 @@ def test_validate_flags_each_violation():
 
 
 def test_validate_rejects_empty_population():
-    assert validate(0, []) != []
+    assert refusal(0, []) == "invalid graph: population size must be at least 1, got 0"
 
 
 def test_constructor_raises_on_bad_rows():
@@ -164,7 +175,7 @@ def test_check_config_refuses_to_truncate_ids():
 
 def test_non_finite_weights_are_rejected():
     for w in (math.nan, math.inf):
-        assert any("non-finite weight" in p for p in validate(2, [(0, 1, w), (1, 0, 1.0)]))
+        assert "non-finite weight" in refusal(2, [(0, 1, w), (1, 0, 1.0)])
 
 
 @pytest.mark.parametrize("edge, fragment", [
@@ -421,11 +432,9 @@ NON_INTEGER_GENERATOR_ARGUMENTS = {
     "n": lambda: generate("erdos_renyi", 2.5, seed=1),
     "m": lambda: generate("preferential_attachment", 8, seed=1, m=2.5),
     "k": lambda: generate("small_world", 8, seed=1, k=2.5),
-    "retries": lambda: generate("erdos_renyi", 8, seed=1, retries=2.5),
     "seed": lambda: generate("erdos_renyi", 8, seed=1.5),
     "core_n": lambda: feeder_pair_graph(5.5, seed=1),
     "feeder seed": lambda: feeder_pair_graph(5, seed=True),
-    "feeder retries": lambda: feeder_pair_graph(5, seed=1, retries=2.5),
 }
 
 
@@ -435,25 +444,10 @@ def test_generator_counts_and_seeds_are_refused_not_truncated(name):
         NON_INTEGER_GENERATOR_ARGUMENTS[name]()
 
 
-@pytest.mark.parametrize("retries", [0, -3, np.int64(0)])
-@pytest.mark.parametrize("build", [
-    lambda retries: generate("erdos_renyi", 8, seed=1, retries=retries),
-    lambda retries: feeder_pair_graph(6, seed=1, retries=retries),
-], ids=["generate", "feeder"])
-def test_retries_below_one_are_refused_by_name(build, retries):
-    # refused before any draw, not reported as a search that found nothing
-    with pytest.raises(ValueError, match=f"^retries must be at least 1, got {retries}$"):
-        build(retries)
-
-
-def test_one_retry_is_taken():
-    assert generate("erdos_renyi", 8, seed=1, p=1.0, retries=1).n == 8
-
-
 def test_generate_reports_impossible_draws():
     # p = 0 passes validation but can never connect; retries must surface
-    with pytest.raises(ValueError, match="no connected graph"):
-        generate("erdos_renyi", 6, seed=0, p=0.0, retries=3)
+    with pytest.raises(ValueError, match="no connected graph in 100 attempts"):
+        generate("erdos_renyi", 6, seed=0, p=0.0)
 
 
 def test_generate_small_world_params():
@@ -491,8 +485,8 @@ def test_feeder_pair_graph_relations(relation, cmp):
 
 def test_feeder_pair_graph_reports_an_impossible_relation():
     # a complete core has no two attachment targets of different degree
-    with pytest.raises(ValueError, match="no attachment pair"):
-        feeder_pair_graph(5, seed=0, p=1.0, relation="mutant_lower", retries=2)
+    with pytest.raises(ValueError, match="no attachment pair .* in 100 attempts"):
+        feeder_pair_graph(5, seed=0, p=1.0, relation="mutant_lower")
 
 
 # ------------------------------------------------------------- files

@@ -32,6 +32,8 @@ from fixlab import (
     speedup_benchmark,
     trajectory,
 )
+from fixlab import mttf as mttf_mod
+from fixlab import solver as solver_mod
 from fixlab.cli import main
 from fixlab.dynamics import block_height, blocks, engine_kernel, stack_depth, step_values
 
@@ -66,30 +68,33 @@ def assert_same_mttf(got, want):
 
 
 def _solve_cases(n):
+    """Pairs of options and the stall window to solve them with."""
+    window = solver_mod.STALL_WINDOW
     cases = [
-        SolveOptions(epsilon=1e-9, record_trajectory=True),
-        SolveOptions(epsilon=1e-9, criterion="stdev", record_trajectory=True),
-        SolveOptions(epsilon=1e-12, max_iters=5, record_trajectory=True),
-        SolveOptions(epsilon=1e-12, criterion="stdev", max_iters=5),
+        (SolveOptions(epsilon=1e-9, record_trajectory=True), window),
+        (SolveOptions(epsilon=1e-9, criterion="stdev", record_trajectory=True), window),
+        (SolveOptions(epsilon=1e-12, max_iters=5, record_trajectory=True), window),
+        (SolveOptions(epsilon=1e-12, criterion="stdev", max_iters=5), window),
     ]
     if 5 <= n <= 14:  # small enough to reach the float floor quickly
         cases += [
-            SolveOptions(epsilon=1e-300, stall_window=20),
-            SolveOptions(epsilon=1e-300, criterion="stdev", stall_window=20),
+            (SolveOptions(epsilon=1e-300), 20),
+            (SolveOptions(epsilon=1e-300, criterion="stdev"), 20),
         ]
     return cases
 
 
 @pytest.mark.parametrize("rule", NEUTRAL_RULES)
 @pytest.mark.parametrize("n", SIZES)
-def test_solve_matches_the_reference_loop(rule, n):
+def test_solve_matches_the_reference_loop(monkeypatch, rule, n):
     g = random_digraph(n, n)
     config = _config(g, n)
     outcomes = set()
-    for opts in _solve_cases(n):
+    for opts, window in _solve_cases(n):
+        monkeypatch.setattr(solver_mod, "STALL_WINDOW", window)
         opts = replace(opts, rule=rule)
         got = solve(g, config, opts)
-        assert_same_report(got, ref.solve(g, config, opts))
+        assert_same_report(got, ref.solve(g, config, opts, window))
         outcomes.add((got.converged, got.iterations == opts.max_iters))
     # the cases cover converged, capped and (where run) stalled solves
     assert (True, False) in outcomes and (False, True) in outcomes
@@ -256,14 +261,24 @@ def _since_best(taus):
     return out
 
 
-def _assert_stops_at(g, config, rule, criterion, rows, iters=1000):
+def _assert_same_stops(monkeypatch, g, config, cases):
+    """Each case ``(iterations, converged, options, stall window)`` is the
+    reference's stop and report."""
+    for target, converged, opts, window in cases:
+        monkeypatch.setattr(solver_mod, "STALL_WINDOW", window)
+        want = ref.solve(g, config, opts, window)
+        assert (want.iterations, want.converged) == (target, converged)
+        assert_same_report(solve(g, config, opts), want)
+
+
+def _assert_stops_at(monkeypatch, g, config, rule, criterion, rows, iters=1000):
     """Solves that converge, stall and reach the cap at ``rows`` of a block
     (counted from 1), each the reference's report; ``iters`` steps must
     reach the float floor."""
     b = block_height(g.n)
     run = SolveOptions(rule=rule, criterion=criterion, epsilon=1e-300,
-                       stall_window=10**9, max_iters=iters, record_trajectory=True)
-    taus = _taus(ref.solve(g, config, run).trajectory, criterion)
+                       max_iters=iters, record_trajectory=True)
+    taus = _taus(ref.solve(g, config, run, 10**9).trajectory, criterion)
     # converged: epsilon is the statistic at the target, a new low there
     lows = [t > 0 and tau < min(taus[:t]) for t, tau in enumerate(taus)]
     # stalled: the window is the run of non-improving steps at the target,
@@ -272,24 +287,21 @@ def _assert_stops_at(g, config, rule, criterion, rows, iters=1000):
     highs = [t > 0 and n > max(since[:t]) for t, n in enumerate(since)]
     cases = []
     for target in _boundaries(b, lows, rows):
-        cases.append((target, True, replace(run, epsilon=taus[target])))
+        cases.append((target, True, replace(run, epsilon=taus[target]), 10**9))
     for target in _boundaries(b, highs, rows):
-        cases.append((target, False, replace(run, stall_window=since[target])))
+        cases.append((target, False, run, since[target]))
     for target in rows:
-        cases.append((target, False, replace(run, max_iters=target)))
-    for target, converged, opts in cases:
-        want = ref.solve(g, config, opts)
-        assert (want.iterations, want.converged) == (target, converged)
-        assert_same_report(solve(g, config, opts), want)
+        cases.append((target, False, replace(run, max_iters=target), 10**9))
+    _assert_same_stops(monkeypatch, g, config, cases)
 
 
 @pytest.mark.parametrize("criterion", ["range", "stdev"])
 @pytest.mark.parametrize("rule", NEUTRAL_RULES)
-def test_solve_stops_on_either_side_of_a_block_boundary(rule, criterion):
+def test_solve_stops_on_either_side_of_a_block_boundary(monkeypatch, rule, criterion):
     g = random_digraph(21, 7)
     b = block_height(g.n)
     assert b == 32
-    _assert_stops_at(g, [1, 4], rule, criterion, (1, b - 1, b, b + 1))
+    _assert_stops_at(monkeypatch, g, [1, 4], rule, criterion, (1, b - 1, b, b + 1))
 
 
 @pytest.fixture(scope="module")
@@ -308,10 +320,11 @@ def _chunk_rows(depth):
 
 @pytest.mark.parametrize("criterion", ["range", "stdev"])
 @pytest.mark.parametrize("rule", NEUTRAL_RULES)
-def test_solve_stops_on_either_side_of_a_stacked_chunk(dense34, rule, criterion):
+def test_solve_stops_on_either_side_of_a_stacked_chunk(monkeypatch, dense34, rule, criterion):
     depth = engine_kernel(dense34, rule).depth
     assert depth == 14 and block_height(dense34.n) == 32
-    _assert_stops_at(dense34, [2, 9, 30], rule, criterion, _chunk_rows(depth), iters=2000)
+    _assert_stops_at(monkeypatch, dense34, [2, 9, 30], rule, criterion, _chunk_rows(depth),
+                     iters=2000)
 
 
 @pytest.mark.parametrize("rule", NEUTRAL_RULES)
@@ -345,6 +358,41 @@ def test_mttf_trajectory_and_step_cut_inside_a_block(rule):
     got = step_values(g, rule, values)
     assert got.shape == (g.n,)
     assert got.tobytes() == next(ref.iterate(g, rule, values)).tobytes()
+
+
+def _assert_same_mttf_both_ways(g, config, rule, stop_stdev, max_iters):
+    """The report with its trace and without it, each the reference's."""
+    want = ref.mttf_lower_bound(g, config, rule, stop_stdev, max_iters)
+    got = mttf_lower_bound(g, config, rule=rule, stop_stdev=stop_stdev, max_iters=max_iters,
+                           record=True)
+    assert_same_mttf(got, want)
+    got = mttf_lower_bound(g, config, rule=rule, stop_stdev=stop_stdev, max_iters=max_iters)
+    assert got.trace is None
+    assert got == replace(want, trace=None)
+    return want
+
+
+@pytest.mark.parametrize("fold", [1, 2, 33, 40])
+@pytest.mark.parametrize("rule", NEUTRAL_RULES)
+def test_mttf_folds_the_minima_on_either_side_of_a_fold(monkeypatch, rule, fold):
+    # 32-row blocks and a fold once the minima hold ``fold`` rows: the cuts
+    # fall on, just before and just after the steps where a fold runs
+    g, config = random_digraph(22, 9), [0, 5, 6]
+    b = block_height(g.n)
+    assert b == 32
+    monkeypatch.setattr(mttf_mod, "_FOLD_ROWS", fold)
+    free = _assert_same_mttf_both_ways(g, config, rule, 2.5e-6, 10_000_000)
+    assert not free.truncated and free.iterations > 4 * b
+    for max_iters in (0, 1, 2, b - 1, b, b + 1, 2 * b - 1, 2 * b, 2 * b + 1, 3 * b + 7):
+        _assert_same_mttf_both_ways(g, config, rule, 0.0, max_iters)
+
+
+def test_mttf_folds_at_its_own_row_count():
+    # at 32 rows a block, the minima of steps 0 .. 2^16 fold at step 2^16,
+    # and the cut 63 steps later folds the rest
+    assert mttf_mod._FOLD_ROWS == 1 << 16
+    g = random_digraph(22, 9)
+    _assert_same_mttf_both_ways(g, [0, 5, 6], Rule.DB, 0.0, (1 << 16) + 64)
 
 
 @pytest.mark.parametrize("rule", NEUTRAL_RULES)
@@ -462,7 +510,7 @@ def test_clip_sees_past_one_beside_a_nan():
     assert steps[first - 1][5] == 1.0
 
 
-def test_solve_and_mttf_stop_after_a_redo():
+def test_solve_and_mttf_stop_after_a_redo(monkeypatch):
     g = _climber(closed=True)
     b = block_height(g.n)
     config = range(5)
@@ -470,19 +518,16 @@ def test_solve_and_mttf_stop_after_a_redo():
     first = _passes_one(g, start, 200)[0]
     assert (first - 1) // b >= 1 and (first - 1) % b > 0
     block_end = b * ((first - 1) // b + 1)
-    run = SolveOptions(epsilon=1e-300, stall_window=10**9, max_iters=1000, record_trajectory=True)
-    taus = _taus(ref.solve(g, config, run).trajectory, "range")
+    run = SolveOptions(epsilon=1e-300, max_iters=1000, record_trajectory=True)
+    taus = _taus(ref.solve(g, config, run, 10**9).trajectory, "range")
     # the last new low is the step past 1, which the clip holds at 1
     assert taus[first] < min(taus[:first]) and min(taus[first:]) == taus[first]
-    cases = [(first, True, replace(run, epsilon=taus[first]))]
+    cases = [(first, True, replace(run, epsilon=taus[first]), 10**9)]
     for window in (block_end - first - 1, block_end - first, 2 * b):
-        cases.append((first + window, False, replace(run, stall_window=window)))
+        cases.append((first + window, False, run, window))
     for cut in (first, first + 1, block_end, block_end + 1):
-        cases.append((cut, False, replace(run, max_iters=cut)))
-    for target, converged, opts in cases:
-        want = ref.solve(g, config, opts)
-        assert (want.iterations, want.converged) == (target, converged)
-        assert_same_report(solve(g, config, opts), want)
+        cases.append((cut, False, replace(run, max_iters=cut), 10**9))
+    _assert_same_stops(monkeypatch, g, config, cases)
     for cut in (first, block_end + 1, 300):
         got = mttf_lower_bound(g, config, rule=Rule.BD, stop_stdev=0.0, max_iters=cut, record=True)
         assert got.truncated and got.iterations == cut
@@ -496,7 +541,7 @@ def _in_second_chunk(graph, step):
     return depth + 1 < row < 2 * depth
 
 
-def test_clip_redoes_from_a_row_past_one_in_any_call_of_a_block():
+def test_clip_redoes_from_a_row_past_one_in_any_call_of_a_block(monkeypatch):
     g = _climber(closed=False, seed=203)
     b = block_height(g.n)
     ones = np.array([1.0] * 5 + [0.0, 0.0])
@@ -522,10 +567,11 @@ def test_clip_redoes_from_a_row_past_one_in_any_call_of_a_block():
     config = range(5)
     first = _passes_one(g, init_vector(g, config), 200)[0]
     assert (first - 1) // b == 2 and _in_second_chunk(g, first)
-    run = SolveOptions(epsilon=1e-300, stall_window=10**9, record_trajectory=True)
+    monkeypatch.setattr(solver_mod, "STALL_WINDOW", 10**9)
+    run = SolveOptions(epsilon=1e-300, record_trajectory=True)
     for cut in (first, first + 1, 300):
         opts = replace(run, max_iters=cut)
-        assert_same_report(solve(g, config, opts), ref.solve(g, config, opts))
+        assert_same_report(solve(g, config, opts), ref.solve(g, config, opts, 10**9))
         got = mttf_lower_bound(g, config, rule=Rule.BD, stop_stdev=0.0, max_iters=cut, record=True)
         assert_same_mttf(got, ref.mttf_lower_bound(g, config, Rule.BD, 0.0, cut))
 

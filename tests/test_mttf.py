@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 
 import pytest
 
@@ -8,6 +9,7 @@ from fixlab import (
     Rule,
     SolveOptions,
     build_chain,
+    generate,
     mean_times_exact,
     mttf_lower_bound,
     solve,
@@ -112,3 +114,19 @@ def test_a_start_at_consensus_builds_no_kernel():
     assert (report.fixation, report.iterations) == (1.0, 0)
     assert mttf_lower_bound(g, [0, 1, 2], rule="db") == MttfReport(0.0, 0.0, 1.0, 0, False, 0)
     assert ("kernel", Rule.DB) not in g._ops
+
+
+def test_a_long_bound_holds_flat_memory():
+    # db on a 100-vertex BA graph runs to the cap at a threshold of 0. Kept to
+    # the end, the minima, increments and running sums of a million steps
+    # would take about 50 MB; folded every 2^16 rows they take under 3 MB
+    g = generate("preferential_attachment", 100, seed=1, m=2)
+    mttf_lower_bound(g, [0], rule="db", max_iters=1)  # builds the kernel and loads scipy
+    tracemalloc.start()
+    try:
+        rep = mttf_lower_bound(g, [0], rule="db", stop_stdev=0.0, max_iters=10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.truncated and rep.iterations == 10**6
+    assert peak < 5_000_000
