@@ -21,12 +21,9 @@ from . import __version__, dynamics, graphs, montecarlo, mttf, oracle, solver
 from . import bounds as bounds_mod
 
 _GENERATOR_ALIASES = {
-    "ba": "preferential_attachment",
-    "pa": "preferential_attachment",
-    "er": "erdos_renyi",
-    "gnp": "erdos_renyi",
-    "nws": "small_world",
-    "sw": "small_world",
+    "ba": "preferential_attachment", "pa": "preferential_attachment",
+    "er": "erdos_renyi", "gnp": "erdos_renyi",
+    "nws": "small_world", "sw": "small_world",
 }
 
 _GENERATE_HELP = (
@@ -64,12 +61,12 @@ def _parse_generate_spec(spec, default_seed):
 
 
 def _load_graph(args):
-    if getattr(args, "graph", None) and getattr(args, "generate", None):
+    if args.graph and args.generate:
         raise ValueError("give either --graph or --generate, not both")
-    if getattr(args, "graph", None):
+    if args.graph:
         return graphs.load_graph(args.graph)
-    if getattr(args, "generate", None):
-        return _parse_generate_spec(args.generate, getattr(args, "seed", 0) or 0)
+    if args.generate:
+        return _parse_generate_spec(args.generate, args.seed)
     raise ValueError("a graph is required: --graph FILE or --generate SPEC")
 
 
@@ -93,18 +90,15 @@ _MANIFEST_KEYS = (
 )
 
 
-def _manifest(args, command, parsed_config=None):
+def _manifest(args, config=None):
     """The run's inputs as applied: canonical rule name, sorted config, version."""
-    entry = {"command": command, "version": __version__}
-    for key in _MANIFEST_KEYS:
-        value = getattr(args, key, None)
-        if value is None:
-            continue
-        entry[key] = value
+    entry = {"command": args.command, "version": __version__}
+    entry.update((key, getattr(args, key)) for key in _MANIFEST_KEYS
+                 if getattr(args, key, None) is not None)
     if "rule" in entry:  # the command has accepted it, so it parses
         entry["rule"] = str(dynamics.parse_rule(entry["rule"]))
-    if parsed_config is not None:
-        entry["config"] = sorted(parsed_config)
+    if config is not None:
+        entry["config"] = sorted(config)
     return entry
 
 
@@ -114,7 +108,7 @@ def _manifest(args, command, parsed_config=None):
 def _cmd_generate(args):
     graph = _parse_generate_spec(args.generate, args.seed)
     payload = {
-        "manifest": _manifest(args, "generate"),
+        "manifest": _manifest(args),
         "n": graph.n,
         "edge_count": len(graph.out_dst),
         "strongly_connected": graphs.is_strongly_connected(graph),
@@ -127,19 +121,13 @@ def _cmd_generate(args):
     return payload
 
 
-def _cmd_solve(args):
-    graph = _load_graph(args)
-    config = _parse_config(args.config)
-    options = solver.SolveOptions(
-        rule=args.rule,
-        epsilon=args.epsilon,
-        criterion=args.criterion,
-        record_trajectory=bool(args.out),
-    )
+def _cmd_solve(args, graph, config):
+    options = solver.SolveOptions(rule=args.rule, epsilon=args.epsilon,
+                                  criterion=args.criterion, record_trajectory=bool(args.out))
     report = solver.solve(graph, config, options)
     lo, hi = report.bracket()
     payload = {
-        "manifest": _manifest(args, "solve", config),
+        "manifest": _manifest(args, config),
         "fixation": report.fixation,
         "half_range": report.half_range,
         "iterations": report.iterations,
@@ -152,14 +140,12 @@ def _cmd_solve(args):
     return payload
 
 
-def _cmd_trajectory(args):
-    graph = _load_graph(args)
-    config = _parse_config(args.config)
+def _cmd_trajectory(args, graph, config):
     table = solver.trajectory(graph, config, rule=args.rule, steps=args.steps)
     if args.out:
         table.write_csv(args.out)
         return {
-            "manifest": _manifest(args, "trajectory", config),
+            "manifest": _manifest(args, config),
             "rows": len(table),
             "out": args.out,
             "final_expected_mutants": float(table.ex[-1]),
@@ -167,16 +153,12 @@ def _cmd_trajectory(args):
     return table.to_csv_text()
 
 
-def _cmd_simulate(args):
-    graph = _load_graph(args)
-    config = _parse_config(args.config)
+def _cmd_simulate(args, graph, config):
     step_cap = montecarlo.step_cap_for(graph, args.steps)
-    summary = montecarlo.estimate(
-        graph, config, rule=args.rule, r=args.r,
-        runs=args.runs, seed=args.seed, step_cap=step_cap,
-    )
+    summary = montecarlo.estimate(graph, config, rule=args.rule, r=args.r,
+                                  runs=args.runs, seed=args.seed, step_cap=step_cap)
     # record the applied cap, so the run replays from its own manifest
-    manifest = _manifest(args, "simulate", config)
+    manifest = _manifest(args, config)
     manifest["steps"] = step_cap
     return {
         "manifest": manifest,
@@ -191,20 +173,16 @@ def _cmd_simulate(args):
     }
 
 
-def _cmd_compare(args):
-    graph = _load_graph(args)
-    config = _parse_config(args.config)
-    result = montecarlo.speedup_benchmark(
-        graph, config, rule=args.rule, r=args.r,
-        mc_runs=args.runs, seed=args.seed,
-    )
+def _cmd_compare(args, graph, config):
+    result = montecarlo.speedup_benchmark(graph, config, rule=args.rule, r=args.r,
+                                          mc_runs=args.runs, seed=args.seed)
     header = ("n", "rule", "r", "mc_time", "solver_time", "speedup")
     row = (result.n, result.rule, result.r, result.mc_time, result.solver_time, result.speedup)
     target = args.out or io.StringIO()
     solver.write_csv(target, header, [row])
     if args.out:
         return {
-            "manifest": _manifest(args, "compare", config),
+            "manifest": _manifest(args, config),
             "out": args.out,
             "speedup": result.speedup,
             "mc_estimate": result.mc_estimate,
@@ -214,9 +192,7 @@ def _cmd_compare(args):
     return target.getvalue()
 
 
-def _cmd_oracle(args):
-    graph = _load_graph(args)
-    config = _parse_config(args.config)
+def _cmd_oracle(args, graph, config):
     chain = oracle.build_chain(graph, rule=args.rule, r=args.r)
     fix = oracle.fixation_exact(chain, config)
     times = oracle.mean_times_exact(chain, config)
@@ -230,7 +206,7 @@ def _cmd_oracle(args):
             "residual_bound": oracle.RESIDUAL_TOL,
         }
     return {
-        "manifest": _manifest(args, "oracle", config),
+        "manifest": _manifest(args, config),
         "fixation": fix,
         "mean_fixation_time": times.fixation if times.fixation_defined else None,
         "mean_extinction_time": times.extinction if times.extinction_defined else None,
@@ -239,15 +215,11 @@ def _cmd_oracle(args):
     }
 
 
-def _cmd_mttf(args):
-    graph = _load_graph(args)
-    config = _parse_config(args.config)
-    report = mttf.mttf_lower_bound(
-        graph, config, rule=args.rule,
-        stop_stdev=args.epsilon, record=bool(args.out),
-    )
+def _cmd_mttf(args, graph, config):
+    report = mttf.mttf_lower_bound(graph, config, rule=args.rule,
+                                   stop_stdev=args.epsilon, record=bool(args.out))
     payload = {
-        "manifest": _manifest(args, "mttf", config),
+        "manifest": _manifest(args, config),
         "lower_bound": report.lower_bound,
         "iterations": report.iterations,
         "truncated": report.truncated,
@@ -261,16 +233,12 @@ def _cmd_mttf(args):
     return payload
 
 
-def _cmd_bounds(args):
-    graph = _load_graph(args)
-    config = _parse_config(args.config)
+def _cmd_bounds(args, graph, config):
     if len(config) != 1:
         raise ValueError("bounds take a single-vertex config, e.g. --config [3]")
-    report = bounds_mod.bound_report(
-        graph, config[0], args.r, args.rule, epsilon=args.epsilon
-    )
+    report = bounds_mod.bound_report(graph, config[0], args.r, args.rule, epsilon=args.epsilon)
     return {
-        "manifest": _manifest(args, "bounds", config),
+        "manifest": _manifest(args, config),
         "rule": str(report.rule),
         "r": report.r,
         "lower": report.lower,
@@ -280,12 +248,11 @@ def _cmd_bounds(args):
     }
 
 
-def _cmd_amplifier(args):
-    graph = _load_graph(args)
+def _cmd_amplifier(args, graph, config):
     st = graphs.stats(graph)
     labels = solver.degree_selection_class(graph)
     return {
-        "manifest": _manifest(args, "amplifier"),
+        "manifest": _manifest(args),
         "degree_threshold": 1.0 / st.mean_inverse_degree,
         "degrees": [int(k) for k in graph.k_out],
         "labels": labels,
@@ -295,21 +262,21 @@ def _cmd_amplifier(args):
 # ---------------------------------------------------------------- parser
 
 
-def _add_graph_flags(p):
-    p.add_argument("--graph", help="graph file (JSON or 'i j w' edge list)")
-    p.add_argument("--generate", help=_GENERATE_HELP)
-
-
-def _add_config_flag(p):
-    p.add_argument("--config", help="mutant vertex ids: inline JSON array or a file path")
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="fixlab",
         description="Fixation probabilities and mutant-spread dynamics on directed weighted graphs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the flags every graph-consuming command takes, and --config
+    graph = argparse.ArgumentParser(add_help=False)
+    graph.add_argument("--graph", help="graph file (JSON or 'i j w' edge list)")
+    graph.add_argument("--generate", help=_GENERATE_HELP)
+    graph.add_argument("--seed", type=int, default=0,
+                       help="seed for --generate, and of the runs of simulate and compare")
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", help="mutant vertex ids: inline JSON array or a file path")
+    both = [graph, config]
 
     p = sub.add_parser("generate", help="build a random graph and write it out")
     p.add_argument("--generate", required=True, help=_GENERATE_HELP)
@@ -317,89 +284,75 @@ def build_parser():
     p.add_argument("--out", help="destination graph JSON file (default: inline in stdout JSON)")
     p.set_defaults(func=_cmd_generate)
 
-    p = sub.add_parser("solve", help="fixation probability by kernel iteration")
-    _add_graph_flags(p)
-    _add_config_flag(p)
+    p = sub.add_parser("solve", parents=both, help="fixation probability by kernel iteration")
     p.add_argument("--rule", default="bd", help="neutral kernel: bd, db, or ld")
     p.add_argument("--epsilon", type=float, default=1e-6,
                    help="stopping threshold on the active criterion (default 1e-6)")
     p.add_argument("--criterion", choices=solver.CRITERIA, default="range")
-    p.add_argument("--seed", type=int, default=0, help="seed for --generate")
     p.add_argument("--out", help="also record the convergence trace to this CSV")
     p.set_defaults(func=_cmd_solve)
 
-    p = sub.add_parser("trajectory", help="per-step min/max/avg/stdev/ex table")
-    _add_graph_flags(p)
-    _add_config_flag(p)
+    p = sub.add_parser("trajectory", parents=both, help="per-step min/max/avg/stdev/ex table")
     p.add_argument("--rule", default="bd", help="neutral kernel: bd, db, or ld")
     p.add_argument("--steps", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0, help="seed for --generate")
     p.add_argument("--out", help="CSV destination (default: CSV to stdout)")
     p.set_defaults(func=_cmd_trajectory)
 
-    p = sub.add_parser("simulate", help="Monte Carlo fixation frequency")
-    _add_graph_flags(p)
-    _add_config_flag(p)
+    p = sub.add_parser("simulate", parents=both, help="Monte Carlo fixation frequency")
     p.add_argument("--rule", default="bd",
                    help="bd, db, ld, bd-b, bd-d, db-b, db-d (neutral names need r=1)")
     p.add_argument("--r", type=float, default=1.0, help="mutant fitness (default 1)")
     p.add_argument("--runs", type=int, default=2000)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--steps", type=int, default=None,
                    help="per-run event cap (default 1e6 * n)")
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("compare", help="wall-clock speedup of iteration over simulation")
-    _add_graph_flags(p)
-    _add_config_flag(p)
+    p = sub.add_parser("compare", parents=both,
+                       help="wall-clock speedup of iteration over simulation")
     p.add_argument("--rule", default="bd")
     p.add_argument("--r", type=float, default=1.0)
     p.add_argument("--runs", type=int, default=2000, help="simulation runs (default 2000)")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="benchmark CSV destination (default: CSV to stdout)")
     p.set_defaults(func=_cmd_compare)
 
-    p = sub.add_parser("oracle", help="exact small-graph answers from the full chain")
-    _add_graph_flags(p)
-    _add_config_flag(p)
+    p = sub.add_parser("oracle", parents=both,
+                       help="exact small-graph answers from the full chain")
     p.add_argument("--rule", default="bd")
     p.add_argument("--r", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0, help="seed for --generate")
     p.set_defaults(func=_cmd_oracle)
 
-    p = sub.add_parser("mttf", help="lower bound on the mean time to fixation")
-    _add_graph_flags(p)
-    _add_config_flag(p)
+    p = sub.add_parser("mttf", parents=both, help="lower bound on the mean time to fixation")
     p.add_argument("--rule", default="bd", help="neutral kernel: bd, db, or ld")
     p.add_argument("--epsilon", type=float, default=mttf.STOP_STDEV,
                    help=f"stdev stopping threshold (default {mttf.STOP_STDEV})")
-    p.add_argument("--seed", type=int, default=0, help="seed for --generate")
     p.add_argument("--out", help="accumulation trace CSV destination")
     p.set_defaults(func=_cmd_mttf)
 
-    p = sub.add_parser("bounds", help="lower and upper fixation bounds for one mutant")
-    _add_graph_flags(p)
-    _add_config_flag(p)
+    p = sub.add_parser("bounds", parents=both,
+                       help="lower and upper fixation bounds for one mutant")
     p.add_argument("--rule", default="bd-b", help="bd-b, bd-d, db-b, db-d, or ld")
     p.add_argument("--r", type=float, default=1.0, help="mutant fitness, at least 1")
     p.add_argument("--epsilon", type=float, default=1e-6,
                    help="tolerance of the lower-bound solve")
-    p.add_argument("--seed", type=int, default=0, help="seed for --generate")
     p.set_defaults(func=_cmd_bounds)
 
-    p = sub.add_parser("amplifier", help="classify vertices by the degree threshold")
-    _add_graph_flags(p)
-    p.add_argument("--seed", type=int, default=0, help="seed for --generate")
+    p = sub.add_parser("amplifier", parents=[graph],
+                       help="classify vertices by the degree threshold")
     p.set_defaults(func=_cmd_amplifier)
 
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        payload = args.func(args)
+        if args.command == "generate":
+            payload = _cmd_generate(args)
+        else:
+            # the graph first, so a bad graph is reported before a bad config
+            graph = _load_graph(args)
+            config = _parse_config(args.config) if "config" in args else None
+            payload = args.func(args, graph, config)
     except solver.NotStronglyConnected as exc:
         print(json.dumps({"error": exc.reason, "detail": str(exc)}))
         return 2

@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -548,6 +549,62 @@ def test_unknown_rule(capsys, two_cycle_file):
         "solve", "--graph", two_cycle_file, "--config", "[0]", "--rule", "xx",
     ])
     assert code == 1
+
+
+# option string -> (default, choices, type, required), per subcommand
+GRAPH_FLAGS = {
+    "--graph": (None, None, None, False),
+    "--generate": (None, None, None, False),
+    "--seed": (0, None, int, False),
+}
+CONFIG_FLAG = {"--config": (None, None, None, False)}
+RULE_R = {"--rule": ("bd", None, None, False), "--r": (1.0, None, float, False)}
+OUT = {"--out": (None, None, None, False)}
+FLAGS = {
+    "generate": {"--generate": (None, None, None, True), "--seed": (0, None, int, False), **OUT},
+    "solve": {
+        **GRAPH_FLAGS, **CONFIG_FLAG, **OUT,
+        "--rule": ("bd", None, None, False),
+        "--epsilon": (1e-6, None, float, False),
+        "--criterion": ("range", ("range", "stdev"), None, False),
+    },
+    "trajectory": {
+        **GRAPH_FLAGS, **CONFIG_FLAG, **OUT,
+        "--rule": ("bd", None, None, False),
+        "--steps": (100, None, int, False),
+    },
+    "simulate": {
+        **GRAPH_FLAGS, **CONFIG_FLAG, **RULE_R,
+        "--runs": (2000, None, int, False),
+        "--steps": (None, None, int, False),
+    },
+    "compare": {**GRAPH_FLAGS, **CONFIG_FLAG, **RULE_R, **OUT, "--runs": (2000, None, int, False)},
+    "oracle": {**GRAPH_FLAGS, **CONFIG_FLAG, **RULE_R},
+    "mttf": {
+        **GRAPH_FLAGS, **CONFIG_FLAG, **OUT,
+        "--rule": ("bd", None, None, False),
+        "--epsilon": (2.5e-6, None, float, False),
+    },
+    "bounds": {
+        **GRAPH_FLAGS, **CONFIG_FLAG, **RULE_R,
+        "--rule": ("bd-b", None, None, False),
+        "--epsilon": (1e-6, None, float, False),
+    },
+    "amplifier": GRAPH_FLAGS,
+}
+
+
+def test_every_subcommand_keeps_its_flags():
+    (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(sub.choices) == list(FLAGS)
+    for name, parser in sub.choices.items():
+        flags = {}
+        for action in parser._actions:
+            if isinstance(action, argparse._HelpAction):
+                continue
+            (option,) = action.option_strings
+            flags[option] = (action.default, action.choices, action.type, action.required)
+        assert flags == FLAGS[name], name
 
 
 TWO_CYCLE_EDGES = "[[0, 1, 1.0], [1, 0, 1.0]]"
