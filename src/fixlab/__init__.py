@@ -19,7 +19,6 @@ from .dynamics import (
     BIASED_RULES,
     NEUTRAL_RULES,
     Rule,
-    expected_mutants_step_residual,
     init_vector,
     kernel_matrix,
     neutral_part,
@@ -96,7 +95,7 @@ __all__ = [
     # dynamics
     "Rule", "NEUTRAL_RULES", "BIASED_RULES", "parse_rule", "resolve_rule",
     "neutral_part", "init_vector", "kernel_matrix",
-    "step_values", "expected_mutants_step_residual",
+    "step_values",
     # solver
     "NotStronglyConnected", "CRITERIA", "SolveOptions", "SolveReport",
     "TrajectoryTable", "solve", "trajectory",

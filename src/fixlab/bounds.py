@@ -68,7 +68,9 @@ class BoundReport:
 def bound_report(graph, i, r, rule, epsilon=1e-6):
     """Two-sided enclosure of single-mutant fixation at fitness r.
 
-    Lower side: neutral solve of the rule's family. Upper side: the
+    Lower side: the bottom of the bracket of a neutral solve of the
+    rule's family to ``epsilon / 2``, so ``lower`` never exceeds the
+    neutral value and lies within ``epsilon`` of it. Upper side: the
     per-rule closed form when one exists, else 1 with
     ``formula_available=False`` (link dynamics). ``vacuous_upper``
     marks bounds that only hold because of clamping.
@@ -81,7 +83,8 @@ def bound_report(graph, i, r, rule, epsilon=1e-6):
             f"rule {rule} does not say where fitness acts; pick "
             f"{rule.value}-b or {rule.value}-d (or ld)"
         )
-    lo = solve(graph, [i], SolveOptions(rule=neutral_part(rule), epsilon=epsilon)).fixation
+    options = SolveOptions(rule=neutral_part(rule), epsilon=epsilon / 2)
+    lo = solve(graph, [i], options).bracket()[0]
     if rule in UPPER_BOUND_RULES:
         raw = _raw_upper(graph, i, r, rule)
         hi = float(min(1.0, max(0.0, raw)))

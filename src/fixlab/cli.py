@@ -21,9 +21,12 @@ from . import __version__, dynamics, graphs, montecarlo, mttf, oracle, solver
 from . import bounds as bounds_mod
 
 _GENERATOR_ALIASES = {
-    "ba": "preferential_attachment", "pa": "preferential_attachment",
-    "er": "erdos_renyi", "gnp": "erdos_renyi",
-    "nws": "small_world", "sw": "small_world",
+    "ba": "preferential_attachment",
+    "pa": "preferential_attachment",
+    "er": "erdos_renyi",
+    "gnp": "erdos_renyi",
+    "nws": "small_world",
+    "sw": "small_world",
 }
 
 _GENERATE_HELP = (
@@ -90,11 +93,16 @@ _MANIFEST_KEYS = (
 )
 
 
-def _manifest(args, config=None):
-    """The run's inputs as applied: canonical rule name, sorted config, version."""
+def _manifest(args, config):
+    """The run's inputs as applied: canonical rule name, sorted config, version.
+
+    ``main`` puts it first in every JSON report, once the command has run.
+    """
     entry = {"command": args.command, "version": __version__}
-    entry.update((key, getattr(args, key)) for key in _MANIFEST_KEYS
-                 if getattr(args, key, None) is not None)
+    for key in _MANIFEST_KEYS:
+        value = getattr(args, key, None)
+        if value is not None:
+            entry[key] = value
     if "rule" in entry:  # the command has accepted it, so it parses
         entry["rule"] = str(dynamics.parse_rule(entry["rule"]))
     if config is not None:
@@ -108,7 +116,6 @@ def _manifest(args, config=None):
 def _cmd_generate(args):
     graph = _parse_generate_spec(args.generate, args.seed)
     payload = {
-        "manifest": _manifest(args),
         "n": graph.n,
         "edge_count": len(graph.out_dst),
         "strongly_connected": graphs.is_strongly_connected(graph),
@@ -127,7 +134,6 @@ def _cmd_solve(args, graph, config):
     report = solver.solve(graph, config, options)
     lo, hi = report.bracket()
     payload = {
-        "manifest": _manifest(args, config),
         "fixation": report.fixation,
         "half_range": report.half_range,
         "iterations": report.iterations,
@@ -145,7 +151,6 @@ def _cmd_trajectory(args, graph, config):
     if args.out:
         table.write_csv(args.out)
         return {
-            "manifest": _manifest(args, config),
             "rows": len(table),
             "out": args.out,
             "final_expected_mutants": float(table.ex[-1]),
@@ -154,14 +159,11 @@ def _cmd_trajectory(args, graph, config):
 
 
 def _cmd_simulate(args, graph, config):
-    step_cap = montecarlo.step_cap_for(graph, args.steps)
+    # the manifest records the applied cap, so the run replays from it
+    args.steps = montecarlo.step_cap_for(graph, args.steps)
     summary = montecarlo.estimate(graph, config, rule=args.rule, r=args.r,
-                                  runs=args.runs, seed=args.seed, step_cap=step_cap)
-    # record the applied cap, so the run replays from its own manifest
-    manifest = _manifest(args, config)
-    manifest["steps"] = step_cap
+                                  runs=args.runs, seed=args.seed, step_cap=args.steps)
     return {
-        "manifest": manifest,
         "runs": summary.runs,
         "fixations": summary.fixations,
         "fixation_frequency": summary.fixation_frequency,
@@ -182,7 +184,6 @@ def _cmd_compare(args, graph, config):
     solver.write_csv(target, header, [row])
     if args.out:
         return {
-            "manifest": _manifest(args, config),
             "out": args.out,
             "speedup": result.speedup,
             "mc_estimate": result.mc_estimate,
@@ -206,7 +207,6 @@ def _cmd_oracle(args, graph, config):
             "residual_bound": oracle.RESIDUAL_TOL,
         }
     return {
-        "manifest": _manifest(args, config),
         "fixation": fix,
         "mean_fixation_time": times.fixation if times.fixation_defined else None,
         "mean_extinction_time": times.extinction if times.extinction_defined else None,
@@ -219,7 +219,6 @@ def _cmd_mttf(args, graph, config):
     report = mttf.mttf_lower_bound(graph, config, rule=args.rule,
                                    stop_stdev=args.epsilon, record=bool(args.out))
     payload = {
-        "manifest": _manifest(args, config),
         "lower_bound": report.lower_bound,
         "iterations": report.iterations,
         "truncated": report.truncated,
@@ -238,7 +237,6 @@ def _cmd_bounds(args, graph, config):
         raise ValueError("bounds take a single-vertex config, e.g. --config [3]")
     report = bounds_mod.bound_report(graph, config[0], args.r, args.rule, epsilon=args.epsilon)
     return {
-        "manifest": _manifest(args, config),
         "rule": str(report.rule),
         "r": report.r,
         "lower": report.lower,
@@ -252,7 +250,6 @@ def _cmd_amplifier(args, graph, config):
     st = graphs.stats(graph)
     labels = solver.degree_selection_class(graph)
     return {
-        "manifest": _manifest(args),
         "degree_threshold": 1.0 / st.mean_inverse_degree,
         "degrees": [int(k) for k in graph.k_out],
         "labels": labels,
@@ -282,7 +279,6 @@ def build_parser():
     p.add_argument("--generate", required=True, help=_GENERATE_HELP)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="destination graph JSON file (default: inline in stdout JSON)")
-    p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("solve", parents=both, help="fixation probability by kernel iteration")
     p.add_argument("--rule", default="bd", help="neutral kernel: bd, db, or ld")
@@ -345,13 +341,15 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    config = None
     try:
         if args.command == "generate":
             payload = _cmd_generate(args)
         else:
             # the graph first, so a bad graph is reported before a bad config
             graph = _load_graph(args)
-            config = _parse_config(args.config) if "config" in args else None
+            if "config" in args:
+                config = _parse_config(args.config)
             payload = args.func(args, graph, config)
     except solver.NotStronglyConnected as exc:
         print(json.dumps({"error": exc.reason, "detail": str(exc)}))
@@ -362,7 +360,7 @@ def main(argv=None):
     if isinstance(payload, str):
         sys.stdout.write(payload)
     else:
-        print(json.dumps(payload, indent=2))
+        print(json.dumps({"manifest": _manifest(args, config), **payload}, indent=2))
     return 0
 
 

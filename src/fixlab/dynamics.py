@@ -206,6 +206,10 @@ def engine_kernel(graph, rule):
     key = ("kernel", rule)
     if key in graph._ops:
         return graph._ops[key]
+    # scipy.sparse is imported on first use, by the build and not by the
+    # first step, so that a caller can time its steps apart from the import
+    from scipy.sparse import _sparsetools  # noqa: F401
+
     n = graph.n
     indptr, indices, data = _vertex_kernel(graph, rule)
     # a stable sort's permutation is unique, and numpy sorts the smallest
@@ -236,7 +240,7 @@ def kernel_matrix(graph, rule):
     ``_vertex_kernel``'s arrays as a scipy CSR matrix, once per graph.
     The engine reorders the same build; this one is never remapped.
     """
-    # scipy.sparse is imported here and in engine_blocks, not at module
+    # scipy.sparse is imported here and in engine_kernel, not at module
     # level: ingest, simulation and the closed forms never use it, and it
     # is more than half the modules ``import fixlab`` would load
     from scipy.sparse import csr_matrix
@@ -353,7 +357,7 @@ def engine_blocks(kernel, values, steps):
         raise ValueError(f"vector of shape {values.shape} != population size ({n},)")
     left = step_count(steps)
     values = values.take(kernel.order)
-    # scipy.sparse is imported on first use, as in kernel_matrix
+    # the kernel's build has imported scipy.sparse
     from scipy.sparse import _sparsetools
 
     matvec, minimum, fmax = _sparsetools.csr_matvec, np.minimum, np.fmax
@@ -419,19 +423,3 @@ def std(values):
     np.square(dev, out=dev)
     out = np.sqrt(np.add.reduce(dev, axis=-1) / n)
     return out if values.ndim > 1 else float(out)
-
-
-def expected_mutants_step_residual(graph, prev, nxt):
-    """Consistency residual of the birth-death mutant-count recurrence.
-
-    For one birth-death step, the next expected count must equal
-    Ex + Ex/N - (1/N) * sum_i T_i * P_i evaluated on the previous
-    vector, where T is the vertex temperature. Holds to float rounding
-    (about 1e-12 * N) on any graph where every vertex has at least one
-    outgoing edge; strong connectivity is not needed.
-    """
-    p = np.asarray(prev, dtype=float)
-    q = np.asarray(nxt, dtype=float)
-    ex = float(np.sum(p))
-    predicted = ex + ex / graph.n - float(graph.temperatures @ p) / graph.n
-    return abs(float(np.sum(q)) - predicted)

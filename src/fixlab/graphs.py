@@ -340,17 +340,14 @@ def _assign_weights(n, undirected_edges, weighting, rng):
         neighbor_sets[v].append(u)
     edges = []
     for v in range(n):
+        # a connected draw leaves no vertex without neighbours
         targets = sorted(neighbor_sets[v])
-        if not targets:
-            continue
         if weighting == "unweighted":
             w = np.full(len(targets), 1.0 / len(targets))
-        elif weighting == "random":
+        else:
             # uniform over (0, 1] keeps every weight strictly positive
             w = 1.0 - rng.random(len(targets))
             w /= w.sum()
-        else:
-            raise ValueError(f"unknown weighting {weighting!r}")
         edges.extend((v, t, float(wi)) for t, wi in zip(targets, w))
     return edges
 
@@ -380,7 +377,7 @@ def generate(kind, n, *, seed, weighting="random", m=1, p=0.5, k=2):
     connectivity of the result. Disconnected draws are retried with
     derived seeds up to ``RETRIES`` times, then refused (``ValueError``).
     Counts and the seed are integers; anything else is refused, not
-    truncated, before any draw.
+    truncated, before any draw, as is an unknown ``weighting``.
     """
     n, seed = vertex_id(n, "n"), vertex_id(seed, "seed")
     if n < 2:
@@ -400,6 +397,8 @@ def generate(kind, n, *, seed, weighting="random", m=1, p=0.5, k=2):
             raise ValueError(f"shortcut probability p={p} must lie in [0, 1]")
     else:
         raise ValueError(f"unknown generator kind {kind!r}; choose from {GENERATOR_KINDS}")
+    if weighting not in ("unweighted", "random"):
+        raise ValueError(f"unknown weighting {weighting!r}; choose from ('unweighted', 'random')")
 
     # networkx is imported here, not at module level: nothing else uses
     # it, and it is a third of the modules a bare ``import fixlab`` loads

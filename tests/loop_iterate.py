@@ -6,7 +6,9 @@ statistics of ``solve``, ``trajectory``, ``mttf_lower_bound`` and
 ``speedup_benchmark`` written with the array methods
 (``.min()``/``.max()``/``.mean()``/``.std()``), on the kernel that the
 sparse-arithmetic build of ``tests/loop_kernel.py`` gives. The tests
-require the package to give the same bits.
+require the package to give the same bits. It also keeps the residual of
+the birth-death mutant-count recurrence, which the tests check each step
+against.
 """
 
 from itertools import chain, islice
@@ -135,3 +137,19 @@ def speedup_solver(graph, config, rule, frequency, std_error, max_iters, fallbac
         if float(values.std()) <= fallback_stdev:
             break
     return avg, iters, entered
+
+
+def expected_mutants_step_residual(graph, prev, nxt):
+    """Consistency residual of the birth-death mutant-count recurrence.
+
+    For one birth-death step, the next expected count must equal
+    Ex + Ex/N - (1/N) * sum_i T_i * P_i evaluated on the previous
+    vector, where T is the vertex temperature. Holds to float rounding
+    (about 1e-12 * N) on any graph where every vertex has at least one
+    outgoing edge; strong connectivity is not needed.
+    """
+    p = np.asarray(prev, dtype=float)
+    q = np.asarray(nxt, dtype=float)
+    ex = float(np.sum(p))
+    predicted = ex + ex / graph.n - float(graph.temperatures @ p) / graph.n
+    return abs(float(np.sum(q)) - predicted)

@@ -48,13 +48,14 @@ def test_public_names_resolve():
 
 @pytest.mark.parametrize("name", [
     "ProbabilityVector", "step", "bracket", "mttf_exact", "iterate", "expected_mutants",
-    "validate",
+    "validate", "expected_mutants_step_residual",
 ])
 def test_removed_names_stay_gone(name):
     # init_vector gives the array, step_values steps it, report.bracket()
     # gives the bracket, mean_times_exact(build_chain(...)) the exact times,
     # the rows of blocks(...) the steps, np.sum(values) the mutant count and
-    # the ValueError of EvolutionaryGraph(n, edges) the problems of a graph
+    # the ValueError of EvolutionaryGraph(n, edges) the problems of a graph;
+    # the mutant-count recurrence residual is a test reference in loop_iterate
     assert not hasattr(fixlab, name)
     assert name not in fixlab.__all__
 

@@ -7,6 +7,7 @@ from fixlab import (
     bound_report,
     build_chain,
     fixation_exact,
+    generate,
     neutral_part,
     solve,
     upper_bound_single,
@@ -105,3 +106,16 @@ def test_lower_bound_matches_solve():
     g = random_digraph(13, 6)
     direct = solve(g, [3], SolveOptions(rule=Rule.DB, epsilon=1e-8)).fixation
     assert bound_report(g, 3, 1.0, Rule.DB_B, epsilon=1e-8).lower == pytest.approx(direct)
+
+
+@pytest.mark.parametrize("kind, n, params, epsilon", [
+    ("erdos_renyi", 8, {"seed": 3, "p": 0.5}, 1e-6),  # README's graph
+    ("preferential_attachment", 9, {"seed": 0, "m": 2}, 1e-3),
+])
+def test_lower_bound_never_exceeds_the_neutral_value(kind, n, params, epsilon):
+    # lower is the bottom of a neutral bracket, and min_i (K^t x0)_i <= pi.x0;
+    # the bracket midpoint it once reported lay above the exact value here
+    g = generate(kind, n, **params)
+    exact = fixation_exact(build_chain(g, Rule.BD), [2])
+    lower = bound_report(g, 2, 1.0, Rule.BD_B, epsilon=epsilon).lower
+    assert exact - epsilon <= lower <= exact

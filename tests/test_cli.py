@@ -651,6 +651,20 @@ def test_console_script_entry(two_cycle_file):
     assert json.loads(proc.stdout)["fixation"] == pytest.approx(0.5, abs=1e-5)
 
 
+def test_compare_in_a_fresh_interpreter_times_no_first_use_import():
+    # scipy.sparse loads in the kernel's build, which compare runs before
+    # its timer, so the iteration side times its steps alone; with the
+    # import inside the timer this read a speedup of about 1
+    proc = subprocess.run(
+        [sys.executable, "-m", "fixlab.cli", "compare", "--generate", "er:n=8,p=0.5,seed=3",
+         "--config", "[0]", "--runs", "2000", "--seed", "3"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    header, row = proc.stdout.splitlines()
+    assert float(dict(zip(header.split(","), row.split(",")))["speedup"]) > 10
+
+
 def test_scipy_loads_on_first_kernel_or_chain_build(tmp_path):
     # networkx is imported by the graph generators alone, on first use,
     # and scipy.sparse by the first kernel or chain build; scipy's csgraph

@@ -426,6 +426,12 @@ def test_generate_rejects_bad_parameters():
         generate("preferential_attachment", 3, seed=0, m=5)
 
 
+def test_an_unknown_weighting_is_refused_before_any_draw():
+    # p = 0 never connects, so a check after the draws would report that
+    with pytest.raises(ValueError, match=r"^unknown weighting 'heavy'; choose from"):
+        generate("erdos_renyi", 10, seed=0, p=0, weighting="heavy")
+
+
 # each call with one count or seed that networkx or range would refuse
 # with a TypeError, or that the seed derivation would truncate
 NON_INTEGER_GENERATOR_ARGUMENTS = {
