@@ -7,7 +7,8 @@ given, otherwise to stdout as CSV.
 
 Exit codes: 0 on success, 2 when a computation refuses a graph that is
 not strongly connected (stdout then carries
-``{"error": "not_strongly_connected"}``), 1 for any other input error.
+``{"error": "not_strongly_connected"}``), 1 for any other input error,
+an argument that argparse refuses included.
 """
 
 from __future__ import annotations
@@ -259,8 +260,21 @@ def _cmd_amplifier(args, graph, config):
 # ---------------------------------------------------------------- parser
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ``ArgumentParser`` whose refusals exit 1, as every other bad input
+    does: the usage and the message go to stderr as argparse prints them,
+    and ``{"error": <message>}`` to stdout. Subcommand parsers are made of
+    the same class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        sys.stderr.write(f"{self.prog}: error: {message}\n")
+        print(json.dumps({"error": message}))
+        sys.exit(1)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fixlab",
         description="Fixation probabilities and mutant-spread dynamics on directed weighted graphs.",
     )

@@ -253,16 +253,18 @@ def kernel_matrix(graph, rule):
     return graph._ops[key]
 
 
-# 32 rows spread the per-call costs of a step's statistics without computing
-# many unused rows past a short solve's stop; at large N, where the sparse
-# product is the cost anyway, the cell cap keeps a block within 512 KB
-# (one row when a row alone is larger)
-_BLOCK_ROWS = 32
+# a block pays about 15 numpy and Python calls beside its steps (the zeroed
+# array, row 0's call, the clip check, the caller's statistics); at
+# N <= 150, where a step costs about 1 µs, 256 rows spread them over a short
+# solve's few hundred steps, where 512 computed too many unused rows past
+# its stop. At large N, where the sparse product is the cost anyway, the
+# cell cap keeps a block within 512 KB (one row when a row alone is larger)
+_BLOCK_ROWS = 256
 _BLOCK_CELLS = 1 << 16
 
 
 def block_height(n):
-    """Rows per block of ``blocks`` at population size n: 32, fewer past 2048."""
+    """Rows per block of ``blocks`` at population size n: 256, fewer past 256."""
     return max(1, min(_BLOCK_ROWS, _BLOCK_CELLS // n))
 
 

@@ -279,10 +279,37 @@ def test_every_manifest_records_the_version_and_the_canonical_rule(
 
 @pytest.mark.parametrize("command", ["simulate", "compare"])
 def test_threads_flag_is_refused(capsys, two_cycle_file, command):
+    # exit 1, as any bad input: 2 is kept for a graph that is not strongly connected
     with pytest.raises(SystemExit) as exc:
         main([command, "--graph", two_cycle_file, "--config", "[0]", "--threads", "2"])
-    assert exc.value.code == 2
-    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert "unrecognized arguments: --threads 2" in captured.err
+    assert captured.err.startswith("usage: fixlab")
+    assert json.loads(captured.out) == {"error": "unrecognized arguments: --threads 2"}
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "the following arguments are required: command"),
+    (["generate"], "the following arguments are required: --generate"),
+    (["solve", "--criterion", "mean"], "argument --criterion: invalid choice: 'mean'"),
+    (["trajectory", "--steps", "ten"], "argument --steps: invalid int value: 'ten'"),
+])
+def test_every_argparse_refusal_exits_1_with_a_json_error(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage: fixlab")
+    assert json.loads(captured.out)["error"].startswith(message)
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"]])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: fixlab")
 
 
 def test_solve_gives_the_same_fixation_on_a_generated_graph_and_its_file(capsys, tmp_path):

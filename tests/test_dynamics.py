@@ -19,6 +19,7 @@ from fixlab import (
     parse_rule,
     step_values,
 )
+from fixlab import dynamics
 from fixlab.dynamics import block_height, blocks, std
 
 from . import loop_iterate as ref
@@ -136,22 +137,41 @@ def test_block_row_statistics_are_the_1d_ones(block):
         assert stds[k] == std(row) == float(np.std(row))
 
 
-def test_block_height_is_32_rows_up_to_2_to_the_16_cells():
+def test_block_height_is_256_rows_up_to_2_to_the_16_cells():
+    assert [block_height(n) for n in (1, 7, 256, 257, 2048, 10_000, 65_536, 10**6)] == [
+        256, 256, 256, 255, 32, 6, 1, 1]
+
+
+def test_block_height_is_32_rows_up_to_2_to_the_16_cells(monkeypatch):
+    # the height the block-boundary fixtures of test_kernel_loop.py run at
+    monkeypatch.setattr(dynamics, "_BLOCK_ROWS", 32)
     assert [block_height(n) for n in (1, 7, 2048, 2049, 10_000, 65_536, 10**6)] == [
         32, 32, 32, 31, 6, 1, 1]
 
 
-@pytest.mark.parametrize("rule", RULES)
-def test_blocks_hold_exactly_the_steps_asked_for(rule):
+def _assert_blocks_hold(rule, counts, height):
     g = random_digraph(6, 9)
+    assert block_height(g.n) == height
     values = np.random.default_rng(6).random(9)
-    for steps in (0, 1, 31, 32, 33, 70):
+    for steps in counts:
         got = list(blocks(g, rule, values, steps))
-        assert [len(b) for b in got] == [32] * (steps // 32) + [steps % 32] * (steps % 32 > 0)
+        whole, rest = divmod(steps, height)
+        assert [len(b) for b in got] == [height] * whole + [rest] * (rest > 0)
         want = list(islice(ref.iterate(g, rule, values), steps))
         assert [r.tobytes() for b in got for r in b] == [r.tobytes() for r in want]
     with pytest.raises(ValueError, match="steps must be nonnegative"):
         next(blocks(g, rule, values, -1))
+
+
+@pytest.mark.parametrize("rule", RULES)
+def test_blocks_hold_exactly_the_steps_asked_for(monkeypatch, rule):
+    monkeypatch.setattr(dynamics, "_BLOCK_ROWS", 32)
+    _assert_blocks_hold(rule, (0, 1, 31, 32, 33, 70), 32)
+
+
+@pytest.mark.parametrize("rule", RULES)
+def test_blocks_of_256_rows_hold_exactly_the_steps_asked_for(rule):
+    _assert_blocks_hold(rule, (0, 1, 255, 256, 257, 600), 256)
 
 
 def test_csr_kernel_runs_rows_in_order_on_the_callers_buffers():

@@ -32,6 +32,7 @@ from fixlab import (
     speedup_benchmark,
     trajectory,
 )
+from fixlab import dynamics
 from fixlab import mttf as mttf_mod
 from fixlab import solver as solver_mod
 from fixlab.cli import main
@@ -176,8 +177,10 @@ def test_speedup_benchmark_solver_fields_match_the_reference_loop(rule, n):
     g = random_digraph(n, n)
     config = _config(g, n + 2)
     free = speedup_benchmark(g, config, rule=rule, mc_runs=60, seed=n)
-    # cut at the stopping row itself and on either side of a block boundary
-    for max_iters in (10_000_000, 2, free.solver_iterations, 31, 32, 33):
+    b = block_height(g.n)
+    # cut at the stopping row itself, on either side of a block boundary,
+    # and at 31-33 steps
+    for max_iters in (10_000_000, 2, free.solver_iterations, 31, 32, 33, b - 1, b, b + 1):
         got = speedup_benchmark(g, config, rule=rule, mc_runs=60, seed=n, max_iters=max_iters)
         want = ref.speedup_solver(
             g, config, rule, got.mc_estimate, got.mc_std_error, max_iters, 2.5e-6)
@@ -298,17 +301,31 @@ def _assert_stops_at(monkeypatch, g, config, rule, criterion, rows, iters=1000):
 @pytest.mark.parametrize("criterion", ["range", "stdev"])
 @pytest.mark.parametrize("rule", NEUTRAL_RULES)
 def test_solve_stops_on_either_side_of_a_block_boundary(monkeypatch, rule, criterion):
+    monkeypatch.setattr(dynamics, "_BLOCK_ROWS", 32)
     g = random_digraph(21, 7)
     b = block_height(g.n)
     assert b == 32
     _assert_stops_at(monkeypatch, g, [1, 4], rule, criterion, (1, b - 1, b, b + 1))
 
 
+@pytest.mark.parametrize("criterion", ["range", "stdev"])
+@pytest.mark.parametrize("rule", NEUTRAL_RULES)
+def test_solve_stops_on_either_side_of_a_256_row_block_boundary(monkeypatch, rule, criterion):
+    # the statistics make a new low at every step up to steps 436-780 and
+    # none after, so the converged stops fall in the first block and the
+    # stalled ones at a later block's edge
+    g = random_digraph(5, 12)
+    b = block_height(g.n)
+    assert b == 256
+    _assert_stops_at(monkeypatch, g, [1, 4], rule, criterion, (1, b - 1, b, b + 1),
+                     iters=1500)
+
+
 @pytest.fixture(scope="module")
 def dense34():
-    # 1.1k kernel entries: 14 stacked copies, so a 32-row block runs row 0
-    # alone, then chunks of 14, 14 and 3 rows; the statistics reach the
-    # float floor in 1200-1450 steps
+    # 1.1k kernel entries: 14 stacked copies, so a block cut to 32 rows (the
+    # tests patch the height) runs row 0 alone, then chunks of 14, 14 and 3
+    # rows; the statistics reach the float floor in 1200-1450 steps
     return random_digraph(0, 34, p=0.95)
 
 
@@ -321,6 +338,7 @@ def _chunk_rows(depth):
 @pytest.mark.parametrize("criterion", ["range", "stdev"])
 @pytest.mark.parametrize("rule", NEUTRAL_RULES)
 def test_solve_stops_on_either_side_of_a_stacked_chunk(monkeypatch, dense34, rule, criterion):
+    monkeypatch.setattr(dynamics, "_BLOCK_ROWS", 32)
     depth = engine_kernel(dense34, rule).depth
     assert depth == 14 and block_height(dense34.n) == 32
     _assert_stops_at(monkeypatch, dense34, [2, 9, 30], rule, criterion, _chunk_rows(depth),
@@ -328,7 +346,8 @@ def test_solve_stops_on_either_side_of_a_stacked_chunk(monkeypatch, dense34, rul
 
 
 @pytest.mark.parametrize("rule", NEUTRAL_RULES)
-def test_mttf_and_trajectory_cut_on_either_side_of_a_stacked_chunk(dense34, rule):
+def test_mttf_and_trajectory_cut_on_either_side_of_a_stacked_chunk(monkeypatch, dense34, rule):
+    monkeypatch.setattr(dynamics, "_BLOCK_ROWS", 32)
     g, config = dense34, [2, 9, 30]
     b, depth = block_height(g.n), engine_kernel(g, rule).depth
     # in the first block, in a later one, and in the block's short last chunk
@@ -342,7 +361,10 @@ def test_mttf_and_trajectory_cut_on_either_side_of_a_stacked_chunk(dense34, rule
 
 
 @pytest.mark.parametrize("rule", NEUTRAL_RULES)
-def test_mttf_trajectory_and_step_cut_inside_a_block(rule):
+def test_mttf_trajectory_and_step_cut_inside_a_block(monkeypatch, rule):
+    # the cuts, up to step 2 * 32 + 1, come before the bound's free stop
+    # (138-259 steps)
+    monkeypatch.setattr(dynamics, "_BLOCK_ROWS", 32)
     g = random_digraph(22, 9)
     config = [0, 5, 6]
     b = block_height(g.n)
@@ -377,6 +399,7 @@ def _assert_same_mttf_both_ways(g, config, rule, stop_stdev, max_iters):
 def test_mttf_folds_the_minima_on_either_side_of_a_fold(monkeypatch, rule, fold):
     # 32-row blocks and a fold once the minima hold ``fold`` rows: the cuts
     # fall on, just before and just after the steps where a fold runs
+    monkeypatch.setattr(dynamics, "_BLOCK_ROWS", 32)
     g, config = random_digraph(22, 9), [0, 5, 6]
     b = block_height(g.n)
     assert b == 32
@@ -388,8 +411,8 @@ def test_mttf_folds_the_minima_on_either_side_of_a_fold(monkeypatch, rule, fold)
 
 
 def test_mttf_folds_at_its_own_row_count():
-    # at 32 rows a block, the minima of steps 0 .. 2^16 fold at step 2^16,
-    # and the cut 63 steps later folds the rest
+    # at 256 rows a block, as at 32, the minima of steps 0 .. 2^16 fold at
+    # step 2^16, and the cut at step 2^16 + 64 folds the rest
     assert mttf_mod._FOLD_ROWS == 1 << 16
     g = random_digraph(22, 9)
     _assert_same_mttf_both_ways(g, [0, 5, 6], Rule.DB, 0.0, (1 << 16) + 64)
@@ -482,7 +505,9 @@ def _assert_same_steps(graph, values, steps):
     return got
 
 
-def test_clip_redoes_a_later_block_from_the_row_past_one():
+def test_clip_redoes_a_later_block_from_the_row_past_one(monkeypatch):
+    # the first product past 1, at step 42, is inside the second block of 32
+    monkeypatch.setattr(dynamics, "_BLOCK_ROWS", 32)
     g = _climber(closed=False)
     b = block_height(g.n)
     ones = np.array([1.0] * 5 + [0.0, 0.0])
@@ -499,7 +524,8 @@ def test_clip_redoes_a_later_block_from_the_row_past_one():
         assert rows.tobytes() == np.array(want).tobytes()
 
 
-def test_clip_sees_past_one_beside_a_nan():
+def test_clip_sees_past_one_beside_a_nan(monkeypatch):
+    monkeypatch.setattr(dynamics, "_BLOCK_ROWS", 32)
     g = _climber(closed=False)
     start = np.array([1.0] * 5 + [0.0, np.nan])
     first = _passes_one(g, start, 120)[0]
@@ -511,6 +537,8 @@ def test_clip_sees_past_one_beside_a_nan():
 
 
 def test_solve_and_mttf_stop_after_a_redo(monkeypatch):
+    # the first product past 1, at step 133, is inside the fifth block of 32
+    monkeypatch.setattr(dynamics, "_BLOCK_ROWS", 32)
     g = _climber(closed=True)
     b = block_height(g.n)
     config = range(5)
@@ -542,6 +570,9 @@ def _in_second_chunk(graph, step):
 
 
 def test_clip_redoes_from_a_row_past_one_in_any_call_of_a_block(monkeypatch):
+    # the first product past 1, at step 55, is in the second stacked chunk
+    # of the second block of 32
+    monkeypatch.setattr(dynamics, "_BLOCK_ROWS", 32)
     g = _climber(closed=False, seed=203)
     b = block_height(g.n)
     ones = np.array([1.0] * 5 + [0.0, 0.0])

@@ -1,9 +1,11 @@
-"""README's examples, run: the Quickstart block, the CLI block and the sample output.
+"""README's examples, run: the Quickstart block, the CLI block and the sample outputs.
 
 A ``print`` in the Quickstart whose comment lists numbers (and booleans)
 shows what it prints: each printed value must agree with a shown number
 to within one unit of its last shown digit (``0.1988...`` holds
-0.19876), and a shown boolean or integer exactly.
+0.19876), and a shown boolean or integer exactly. The oracle's ``solve``
+fragment shows the CLI example's report, its residual to the digits
+shown.
 """
 
 import json
@@ -73,4 +75,14 @@ def test_cli_examples_exit_zero_and_solve_prints_the_sample(tmp_path, monkeypatc
         outputs[argv[1]] = capsys.readouterr().out
     assert len(outputs) == 9  # every subcommand
     assert json.loads(outputs["solve"]) == sample
+    fragment = re.search(
+        r"`fixlab oracle` reports the solve,\nhere for the CLI example above:\n\n```json\n(.*?)^```$",
+        README, re.M | re.S).group(1)
+    shown = json.loads("{" + fragment + "}")["solve"]
+    got = json.loads(outputs["oracle"])["solve"]
+    residual = re.search(r'"max_residual": ([^,]+),', fragment).group(1)
+    digits = len(residual.split("e")[0].split(".")[1])
+    assert f"{got.pop('max_residual'):.{digits}e}" == residual
+    del shown["max_residual"]
+    assert got == shown
 
