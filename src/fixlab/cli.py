@@ -279,6 +279,8 @@ def build_parser():
         description="Fixation probabilities and mutant-spread dynamics on directed weighted graphs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # each command's parser, which refuses what is left over with its own usage
+    parser.commands = sub.choices
     # the flags every graph-consuming command takes, and --config
     graph = argparse.ArgumentParser(add_help=False)
     graph.add_argument("--graph", help="graph file (JSON or 'i j w' edge list)")
@@ -354,7 +356,10 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args, extra = parser.parse_known_args(argv)
+    if extra:
+        parser.commands[args.command].error(f"unrecognized arguments: {' '.join(extra)}")
     config = None
     try:
         if args.command == "generate":

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import enum
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -257,8 +259,11 @@ def kernel_matrix(graph, rule):
 # array, row 0's call, the clip check, the caller's statistics); at
 # N <= 150, where a step costs about 1 µs, 256 rows spread them over a short
 # solve's few hundred steps, where 512 computed too many unused rows past
-# its stop. At large N, where the sparse product is the cost anyway, the
-# cell cap keeps a block within 512 KB (one row when a row alone is larger)
+# its stop. The row cap is for the callers that stop early: ``trajectory``,
+# whose step count is fixed, reads blocks of the cell cap alone from a
+# worker thread. At large N, where the sparse product is the cost anyway,
+# the cell cap keeps a block within 512 KB (one row when a row alone is
+# larger)
 _BLOCK_ROWS = 256
 _BLOCK_CELLS = 1 << 16
 
@@ -290,7 +295,9 @@ def blocks(graph, rule, values, steps):
     k - 1, and the first row of the first block is one step after
     ``values``. The blocks hold exactly ``steps`` rows in all (the last
     one is cut short). Callers take their per-step statistics once per
-    block, with axis-1 ufunc reductions, and may stop the loop early.
+    block, with axis-1 ufunc reductions, and may stop the loop early:
+    the 256-row cap below N = 256 is for them, as a block's rows past a
+    stop are computed for nothing.
 
     The kernel is looked up once and ``values`` is checked once: it must
     be a vector of length ``graph.n`` (anything numpy converts to one,
@@ -312,14 +319,15 @@ def blocks(graph, rule, values, steps):
     either way and the order gains nothing.
     """
     kernel = engine_kernel(graph, rule)
-    for block in engine_blocks(kernel, values, steps):
+    for block in engine_blocks(kernel, values, steps, block_height(graph.n)):
         yield block.take(kernel.rank, axis=1)
 
 
 def _stream(graph, rule, values, steps):
     """``values`` as a one-row block (row 0), then the blocks of ``blocks``.
 
-    The step-defined routes read their rows from here. The kernel is
+    ``mttf_lower_bound`` and ``speedup_benchmark``, which stop on a row
+    that depends on the data, read their rows from here. The kernel is
     looked up only when the block after row 0 is asked for, so a caller
     that stops on row 0 never builds one.
     """
@@ -327,8 +335,14 @@ def _stream(graph, rule, values, steps):
     yield from blocks(graph, rule, values, steps)
 
 
-def engine_blocks(kernel, values, steps):
-    """``blocks`` of an ``EngineKernel``, with columns in its vertex order.
+def engine_blocks(kernel, values, steps, height):
+    """``blocks`` of an ``EngineKernel``, with columns in its vertex order,
+    ``height`` rows a block.
+
+    ``blocks`` and ``solve`` pass ``block_height(n)``; ``trajectory``,
+    which computes no row past its last step whatever the height, passes
+    the cell cap alone when a worker thread computes its blocks. The
+    height changes only where the blocks end, never a row's bits.
 
     ``values`` is in vertex order. A statistic that does not depend on
     the order of a row's entries (a min or a max, not a sum) can be
@@ -365,7 +379,6 @@ def engine_blocks(kernel, values, steps):
     matvec, minimum, fmax = _sparsetools.csr_matvec, np.minimum, np.fmax
     # called with n rows, the kernel runs the first copy
     (indptr, indices, data), depth = kernel.stacked, kernel.depth
-    height = block_height(n)
     first, clip = True, False
     while left > 0:
         block = np.zeros((min(height, left), n))
@@ -406,6 +419,61 @@ def engine_blocks(kernel, values, steps):
         yield block
 
 
+def _cpus():
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _ahead(items):
+    """The items of the generator ``items``, each next one made on a worker
+    thread while the caller works on the current one.
+
+    While the caller holds item k, the worker makes k + 1 and k + 2, and
+    it waits for the caller to take k + 1 before it starts k + 3: two
+    items ahead, so that a worker slower than the caller never waits for
+    the caller to wake. An exception the worker raises is raised here,
+    as it is. ``close`` (also on an exception in the caller's loop,
+    which must close the generator in a ``finally``: a traceback keeps
+    it alive) stops the worker within two items past the last one taken
+    and joins it, so no thread outlives the generator. scipy's CSR
+    kernel and numpy's reductions release the interpreter lock, so the
+    two threads run on two CPUs.
+    """
+    # queues in C; ``import fixlab`` does not load the module
+    from queue import SimpleQueue
+
+    made, go = SimpleQueue(), SimpleQueue()
+    go.put(True)  # the second item ahead
+
+    def work():
+        try:
+            for item in items:
+                made.put((True, item))
+                if not go.get():
+                    return
+            made.put((False, None))
+        except BaseException as exc:  # raised again on the calling thread
+            made.put((False, exc))
+
+    worker = threading.Thread(target=work, name="fixlab-kernel", daemon=True)
+    worker.start()
+    try:
+        while True:
+            more, item = made.get()
+            if not more:
+                if item is not None:
+                    raise item
+                return
+            go.put(True)
+            yield item
+    finally:
+        go.put(False)
+        worker.join()
+
+
 def step_values(graph, rule, values):
     """One update step on a raw array, returning a new array."""
     return next(blocks(graph, rule, values, 1))[0]
@@ -420,8 +488,15 @@ def std(values):
     gives each row the bits of the 1-D one, so a ``(rows, n)`` block
     gives an array of ``rows`` values and a vector gives a float.
     """
-    n = values.shape[-1]
-    dev = values - np.add.reduce(values, axis=-1, keepdims=True) / n
-    np.square(dev, out=dev)
-    out = np.sqrt(np.add.reduce(dev, axis=-1) / n)
+    out = _std_of(values, np.add.reduce(values, axis=-1))
     return out if values.ndim > 1 else float(out)
+
+
+def _std_of(values, total):
+    """``std`` of ``values`` as an array, given the sums of its rows, ``total``
+    (``np.add.reduce(values, axis=-1)``), so that a caller that needs the sums
+    too computes them once."""
+    n = values.shape[-1]
+    dev = values - (total / n)[..., None]
+    np.square(dev, out=dev)
+    return np.sqrt(np.add.reduce(dev, axis=-1) / n)

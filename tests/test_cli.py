@@ -289,6 +289,17 @@ def test_threads_flag_is_refused(capsys, two_cycle_file, command):
     assert json.loads(captured.out) == {"error": "unrecognized arguments: --threads 2"}
 
 
+@pytest.mark.parametrize("command", ["solve", "trajectory", "amplifier"])
+def test_an_unknown_flag_is_refused_with_the_usage_of_its_command(capsys, two_cycle_file, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--graph", two_cycle_file, "--threads", "2"])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"usage: fixlab {command} [-h]")
+    assert f"fixlab {command}: error: unrecognized arguments: --threads 2" in captured.err
+    assert json.loads(captured.out) == {"error": "unrecognized arguments: --threads 2"}
+
+
 @pytest.mark.parametrize("argv, message", [
     ([], "the following arguments are required: command"),
     (["generate"], "the following arguments are required: --generate"),

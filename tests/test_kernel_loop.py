@@ -11,6 +11,8 @@ kernel row length; on every graph here from n = 6 that order is not the
 identity, and nothing of it may show in an output.
 """
 
+import os
+import threading
 from dataclasses import replace
 from itertools import islice
 
@@ -616,3 +618,124 @@ def test_all_ones_trajectory_clips_every_step():
     for steps in (1, 2, 33, 100):
         got = trajectory(g, range(g.n), rule=Rule.BD, steps=steps)
         assert got.to_csv_text() == ref.trajectory(g, range(g.n), Rule.BD, steps).to_csv_text()
+
+
+# ------------------------------------------------------------- trajectory's worker
+
+
+def _trajectory_height(n):
+    """Rows of the blocks ``trajectory`` reads: the cell cap alone."""
+    return max(1, dynamics._BLOCK_CELLS // n)
+
+
+def _set_cpus(monkeypatch, count):
+    """The process may run on ``count`` CPUs, as ``trajectory`` reads it."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: count)
+
+
+def _spy_producer(monkeypatch):
+    """The name of the thread that computes each of trajectory's blocks."""
+    seen, engine_blocks = [], solver_mod.engine_blocks
+
+    def spy(*args):
+        for block in engine_blocks(*args):
+            seen.append(threading.current_thread().name)
+            yield block
+
+    monkeypatch.setattr(solver_mod, "engine_blocks", spy)
+    return seen
+
+
+@pytest.fixture(scope="module")
+def ba50():
+    return generate("preferential_attachment", 50, seed=3, weighting="random", m=2)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("size", [7, 50, 300, 10_000])
+def test_trajectory_matches_the_reference_at_its_own_block_boundaries(
+        monkeypatch, request, cpus, size):
+    # at n = 7, 50, 300 and 10^4 the blocks are 9362, 1310, 218 and 6 rows
+    g = {7: lambda: random_digraph(7, 7), 50: lambda: request.getfixturevalue("ba50"),
+         300: lambda: request.getfixturevalue("ba300"),
+         10_000: lambda: request.getfixturevalue("ba10k")}[size]()
+    h = _trajectory_height(g.n)
+    assert (h > block_height(g.n)) == (g.n < 256)
+    _set_cpus(monkeypatch, cpus)
+    seen = _spy_producer(monkeypatch)
+    config = [0, 3]
+    cuts = (1, h - 1, h, h + 1, 2 * h + 3)
+    # a trajectory of t steps is the first t + 1 rows of a longer one
+    want = ref.trajectory(g, config, Rule.BD, max(cuts)).to_csv_text().split("\r\n")
+    for steps in cuts:
+        seen.clear()
+        got = trajectory(g, config, rule=Rule.BD, steps=steps).to_csv_text()
+        assert got == "\r\n".join(want[:steps + 2] + [""])
+        # a worker computes the blocks, h rows each, only where there are two
+        # or more and two CPUs; otherwise the blocks are block_height(n) rows
+        worker = cpus > 1 and steps > h
+        assert len(seen) == -(-steps // (h if worker else block_height(g.n)))
+        assert set(seen) == {"fixlab-kernel" if worker else threading.current_thread().name}
+        assert "fixlab-kernel" not in {t.name for t in threading.enumerate()}
+
+
+class _Stop(Exception):
+    """An exception no code under test raises of its own."""
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_failing_block_is_raised_in_the_caller_with_no_thread_left(monkeypatch, ba50, cpus):
+    _set_cpus(monkeypatch, cpus)
+    engine_blocks = solver_mod.engine_blocks
+
+    def fails_on_the_second_block(*args):
+        computed = engine_blocks(*args)
+        yield next(computed)
+        raise _Stop("the second block")
+
+    monkeypatch.setattr(solver_mod, "engine_blocks", fails_on_the_second_block)
+    threads = threading.active_count()
+    # the traceback, held here, keeps trajectory's frame alive
+    with pytest.raises(_Stop, match="the second block") as caught:
+        trajectory(ba50, [0, 3], steps=5 * _trajectory_height(ba50.n))
+    assert threading.active_count() == threads
+    assert caught.traceback
+
+
+@pytest.mark.parametrize("error", [_Stop, KeyboardInterrupt])
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_failing_reduction_stops_the_worker(monkeypatch, ba50, cpus, error):
+    _set_cpus(monkeypatch, cpus)
+    calls, row_stats = [], solver_mod._row_stats
+
+    def fails_on_the_second_block(block):
+        calls.append(len(block))
+        # row 0, then the first block, then the second
+        if len(calls) == 3:
+            raise error("the second block")
+        return row_stats(block)
+
+    monkeypatch.setattr(solver_mod, "_row_stats", fails_on_the_second_block)
+    threads = threading.active_count()
+    # the traceback, held here, keeps trajectory's frame alive
+    with pytest.raises(error) as caught:
+        trajectory(ba50, [0, 3], steps=5 * _trajectory_height(ba50.n))
+    assert len(calls) == 3
+    assert threading.active_count() == threads
+    assert caught.traceback
+
+
+def test_closing_the_worker_after_its_first_block_joins_it(ba50):
+    kernel = engine_kernel(ba50, Rule.BD)
+    h = _trajectory_height(ba50.n)
+    values = init_vector(ba50, [0, 3])
+    threads = threading.active_count()
+    ahead = dynamics._ahead(dynamics.engine_blocks(kernel, values, 5 * h, h))
+    first = next(ahead)
+    assert threading.active_count() == threads + 1
+    ahead.close()
+    assert threading.active_count() == threads
+    # the block handed out is the engine's, bit for bit
+    want = next(dynamics.engine_blocks(kernel, values, 5 * h, h))
+    assert first.tobytes() == want.tobytes()
