@@ -259,11 +259,10 @@ def kernel_matrix(graph, rule):
 # array, row 0's call, the clip check, the caller's statistics); at
 # N <= 150, where a step costs about 1 µs, 256 rows spread them over a short
 # solve's few hundred steps, where 512 computed too many unused rows past
-# its stop. The row cap is for the callers that stop early: ``trajectory``,
-# whose step count is fixed, reads blocks of the cell cap alone from a
-# worker thread. At large N, where the sparse product is the cost anyway,
-# the cell cap keeps a block within 512 KB (one row when a row alone is
-# larger)
+# its stop. At large N, where the sparse product is the cost anyway, the
+# cell cap keeps a block within 512 KB (one row when a row alone is
+# larger); ``trajectory`` computes its blocks on a worker thread only
+# there, from N = 256, where a block is the full 2^16 cells
 _BLOCK_ROWS = 256
 _BLOCK_CELLS = 1 << 16
 
@@ -295,9 +294,7 @@ def blocks(graph, rule, values, steps):
     k - 1, and the first row of the first block is one step after
     ``values``. The blocks hold exactly ``steps`` rows in all (the last
     one is cut short). Callers take their per-step statistics once per
-    block, with axis-1 ufunc reductions, and may stop the loop early:
-    the 256-row cap below N = 256 is for them, as a block's rows past a
-    stop are computed for nothing.
+    block, with axis-1 ufunc reductions, and may stop the loop early.
 
     The kernel is looked up once and ``values`` is checked once: it must
     be a vector of length ``graph.n`` (anything numpy converts to one,
@@ -319,7 +316,7 @@ def blocks(graph, rule, values, steps):
     either way and the order gains nothing.
     """
     kernel = engine_kernel(graph, rule)
-    for block in engine_blocks(kernel, values, steps, block_height(graph.n)):
+    for block in engine_blocks(kernel, values, steps):
         yield block.take(kernel.rank, axis=1)
 
 
@@ -335,14 +332,8 @@ def _stream(graph, rule, values, steps):
     yield from blocks(graph, rule, values, steps)
 
 
-def engine_blocks(kernel, values, steps, height):
-    """``blocks`` of an ``EngineKernel``, with columns in its vertex order,
-    ``height`` rows a block.
-
-    ``blocks`` and ``solve`` pass ``block_height(n)``; ``trajectory``,
-    which computes no row past its last step whatever the height, passes
-    the cell cap alone when a worker thread computes its blocks. The
-    height changes only where the blocks end, never a row's bits.
+def engine_blocks(kernel, values, steps):
+    """``blocks`` of an ``EngineKernel``, with columns in its vertex order.
 
     ``values`` is in vertex order. A statistic that does not depend on
     the order of a row's entries (a min or a max, not a sum) can be
@@ -379,6 +370,7 @@ def engine_blocks(kernel, values, steps, height):
     matvec, minimum, fmax = _sparsetools.csr_matvec, np.minimum, np.fmax
     # called with n rows, the kernel runs the first copy
     (indptr, indices, data), depth = kernel.stacked, kernel.depth
+    height = block_height(n)
     first, clip = True, False
     while left > 0:
         block = np.zeros((min(height, left), n))

@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .dynamics import (
-    _BLOCK_CELLS, Rule, _ahead, _cpus, _std_of, block_height, blocks, engine_blocks, engine_kernel,
+    _BLOCK_ROWS, Rule, _ahead, _cpus, _std_of, block_height, blocks, engine_blocks, engine_kernel,
     init_vector, neutral_part, resolve_rule, std, step_count,
 )
 from .graphs import check_config, is_strongly_connected, stats
@@ -205,8 +205,7 @@ def solve(graph, config, options=SolveOptions()):
         # the range reads the engine's blocks and puts back only the row it
         # stops on
         kernel = engine_kernel(graph, options.rule)
-        steps = engine_blocks(kernel, values, options.max_iters, block_height(graph.n))
-        rank = kernel.rank
+        steps, rank = engine_blocks(kernel, values, options.max_iters), kernel.rank
     elif not converged:
         steps = blocks(graph, options.rule, values, options.max_iters)
     for block in steps:
@@ -330,29 +329,22 @@ def trajectory(graph, config, rule=Rule.BD, steps=100):
     Works on any graph, strongly connected or not; kernels are defined
     pointwise and vertices without incoming edges simply never change.
 
-    When the steps fill two blocks or more of ``max(1, 2^16 // n)``
-    rows, the engine's cell cap alone (the step count is fixed, so no row
-    past the last step is computed), and the process may run on two
-    CPUs, a worker thread computes the next blocks (``dynamics._ahead``)
-    while this one puts block k back in vertex order and reduces it.
-    Otherwise the blocks are ``block_height(n)`` rows, read on this
-    thread. Each row is the same calls in the same order either way, so
-    the table has the same bits, and the worker is joined before the
-    call returns or raises.
+    From n = 256, where a block is 2^16 cells, when the steps fill more
+    than one block and the process may run on two CPUs, a worker thread
+    computes the next blocks (``dynamics._ahead``) while this one puts
+    block k back in vertex order and reduces it. Each row is the same
+    calls in the same order either way, so the table has the same bits,
+    and the worker is joined before the call returns or raises.
     """
     steps = step_count(steps)
     rule = resolve_rule(rule, kernel=True)
     kernel = engine_kernel(graph, rule)  # validate rule/graph pairing up front
     values = init_vector(graph, config)
-    height = max(1, _BLOCK_CELLS // graph.n)
-    ahead = steps > height and _cpus() > 1
-    if not ahead:
-        # on one thread, blocks of at most 256 rows stay in cache from the
-        # products to the reductions: the cell cap alone read 1.04-1.07x the
-        # time at n = 50
-        height = block_height(graph.n)
-    computed = engine_blocks(kernel, values, steps, height)
-    if ahead:
+    height = block_height(graph.n)
+    computed = engine_blocks(kernel, values, steps)
+    # below n = 256 a block is too little work to pay for the hand-offs: a
+    # worker read 1.25x the time of the calling thread alone at n = 50
+    if graph.n >= _BLOCK_ROWS and steps > height and _cpus() > 1:
         computed = _ahead(computed)
     parts = [_row_stats(values[None])]
     # one buffer puts every block back in vertex order: with a fresh copy per

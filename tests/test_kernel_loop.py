@@ -623,11 +623,6 @@ def test_all_ones_trajectory_clips_every_step():
 # ------------------------------------------------------------- trajectory's worker
 
 
-def _trajectory_height(n):
-    """Rows of the blocks ``trajectory`` reads: the cell cap alone."""
-    return max(1, dynamics._BLOCK_CELLS // n)
-
-
 def _set_cpus(monkeypatch, count):
     """The process may run on ``count`` CPUs, as ``trajectory`` reads it."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
@@ -656,12 +651,11 @@ def ba50():
 @pytest.mark.parametrize("size", [7, 50, 300, 10_000])
 def test_trajectory_matches_the_reference_at_its_own_block_boundaries(
         monkeypatch, request, cpus, size):
-    # at n = 7, 50, 300 and 10^4 the blocks are 9362, 1310, 218 and 6 rows
+    # at n = 7, 50, 300 and 10^4 the blocks are 256, 256, 218 and 6 rows
     g = {7: lambda: random_digraph(7, 7), 50: lambda: request.getfixturevalue("ba50"),
          300: lambda: request.getfixturevalue("ba300"),
          10_000: lambda: request.getfixturevalue("ba10k")}[size]()
-    h = _trajectory_height(g.n)
-    assert (h > block_height(g.n)) == (g.n < 256)
+    h = block_height(g.n)
     _set_cpus(monkeypatch, cpus)
     seen = _spy_producer(monkeypatch)
     config = [0, 3]
@@ -672,10 +666,10 @@ def test_trajectory_matches_the_reference_at_its_own_block_boundaries(
         seen.clear()
         got = trajectory(g, config, rule=Rule.BD, steps=steps).to_csv_text()
         assert got == "\r\n".join(want[:steps + 2] + [""])
-        # a worker computes the blocks, h rows each, only where there are two
-        # or more and two CPUs; otherwise the blocks are block_height(n) rows
-        worker = cpus > 1 and steps > h
-        assert len(seen) == -(-steps // (h if worker else block_height(g.n)))
+        # a worker computes the blocks only from n = 256, when there are two or
+        # more, and with two CPUs
+        worker = g.n >= 256 and steps > h and cpus > 1
+        assert len(seen) == -(-steps // h)
         assert set(seen) == {"fixlab-kernel" if worker else threading.current_thread().name}
         assert "fixlab-kernel" not in {t.name for t in threading.enumerate()}
 
@@ -685,7 +679,7 @@ class _Stop(Exception):
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
-def test_a_failing_block_is_raised_in_the_caller_with_no_thread_left(monkeypatch, ba50, cpus):
+def test_a_failing_block_is_raised_in_the_caller_with_no_thread_left(monkeypatch, ba300, cpus):
     _set_cpus(monkeypatch, cpus)
     engine_blocks = solver_mod.engine_blocks
 
@@ -698,14 +692,14 @@ def test_a_failing_block_is_raised_in_the_caller_with_no_thread_left(monkeypatch
     threads = threading.active_count()
     # the traceback, held here, keeps trajectory's frame alive
     with pytest.raises(_Stop, match="the second block") as caught:
-        trajectory(ba50, [0, 3], steps=5 * _trajectory_height(ba50.n))
+        trajectory(ba300, [0, 3], steps=5 * block_height(ba300.n))
     assert threading.active_count() == threads
     assert caught.traceback
 
 
 @pytest.mark.parametrize("error", [_Stop, KeyboardInterrupt])
 @pytest.mark.parametrize("cpus", [1, 2])
-def test_a_failing_reduction_stops_the_worker(monkeypatch, ba50, cpus, error):
+def test_a_failing_reduction_stops_the_worker(monkeypatch, ba300, cpus, error):
     _set_cpus(monkeypatch, cpus)
     calls, row_stats = [], solver_mod._row_stats
 
@@ -720,7 +714,7 @@ def test_a_failing_reduction_stops_the_worker(monkeypatch, ba50, cpus, error):
     threads = threading.active_count()
     # the traceback, held here, keeps trajectory's frame alive
     with pytest.raises(error) as caught:
-        trajectory(ba50, [0, 3], steps=5 * _trajectory_height(ba50.n))
+        trajectory(ba300, [0, 3], steps=5 * block_height(ba300.n))
     assert len(calls) == 3
     assert threading.active_count() == threads
     assert caught.traceback
@@ -728,14 +722,14 @@ def test_a_failing_reduction_stops_the_worker(monkeypatch, ba50, cpus, error):
 
 def test_closing_the_worker_after_its_first_block_joins_it(ba50):
     kernel = engine_kernel(ba50, Rule.BD)
-    h = _trajectory_height(ba50.n)
+    h = block_height(ba50.n)
     values = init_vector(ba50, [0, 3])
     threads = threading.active_count()
-    ahead = dynamics._ahead(dynamics.engine_blocks(kernel, values, 5 * h, h))
+    ahead = dynamics._ahead(dynamics.engine_blocks(kernel, values, 5 * h))
     first = next(ahead)
     assert threading.active_count() == threads + 1
     ahead.close()
     assert threading.active_count() == threads
     # the block handed out is the engine's, bit for bit
-    want = next(dynamics.engine_blocks(kernel, values, 5 * h, h))
+    want = next(dynamics.engine_blocks(kernel, values, 5 * h))
     assert first.tobytes() == want.tobytes()
