@@ -98,7 +98,8 @@ def _checked(n, s, d, w):
         else:
             problems.append(f"edge ({a},{b}) appears more than once")
     sums = np.bincount(src[ok], weights=wgt[ok])
-    rows = np.unique(src[ok])
+    # the sources in order; np.unique would import numpy.ma on first use
+    rows = np.flatnonzero(np.bincount(src[ok]))
     for v in rows[np.abs(sums[rows] - 1.0) > ROW_SUM_TOL].tolist():
         problems.append(
             f"outgoing weights of vertex {v} sum to {float(sums[v]):.12g}, expected 1"
@@ -153,7 +154,7 @@ class EvolutionaryGraph:
         # per-row cumsums, one (rows, degree) block per out-degree; a
         # cumsum along axis 1 adds in row order, as a 1-D one does
         self.out_cum = np.empty_like(wgt)
-        for k in np.unique(self.k_out[self.k_out > 0]).tolist():
+        for k in np.flatnonzero(np.bincount(self.k_out[self.k_out > 0])).tolist():
             at = self.out_ptr[:-1][self.k_out == k, None] + np.arange(k)
             self.out_cum[at] = np.cumsum(wgt[at], axis=1)
 

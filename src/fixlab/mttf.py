@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Rule, _stream, init_vector, resolve_rule, std, step_count
+from .dynamics import Rule, _row_extreme, _stream, init_vector, resolve_rule, std, step_count
 from .solver import _StepTable, _starting_set
 
 STOP_STDEV = 2.5e-6
@@ -94,7 +94,7 @@ def mttf_lower_bound(
         stop = np.flatnonzero(stdevs <= stop_stdev)
         if len(stop):
             block, stdevs = block[:stop[0] + 1], stdevs[:stop[0] + 1]
-        minima.append(np.minimum.reduce(block, axis=1))
+        minima.append(_row_extreme(np.minimum, block))
         held += len(block)
         end = len(stop) > 0 or t + held > max_iters
         if end or held >= _FOLD_ROWS:

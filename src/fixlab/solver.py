@@ -20,8 +20,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .dynamics import (
-    _BLOCK_ROWS, Rule, _ahead, _cpus, _std_of, block_height, blocks, engine_blocks, engine_kernel,
-    init_vector, neutral_part, resolve_rule, std, step_count,
+    _BLOCK_ROWS, Rule, _ahead, _cpus, _row_extreme, _std_of, block_height, blocks, engine_blocks,
+    engine_kernel, init_vector, neutral_part, resolve_rule, std, step_count,
 )
 from .graphs import check_config, is_strongly_connected, stats
 
@@ -137,7 +137,7 @@ def _row_stats(block):
     """Per-row min, max, sum and standard deviation of a ``(rows, n)`` block."""
     total = np.add.reduce(block, axis=1)
     return (
-        np.minimum.reduce(block, axis=1), np.maximum.reduce(block, axis=1),
+        _row_extreme(np.minimum, block), _row_extreme(np.maximum, block),
         total, _std_of(block, total),
     )
 
@@ -166,10 +166,59 @@ class SolveReport:
 
 
 def _criterion_stats(block, criterion):
-    """The stopping statistic of each row of a ``(rows, n)`` block, as floats."""
+    """The stopping statistic of each row of a ``(rows, n)`` block, as an array."""
     if criterion == "range":
-        return (0.5 * (np.maximum.reduce(block, axis=1) - np.minimum.reduce(block, axis=1))).tolist()
-    return std(block).tolist()
+        return 0.5 * (_row_extreme(np.maximum, block) - _row_extreme(np.minimum, block))
+    return std(block)
+
+
+def _stop(taus, epsilon, best, since_best, window):
+    """Where the stop rule of ``solve`` stops in a block of statistics ``taus``.
+
+    The rule reads the rows in order. It stops, converged, on the first
+    row at or below ``epsilon``. Before that row, a row below ``best``
+    is a new low and becomes ``best``; any other row (a tie or a NaN)
+    adds one to ``since_best``, and the rule stops, stalled, on the row
+    that brings it to ``window`` (at least 1). Returns ``(row,
+    converged, best, since_best)``: the row it stops on, None if it
+    reads through the block, and ``best`` (never NaN) and ``since_best``
+    as it leaves them (a converged row changes neither).
+
+    The search is array operations. The rows since the last new low are
+    counted row by row (with accumulates) only where ``since_best`` and
+    the rows before a converged row can reach ``window``; elsewhere the
+    last new low is the first row at the least statistic, if that is
+    below ``best``.
+    """
+    # the methods, not np.flatnonzero and np.argmax, whose wrappers cost
+    # more than the search on a short solve's 256 rows
+    below = taus <= epsilon
+    end = int(below.argmax())
+    if below[end]:
+        row, converged = end, True
+    else:
+        row, converged, end = None, False, len(taus)
+    head = taus[:end]
+    if end and since_best + end >= window:
+        rows = np.arange(end)
+        # a row below every statistic before it (fmin skips NaN) is a new low
+        before = np.fmin.accumulate(np.concatenate(([best], head[:-1])))
+        last = np.maximum.accumulate(np.where(head < before, rows, -1 - since_best))
+        since = rows - last
+        stalled = np.flatnonzero(since >= window)
+        k = end - 1
+        if len(stalled):
+            row = k = int(stalled[0])
+            converged = False
+        if last[k] >= 0:
+            best = float(head[last[k]])
+        return row, converged, best, int(since[k])
+    if end:
+        low = np.fmin.reduce(head)
+        if low < best:
+            first = int((head == low).argmax())
+            return row, converged, float(head[first]), end - 1 - first
+    return row, converged, best, since_best + end
 
 
 def _estimate(values, criterion):
@@ -191,11 +240,17 @@ def solve(graph, config, options=SolveOptions()):
     iteration cap, or the statistic stalling at the floating-point
     floor (no new low in ``STALL_WINDOW`` steps), reports
     ``converged=False`` with the bracket reached.
+
+    The statistic is taken a block of steps at a time, the row extrema
+    of the range with ``reduceat`` (``dynamics._row_extreme``), and
+    ``_stop`` searches each block's statistics for the row the rule
+    stops on as arrays. ``tests/loop_iterate.py`` keeps the rule as a
+    loop over single steps, and the report has its bits.
     """
     members = _starting_set(graph, config, "fixation probability")
     values = init_vector(graph, members)
     parts = [_row_stats(values[None])] if options.record_trajectory else None
-    tau = _criterion_stats(values[None], options.criterion)[0]
+    tau = float(_criterion_stats(values[None], options.criterion)[0])
     best, since_best, window = tau, 0, STALL_WINDOW
     iters = 0
     converged = tau <= options.epsilon
@@ -209,24 +264,14 @@ def solve(graph, config, options=SolveOptions()):
     elif not converged:
         steps = blocks(graph, options.rule, values, options.max_iters)
     for block in steps:
-        stop = False
-        for k, tau in enumerate(_criterion_stats(block, options.criterion)):
-            if tau <= options.epsilon:
-                converged = stop = True
-                break
-            if tau < best:
-                best = tau
-                since_best = 0
-            else:
-                since_best += 1
-                if since_best >= window:
-                    stop = True  # statistic stopped improving; at the float floor
-                    break
+        taus = _criterion_stats(block, options.criterion)
+        row, converged, best, since_best = _stop(taus, options.epsilon, best, since_best, window)
+        k = len(block) - 1 if row is None else row
         if parts is not None:
             parts.append(_row_stats(block[:k + 1]))
         iters += k + 1
-        values = block[k]
-        if stop:
+        values, tau = block[k], float(taus[k])
+        if row is not None:
             break
     return SolveReport(
         fixation=_estimate(values, options.criterion),
@@ -313,7 +358,8 @@ def degree_selection_class(graph):
     st = _degree_stats(graph, "degree classification")
     threshold = 1.0 / st.mean_inverse_degree
     labels = []
-    for k in graph.k_out:
+    # Python ints: a loop over numpy scalars costs 15 times the stats above
+    for k in graph.k_out.tolist():
         if abs(k - threshold) <= 1e-9 * max(1.0, threshold):
             labels.append("neutral")
         elif k < threshold:

@@ -137,6 +137,34 @@ def test_block_row_statistics_are_the_1d_ones(block):
         assert stds[k] == std(row) == float(np.std(row))
 
 
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(hnp.arrays(
+    np.float64, st.tuples(st.integers(1, 40), st.integers(1, 60)),
+    elements=st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0, np.nan]) | st.floats(0, 1),
+))
+@example(np.array([[0.0, -0.0, 0.5], [-0.0, 0.0, 0.5], [np.nan, 0.0, 1.0], [1.0, np.nan, -0.0]]))
+@example(np.array([[0.25, -0.0, 0.0, np.nan, 0.75]]))  # one row
+@example(np.array([[0.0], [-0.0], [np.nan], [0.5]]))  # one column
+@example(np.full((3, 4), np.nan))
+@example(np.random.default_rng(0).random((256, 6)))
+@example(np.random.default_rng(1).random((6, 10_000)))
+def test_row_extremes_are_the_axis_1_reduces_bit_for_bit(block):
+    for extreme in (np.minimum, np.maximum):
+        assert _bits(dynamics._row_extreme(extreme, block)) == _bits(extreme.reduce(block, axis=1))
+
+
+def test_one_vertex_graph_row_extremes_are_its_value():
+    g = EvolutionaryGraph(1, [])
+    block = next(blocks(g, Rule.BD, [0.5], 3))
+    assert block.shape == (3, 1)
+    for extreme in (np.minimum, np.maximum):
+        assert _bits(dynamics._row_extreme(extreme, block)) == _bits(block[:, 0])
+
+
 def test_block_height_is_256_rows_up_to_2_to_the_16_cells():
     assert [block_height(n) for n in (1, 7, 256, 257, 2048, 10_000, 65_536, 10**6)] == [
         256, 256, 256, 255, 32, 6, 1, 1]

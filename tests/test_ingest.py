@@ -8,6 +8,8 @@ exactly, and a refusal lists the problems of the loop's ``validate``.
 import json
 import math
 import re
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -247,3 +249,25 @@ def shaped_graphs(draw):
 @given(g=shaped_graphs())
 def test_shape_flags_match_the_loop(g):
     assert graphs_mod._shape_flags(g) == loop_ingest.shape_flags(g)
+
+
+def test_ingest_and_simulation_leave_numpy_ma_unloaded(tmp_path):
+    # np.unique imports numpy.ma on first use (about 8 ms); ingest takes its
+    # distinct values with bincount instead. numpy 1.x loads numpy.ma with
+    # numpy itself, so there the check holds trivially
+    path = tmp_path / "triangle.json"
+    edges = [[a, b, 0.5] for a in range(3) for b in range(3) if a != b]
+    path.write_text(json.dumps({"n": 3, "edges": edges}))
+    code = """
+import sys
+import fixlab
+
+before = "numpy.ma" in sys.modules
+graph = fixlab.load_graph(sys.argv[1])
+assert fixlab.estimate(graph, [0], "bd", runs=20, seed=1).runs == 20
+assert ("numpy.ma" in sys.modules) == before
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(path)], capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr

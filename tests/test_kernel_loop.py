@@ -18,6 +18,9 @@ from itertools import islice
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fixlab import (
     NEUTRAL_RULES,
@@ -264,6 +267,57 @@ def _since_best(taus):
             since += 1
         out.append(since)
     return out
+
+
+def _stop_row_by_row(taus, epsilon, best, since_best, window):
+    """``solver._stop`` as the loop over single rows that ``solve`` ran."""
+    for k, tau in enumerate(taus.tolist()):
+        if tau <= epsilon:
+            return k, True, best, since_best
+        if tau < best:
+            best, since_best = tau, 0
+        else:
+            since_best += 1
+            if since_best >= window:
+                return k, False, best, since_best
+    return None, False, best, since_best
+
+
+# few distinct values, so that rows tie with each other and with ``best``
+_STATISTIC = st.sampled_from([0.0, 1e-7, 1e-6, 0.25, 0.5, np.inf, np.nan]) | st.floats(0, 1)
+
+
+@st.composite
+def _stop_cases(draw):
+    window = draw(st.integers(1, 400))
+    taus = draw(hnp.arrays(np.float64, st.integers(1, 300), elements=_STATISTIC))
+    best = draw(_STATISTIC.filter(lambda x: x == x))
+    since_best = draw(st.integers(0, window - 1))
+    epsilon = draw(st.sampled_from([1e-300, 1e-6, 0.25]))
+    return taus, epsilon, best, since_best, window
+
+
+@settings(max_examples=500, deadline=None)
+@given(_stop_cases())
+# a tie with best is no new low, so the count reaches the window
+@example((np.array([0.5, 0.5, 0.5]), 1e-6, 0.5, 0, 2))
+# NaN rows are never a new low; the low after them is
+@example((np.array([np.nan, np.nan, 0.1, 0.1, np.nan]), 1e-6, 0.2, 0, 3))
+@example((np.array([0.3, np.nan, 0.2, 0.2, 0.4]), 1e-6, np.inf, 0, 1000))
+# the count one short of the window stalls on row 0
+@example((np.array([0.9, 0.1]), 1e-6, 0.5, 4, 5))
+@example((np.array([0.1, 0.9]), 1e-6, 0.5, 4, 5))
+# a window shorter than the block, reached after a new low in it
+@example((np.array([0.4, 0.3, 0.5, 0.5, 0.5, 0.2, 0.6]), 1e-6, 0.45, 1, 3))
+# epsilon met on row 0, and converged after a stall could have completed
+@example((np.array([1e-7, 0.9, 0.9]), 1e-6, 0.5, 2, 3))
+@example((np.array([0.9, 0.9, 1e-7]), 1e-6, 0.5, 0, 3))
+@example((np.array([0.9, 0.9, 1e-7]), 1e-6, 0.5, 0, 2))
+def test_block_stop_search_is_the_row_by_row_rule(case):
+    got = solver_mod._stop(*case)
+    want = _stop_row_by_row(*case)
+    assert (got[0], got[1], got[3]) == (want[0], want[1], want[3])
+    assert np.float64(got[2]).tobytes() == np.float64(want[2]).tobytes()
 
 
 def _assert_same_stops(monkeypatch, g, config, cases):
