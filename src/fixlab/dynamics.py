@@ -261,8 +261,8 @@ def kernel_matrix(graph, rule):
 # solve's few hundred steps, where 512 computed too many unused rows past
 # its stop. At large N, where the sparse product is the cost anyway, the
 # cell cap keeps a block within 512 KB (one row when a row alone is
-# larger); ``trajectory`` computes its blocks on a worker thread only
-# there, from N = 256, where a block is the full 2^16 cells
+# larger); ``blocks`` computes them on a worker thread only there, from
+# N = 256, where a block is the full 2^16 cells
 _BLOCK_ROWS = 256
 _BLOCK_CELLS = 1 << 16
 
@@ -289,52 +289,63 @@ def stack_depth(nnz):
 def blocks(graph, rule, values, steps):
     """The kernel engine: yield the steps from ``values`` a block at a time.
 
-    Each block is a fresh ``(rows, n)`` float64 array of
-    ``block_height(n)`` rows; row k holds the vector one step after row
-    k - 1, and the first row of the first block is one step after
-    ``values``. The blocks hold exactly ``steps`` rows in all (the last
-    one is cut short). Callers take their per-step statistics once per
-    block (row extrema with ``_row_extreme``, sums with axis-1 reduces),
-    and may stop the loop early.
+    Each block is a ``(rows, n)`` float64 view of one buffer of
+    ``block_height(n)`` rows, reused for every block: it is valid until
+    the next block is asked for, and closing the generator leaves it as
+    it is. Row k holds the vector one step after row k - 1, the first
+    row of the first block one step after ``values``, and the blocks
+    hold exactly ``steps`` rows in all; a caller may stop early.
 
-    The kernel is looked up once and ``values`` is checked once: it must
-    be a vector of length ``graph.n`` (anything numpy converts to one,
-    read as float64), else ``ValueError``; it is never written. The
-    steps are calls of scipy's CSR matrix-vector kernel, the one
-    ``op @ values`` runs, several steps a call at small N
-    (``engine_blocks``), and every row is bit for bit
-    ``np.clip(op @ values, 0, 1)`` of the row before, with ``op`` the
-    ``kernel_matrix``.
+    The kernel is looked up once and ``values`` is checked once: a
+    vector of length ``graph.n`` (anything numpy converts to one, read
+    as float64), else ``ValueError``; it is never written. Every row is
+    bit for bit ``np.clip(op @ values, 0, 1)`` of the row before, with
+    ``op`` the ``kernel_matrix``: the steps are calls of scipy's CSR
+    kernel in the engine's vertex order (``engine_blocks``), which halves
+    a product's time at N = 10^4, and each block is put back in vertex
+    order with one ``take`` into the buffer.
 
-    The steps run in the engine's vertex order (``engine_blocks``):
-    vertices in stable order of kernel row length, so that where a row
-    ends follows a pattern the CPU predicts. Each row keeps its entries
-    in their storage order, so each product has the bits of the
-    vertex-order one. ``values`` is gathered into that order once, and
-    each block is put back in vertex order with one ``take`` before it
-    is yielded. At N = 10^4 the product takes half the time it takes
-    in vertex order; at N <= 150 the branch predictor learns the rows
-    either way and the order gains nothing.
+    From N = 256 (a block of 2^16 cells), when the steps fill more than
+    one block and the process may run on two CPUs, a worker thread
+    computes the next blocks (``_ahead``), with the same bits. ``close``
+    joins it; a caller whose loop may raise closes the generator in a
+    ``finally``, since a traceback keeps it alive.
     """
     kernel = engine_kernel(graph, rule)
-    for block in engine_blocks(kernel, values, steps):
-        yield block.take(kernel.rank, axis=1)
+    steps = step_count(steps)
+    n, height = graph.n, block_height(graph.n)
+    computed = engine_blocks(kernel, values, steps)
+    # below n = 256 a block is too little work to pay for the hand-offs: a
+    # worker read 1.25x the time of the calling thread alone at n = 50
+    if n >= _BLOCK_ROWS and steps > height and _cpus() > 1:
+        computed = _ahead(computed)
+    # one buffer for every put-back: with a fresh copy per block, glibc can
+    # hand the top of its heap back to the system and fault it in again every
+    # block (1.9x the time of a one-CPU trajectory at n = 10^4)
+    put_back = np.empty((min(height, steps), n))
+    try:
+        for block in computed:
+            rows = put_back[:len(block)]
+            # rank holds each column once, so "clip" clips nothing; it lets
+            # take write into ``rows`` without a copy of its own
+            block.take(kernel.rank, axis=1, out=rows, mode="clip")
+            yield rows
+    finally:
+        computed.close()
 
 
 def _stream(graph, rule, values, steps):
-    """``values`` as a one-row block (row 0), then the blocks of ``blocks``.
-
-    ``mttf_lower_bound`` and ``speedup_benchmark``, which stop on a row
-    that depends on the data, read their rows from here. The kernel is
-    looked up only when the block after row 0 is asked for, so a caller
-    that stops on row 0 never builds one.
-    """
+    """``values`` as a one-row block (row 0), then the blocks of ``blocks``,
+    closed as ``blocks`` is; a caller that stops on row 0 never builds a
+    kernel. ``trajectory``, ``mttf_lower_bound`` and ``speedup_benchmark``
+    read their rows from here."""
     yield values[None]
     yield from blocks(graph, rule, values, steps)
 
 
 def engine_blocks(kernel, values, steps):
-    """``blocks`` of an ``EngineKernel``, with columns in its vertex order.
+    """``blocks`` of an ``EngineKernel`` as fresh arrays, with columns in its
+    vertex order.
 
     ``values`` is in vertex order. A statistic that does not depend on
     the order of a row's entries (a min or a max, not a sum) can be
@@ -421,19 +432,13 @@ def _cpus():
 
 
 def _ahead(items):
-    """The items of the generator ``items``, each next one made on a worker
-    thread while the caller works on the current one.
-
-    While the caller holds item k, the worker makes k + 1 and k + 2, and
-    it waits for the caller to take k + 1 before it starts k + 3: two
-    items ahead, so that a worker slower than the caller never waits for
-    the caller to wake. An exception the worker raises is raised here,
-    as it is. ``close`` (also on an exception in the caller's loop,
-    which must close the generator in a ``finally``: a traceback keeps
-    it alive) stops the worker within two items past the last one taken
-    and joins it, so no thread outlives the generator. scipy's CSR
-    kernel and numpy's reductions release the interpreter lock, so the
-    two threads run on two CPUs.
+    """The items of the generator ``items``, each made on a worker thread up
+    to two items ahead of the caller, so that a worker slower than the
+    caller never waits for it to wake. An exception the worker raises is
+    raised here, as it is. ``close`` stops the worker within two items
+    past the last one taken and joins it. scipy's CSR kernel and numpy's
+    reductions release the interpreter lock, so the two threads run on
+    two CPUs.
     """
     # queues in C; ``import fixlab`` does not load the module
     from queue import SimpleQueue

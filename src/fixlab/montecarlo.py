@@ -35,8 +35,8 @@ from time import perf_counter
 import numpy as np
 
 from .dynamics import (
-    Rule, _stream, check_neighbours, engine_kernel, init_vector, neutral_part, resolve_rule, std,
-    step_count,
+    Rule, _std_of, _stream, check_neighbours, engine_kernel, init_vector, neutral_part,
+    resolve_rule, step_count,
 )
 from .graphs import check_config, vertex_id
 from .mttf import STOP_STDEV
@@ -473,15 +473,21 @@ def speedup_benchmark(
     t0 = perf_counter()
     values = init_vector(graph, members)
     start = 0  # the index of the block's row 0
-    for block in _stream(graph, neutral_part(rule), values, max_iters):
-        avgs = np.add.reduce(block, axis=1) / graph.n
-        band = (summary.std_error > 0) & (
-            np.abs(avgs - summary.fixation_frequency) <= summary.std_error)
-        # the row at the max_iters cap, the stream's last, ends the loop unchecked
-        stop = np.flatnonzero((band | (std(block) <= STOP_STDEV))[:max_iters - start])
-        if len(stop):
-            break
-        start += len(block)
+    rows = _stream(graph, neutral_part(rule), values, max_iters)
+    try:
+        for block in rows:
+            total = np.add.reduce(block, axis=1)
+            avgs = total / graph.n
+            band = (summary.std_error > 0) & (
+                np.abs(avgs - summary.fixation_frequency) <= summary.std_error)
+            quiet = _std_of(block, total) <= STOP_STDEV
+            # the row at the max_iters cap, the stream's last, ends the loop unchecked
+            stop = np.flatnonzero((band | quiet)[:max_iters - start])
+            if len(stop):
+                break
+            start += len(block)
+    finally:
+        rows.close()
     k = int(stop[0]) if len(stop) else len(block) - 1
     iters = start + k if len(stop) else max_iters
     solver_time = perf_counter() - t0

@@ -89,20 +89,24 @@ def mttf_lower_bound(
     # steps t .. t + held - 1 are folded at _FOLD_ROWS rows and at the end
     minima, held, chunks = [], 0, []
     t, total, negatives = 0, 0.0, 0
-    for block in _stream(graph, rule, init_vector(graph, members), max_iters):
-        stdevs = std(block)
-        stop = np.flatnonzero(stdevs <= stop_stdev)
-        if len(stop):
-            block, stdevs = block[:stop[0] + 1], stdevs[:stop[0] + 1]
-        minima.append(_row_extreme(np.minimum, block))
-        held += len(block)
-        end = len(stop) > 0 or t + held > max_iters
-        if end or held >= _FOLD_ROWS:
-            p_min, minima = np.concatenate(minima), [minima[-1][-1:]]
-            total, count = _fold(p_min, t, total, chunks if record else None)
-            t, held, negatives = t + held - 1, 1, negatives + count
-        if end:
-            break
+    rows = _stream(graph, rule, init_vector(graph, members), max_iters)
+    try:
+        for block in rows:
+            stdevs = std(block)
+            stop = np.flatnonzero(stdevs <= stop_stdev)
+            if len(stop):
+                block, stdevs = block[:stop[0] + 1], stdevs[:stop[0] + 1]
+            minima.append(_row_extreme(np.minimum, block))
+            held += len(block)
+            end = len(stop) > 0 or t + held > max_iters
+            if end or held >= _FOLD_ROWS:
+                p_min, minima = np.concatenate(minima), [minima[-1][-1:]]
+                total, count = _fold(p_min, t, total, chunks if record else None)
+                t, held, negatives = t + held - 1, 1, negatives + count
+            if end:
+                break
+    finally:
+        rows.close()
     normalizer = float(np.mean(block[-1]))
     return MttfReport(
         lower_bound=total / normalizer if normalizer > 0 else 0.0,

@@ -20,8 +20,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .dynamics import (
-    _BLOCK_ROWS, Rule, _ahead, _cpus, _row_extreme, _std_of, block_height, blocks, engine_blocks,
-    engine_kernel, init_vector, neutral_part, resolve_rule, std, step_count,
+    Rule, _row_extreme, _std_of, _stream, blocks, engine_blocks, engine_kernel, init_vector,
+    neutral_part, resolve_rule, std, step_count,
 )
 from .graphs import check_config, is_strongly_connected, stats
 
@@ -254,7 +254,7 @@ def solve(graph, config, options=SolveOptions()):
     best, since_best, window = tau, 0, STALL_WINDOW
     iters = 0
     converged = tau <= options.epsilon
-    steps, rank = (), None
+    steps, rank = None, None
     if not converged and options.criterion == "range" and not options.record_trajectory:
         # a row's min and max do not depend on the order of its entries, so
         # the range reads the engine's blocks and puts back only the row it
@@ -263,16 +263,20 @@ def solve(graph, config, options=SolveOptions()):
         steps, rank = engine_blocks(kernel, values, options.max_iters), kernel.rank
     elif not converged:
         steps = blocks(graph, options.rule, values, options.max_iters)
-    for block in steps:
-        taus = _criterion_stats(block, options.criterion)
-        row, converged, best, since_best = _stop(taus, options.epsilon, best, since_best, window)
-        k = len(block) - 1 if row is None else row
-        if parts is not None:
-            parts.append(_row_stats(block[:k + 1]))
-        iters += k + 1
-        values, tau = block[k], float(taus[k])
-        if row is not None:
-            break
+    try:
+        for block in steps or ():
+            taus = _criterion_stats(block, options.criterion)
+            row, converged, best, since_best = _stop(taus, options.epsilon, best, since_best, window)
+            k = len(block) - 1 if row is None else row
+            if parts is not None:
+                parts.append(_row_stats(block[:k + 1]))
+            iters += k + 1
+            values, tau = block[k], float(taus[k])
+            if row is not None:
+                break
+    finally:
+        if steps is not None:
+            steps.close()
     return SolveReport(
         fixation=_estimate(values, options.criterion),
         half_range=tau,
@@ -375,36 +379,16 @@ def trajectory(graph, config, rule=Rule.BD, steps=100):
     Works on any graph, strongly connected or not; kernels are defined
     pointwise and vertices without incoming edges simply never change.
 
-    From n = 256, where a block is 2^16 cells, when the steps fill more
-    than one block and the process may run on two CPUs, a worker thread
-    computes the next blocks (``dynamics._ahead``) while this one puts
-    block k back in vertex order and reduces it. Each row is the same
-    calls in the same order either way, so the table has the same bits,
-    and the worker is joined before the call returns or raises.
+    The rows of ``dynamics._stream``, reduced a block at a time by
+    ``_row_stats``; a worker thread that computes them joins before the
+    call returns or raises.
     """
     steps = step_count(steps)
     rule = resolve_rule(rule, kernel=True)
-    kernel = engine_kernel(graph, rule)  # validate rule/graph pairing up front
-    values = init_vector(graph, config)
-    height = block_height(graph.n)
-    computed = engine_blocks(kernel, values, steps)
-    # below n = 256 a block is too little work to pay for the hand-offs: a
-    # worker read 1.25x the time of the calling thread alone at n = 50
-    if graph.n >= _BLOCK_ROWS and steps > height and _cpus() > 1:
-        computed = _ahead(computed)
-    parts = [_row_stats(values[None])]
-    # one buffer puts every block back in vertex order: with a fresh copy per
-    # block, freed with the block's temporaries, glibc can hand the top of its
-    # heap back to the system and fault it in again every block (1.9x the
-    # time of a one-CPU trajectory at n = 10^4)
-    put_back = np.empty((min(height, steps), graph.n))
+    engine_kernel(graph, rule)  # validate rule/graph pairing up front
+    rows = _stream(graph, rule, init_vector(graph, config), steps)
     try:
-        for block in computed:
-            rows = put_back[:len(block)]
-            # rank holds each column once, so "clip" clips nothing; it lets
-            # take write into ``rows`` without a copy of its own
-            block.take(kernel.rank, axis=1, out=rows, mode="clip")
-            parts.append(_row_stats(rows))
+        parts = [_row_stats(block) for block in rows]
     finally:
-        computed.close()
+        rows.close()
     return _trajectory_table(parts, graph.n)

@@ -196,7 +196,7 @@ COUNT_TAKERS = {
         "max_iters",
         lambda c: speedup_benchmark(ER6, [0], mc_runs=4, max_iters=c).solver_iterations),
     "blocks": ("steps", lambda c: np.concatenate(
-        list(blocks(ER6, "bd", np.eye(ER6.n)[0], c))).tobytes()),
+        [block.copy() for block in blocks(ER6, "bd", np.eye(ER6.n)[0], c)]).tobytes()),
 }
 
 

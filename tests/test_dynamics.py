@@ -182,7 +182,8 @@ def _assert_blocks_hold(rule, counts, height):
     assert block_height(g.n) == height
     values = np.random.default_rng(6).random(9)
     for steps in counts:
-        got = list(blocks(g, rule, values, steps))
+        # each block is valid until the next is asked for
+        got = [block.copy() for block in blocks(g, rule, values, steps)]
         whole, rest = divmod(steps, height)
         assert [len(b) for b in got] == [height] * whole + [rest] * (rest > 0)
         want = list(islice(ref.iterate(g, rule, values), steps))

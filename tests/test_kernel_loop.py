@@ -38,6 +38,7 @@ from fixlab import (
     trajectory,
 )
 from fixlab import dynamics
+from fixlab import montecarlo as montecarlo_mod
 from fixlab import mttf as mttf_mod
 from fixlab import solver as solver_mod
 from fixlab.cli import main
@@ -512,7 +513,7 @@ def test_kernel_at_the_one_copy_boundary_matches_the_reference_loop(entries, dep
     opts = SolveOptions(epsilon=1e-12, max_iters=2 * b + 1)
     assert_same_report(solve(g, config, opts), ref.solve(g, config, opts))
     values = np.random.default_rng(entries).random(g.n)
-    rows = np.concatenate(list(blocks(g, Rule.BD, values, b + 2)))
+    rows = np.concatenate([block.copy() for block in blocks(g, Rule.BD, values, b + 2)])
     want = list(islice(ref.iterate(g, Rule.BD, values), b + 2))
     assert rows.tobytes() == np.array(want).tobytes()
 
@@ -554,7 +555,7 @@ def _passes_one(graph, values, steps):
 
 def _assert_same_steps(graph, values, steps):
     """The engine's first steps from ``values``, each the reference's bits."""
-    got = [row for block in blocks(graph, Rule.BD, values, steps) for row in block]
+    got = [row for block in blocks(graph, Rule.BD, values, steps) for row in block.copy()]
     want = islice(ref.iterate(graph, Rule.BD, values), steps)
     for row, want_row in zip(got, want, strict=True):
         assert row.tobytes() == want_row.tobytes()
@@ -575,7 +576,7 @@ def test_clip_redoes_a_later_block_from_the_row_past_one(monkeypatch):
     for steps in (first - 1, first, first + 1, b * ((first - 1) // b + 1), 3 * b + 1):
         got = trajectory(g, range(5), rule=Rule.BD, steps=steps)
         assert got.to_csv_text() == ref.trajectory(g, range(5), Rule.BD, steps).to_csv_text()
-        rows = np.concatenate(list(blocks(g, Rule.BD, ones, steps)))
+        rows = np.concatenate([block.copy() for block in blocks(g, Rule.BD, ones, steps)])
         want = list(islice(ref.iterate(g, Rule.BD, ones), steps))
         assert rows.tobytes() == np.array(want).tobytes()
 
@@ -646,7 +647,7 @@ def test_clip_redoes_from_a_row_past_one_in_any_call_of_a_block(monkeypatch):
         assert _passes_one(g, start, past) == [past]
         _assert_same_steps(g, start, 120)
         for steps in (past - 1, past, past + 1, b * ((past - 1) // b + 1), 3 * b + 1):
-            rows = np.concatenate(list(blocks(g, Rule.BD, start, steps)))
+            rows = np.concatenate([block.copy() for block in blocks(g, Rule.BD, start, steps)])
             want = list(islice(ref.iterate(g, Rule.BD, start), steps))
             assert rows.tobytes() == np.array(want).tobytes()
     # a solve and an mttf bound that stop past a redo inside a later chunk
@@ -674,26 +675,30 @@ def test_all_ones_trajectory_clips_every_step():
         assert got.to_csv_text() == ref.trajectory(g, range(g.n), Rule.BD, steps).to_csv_text()
 
 
-# ------------------------------------------------------------- trajectory's worker
+# ------------------------------------------------------------- the engine's worker
 
 
 def _set_cpus(monkeypatch, count):
-    """The process may run on ``count`` CPUs, as ``trajectory`` reads it."""
+    """The process may run on ``count`` CPUs, as ``blocks`` reads it."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: count)
 
 
 def _spy_producer(monkeypatch):
-    """The name of the thread that computes each of trajectory's blocks."""
-    seen, engine_blocks = [], solver_mod.engine_blocks
+    """The name of the thread that computes each block ``blocks`` reads."""
+    seen, engine_blocks = [], dynamics.engine_blocks
 
     def spy(*args):
         for block in engine_blocks(*args):
             seen.append(threading.current_thread().name)
             yield block
 
-    monkeypatch.setattr(solver_mod, "engine_blocks", spy)
+    monkeypatch.setattr(dynamics, "engine_blocks", spy)
     return seen
+
+
+def _no_worker_left():
+    return "fixlab-kernel" not in {t.name for t in threading.enumerate()}
 
 
 @pytest.fixture(scope="module")
@@ -725,24 +730,111 @@ def test_trajectory_matches_the_reference_at_its_own_block_boundaries(
         worker = g.n >= 256 and steps > h and cpus > 1
         assert len(seen) == -(-steps // h)
         assert set(seen) == {"fixlab-kernel" if worker else threading.current_thread().name}
-        assert "fixlab-kernel" not in {t.name for t in threading.enumerate()}
+        assert _no_worker_left()
+
+
+CONFIG = [0, 3]
+
+
+def _block_routes(stdev, half_range):
+    """Each route beside ``trajectory`` that reads ``blocks``, as a call of
+    (graph, max_iters) whose answer compares with ==. The mttf bound and the
+    stdev solve stop at the deviation ``stdev``, the recorded solve at the
+    half range ``half_range``; the benchmark's simulated estimate is 0 on
+    these graphs, so it stops only at its cap."""
+
+    def mttf(g, cap):
+        r = mttf_lower_bound(g, CONFIG, stop_stdev=stdev, max_iters=cap, record=True)
+        return (r.lower_bound, r.partial_sum, r.normalizer, r.iterations, r.truncated,
+                r.negative_increments, r.trace.to_csv_text())
+
+    def speedup(g, cap):
+        r = speedup_benchmark(g, CONFIG, mc_runs=4, seed=1, max_iters=cap)
+        return r.mc_estimate, r.solver_estimate, r.solver_iterations, r.entered_band
+
+    def solved(g, opts):
+        r = solve(g, CONFIG, opts)
+        table = None if r.trajectory is None else r.trajectory.to_csv_text()
+        return r.fixation, r.half_range, r.iterations, r.converged, r.values.tobytes(), table
+
+    return {
+        "mttf": mttf,
+        "speedup": speedup,
+        "solve stdev": lambda g, cap: solved(
+            g, SolveOptions(epsilon=stdev, criterion="stdev", max_iters=cap)),
+        "solve recorded": lambda g, cap: solved(
+            g, SolveOptions(epsilon=half_range, max_iters=cap, record_trajectory=True)),
+    }
+
+
+ROUTES = ("mttf", "speedup", "solve stdev", "solve recorded")
+
+
+@pytest.mark.parametrize("route", ROUTES)
+@pytest.mark.parametrize("size", [7, 50, 300])
+def test_every_blocks_route_has_the_same_bits_on_one_and_two_cpus(
+        monkeypatch, request, route, size):
+    g = {7: lambda: random_digraph(7, 7), 50: lambda: request.getfixturevalue("ba50"),
+         300: lambda: request.getfixturevalue("ba300")}[size]()
+    h = block_height(g.n)
+    # the deviation and half range at row 2.5 h, which stop the routes inside
+    # their third block, or sooner
+    table = ref.trajectory(g, CONFIG, Rule.BD, 2 * h + h // 2)
+    stopping = _block_routes(table.stdev[-1], 0.5 * (table.max[-1] - table.min[-1]))
+    capped = _block_routes(1e-300, 1e-300)
+    seen = _spy_producer(monkeypatch)
+    # two blocks, the shortest run that starts a worker; and four blocks
+    for call, cap in ((capped, h + 1), (stopping, 3 * h + 5)):
+        answers = []
+        for cpus in (1, 2):
+            _set_cpus(monkeypatch, cpus)
+            seen.clear()
+            answers.append(call[route](g, cap))
+            # every run here asks for more than one block
+            worker = g.n >= 256 and cpus > 1
+            assert seen and set(seen) == {
+                "fixlab-kernel" if worker else threading.current_thread().name}
+            assert _no_worker_left()
+        assert answers[0] == answers[1]
+
+
+def test_blocks_reuse_one_buffer_and_the_last_block_survives_close(monkeypatch, ba300):
+    _set_cpus(monkeypatch, 2)
+    h = block_height(ba300.n)
+    values = init_vector(ba300, CONFIG)
+    want = np.array(list(islice(ref.iterate(ba300, Rule.BD, values), 2 * h)))
+    reader = blocks(ba300, Rule.BD, values, 5 * h)
+    first = next(reader)
+    assert first.tobytes() == want[:h].tobytes()
+    second = next(reader)
+    # the second block is written over the first
+    assert np.shares_memory(first, second) and first.tobytes() == second.tobytes()
+    # closed with the worker ahead, the reader writes the buffer no more
+    reader.close()
+    assert _no_worker_left()
+    assert second.tobytes() == want[h:].tobytes()
 
 
 class _Stop(Exception):
     """An exception no code under test raises of its own."""
 
 
-@pytest.mark.parametrize("cpus", [1, 2])
-def test_a_failing_block_is_raised_in_the_caller_with_no_thread_left(monkeypatch, ba300, cpus):
-    _set_cpus(monkeypatch, cpus)
-    engine_blocks = solver_mod.engine_blocks
+def _fails_on_the_second_block(monkeypatch):
+    """Make every engine block after the first raise ``_Stop``."""
+    engine_blocks = dynamics.engine_blocks
 
-    def fails_on_the_second_block(*args):
+    def fails(*args):
         computed = engine_blocks(*args)
         yield next(computed)
         raise _Stop("the second block")
 
-    monkeypatch.setattr(solver_mod, "engine_blocks", fails_on_the_second_block)
+    monkeypatch.setattr(dynamics, "engine_blocks", fails)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_failing_block_is_raised_in_the_caller_with_no_thread_left(monkeypatch, ba300, cpus):
+    _set_cpus(monkeypatch, cpus)
+    _fails_on_the_second_block(monkeypatch)
     threads = threading.active_count()
     # the traceback, held here, keeps trajectory's frame alive
     with pytest.raises(_Stop, match="the second block") as caught:
@@ -751,24 +843,67 @@ def test_a_failing_block_is_raised_in_the_caller_with_no_thread_left(monkeypatch
     assert caught.traceback
 
 
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("route", ROUTES)
+def test_a_failing_block_in_any_route_leaves_no_thread(monkeypatch, ba300, route, cpus):
+    _set_cpus(monkeypatch, cpus)
+    _fails_on_the_second_block(monkeypatch)
+    threads = threading.active_count()
+    # the traceback, held here, keeps the route's frame alive
+    with pytest.raises(_Stop, match="the second block") as caught:
+        _block_routes(1e-300, 1e-300)[route](ba300, 5 * block_height(ba300.n))
+    assert threading.active_count() == threads
+    assert caught.traceback
+
+
+def _fails_on_the_third_call(monkeypatch, module, name, error):
+    """Make ``module.name`` raise ``error`` on its third call; the calls' row counts."""
+    calls, reduce = [], getattr(module, name)
+
+    def fails(block, *rest):
+        calls.append(len(block))
+        if len(calls) == 3:
+            raise error("the second block")
+        return reduce(block, *rest)
+
+    monkeypatch.setattr(module, name, fails)
+    return calls
+
+
 @pytest.mark.parametrize("error", [_Stop, KeyboardInterrupt])
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_a_failing_reduction_stops_the_worker(monkeypatch, ba300, cpus, error):
     _set_cpus(monkeypatch, cpus)
-    calls, row_stats = [], solver_mod._row_stats
-
-    def fails_on_the_second_block(block):
-        calls.append(len(block))
-        # row 0, then the first block, then the second
-        if len(calls) == 3:
-            raise error("the second block")
-        return row_stats(block)
-
-    monkeypatch.setattr(solver_mod, "_row_stats", fails_on_the_second_block)
+    # row 0, then the first block, then the second
+    calls = _fails_on_the_third_call(monkeypatch, solver_mod, "_row_stats", error)
     threads = threading.active_count()
     # the traceback, held here, keeps trajectory's frame alive
     with pytest.raises(error) as caught:
         trajectory(ba300, [0, 3], steps=5 * block_height(ba300.n))
+    assert len(calls) == 3
+    assert threading.active_count() == threads
+    assert caught.traceback
+
+
+# the reduction each route calls on row 0 and then once a block
+REDUCTIONS = {
+    "mttf": (mttf_mod, "std"),
+    "speedup": (montecarlo_mod, "_std_of"),
+    "solve stdev": (solver_mod, "_criterion_stats"),
+    "solve recorded": (solver_mod, "_row_stats"),
+}
+
+
+@pytest.mark.parametrize("error", [_Stop, KeyboardInterrupt])
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("route", ROUTES)
+def test_a_failing_reduction_in_any_route_stops_the_worker(monkeypatch, ba300, route, cpus, error):
+    _set_cpus(monkeypatch, cpus)
+    calls = _fails_on_the_third_call(monkeypatch, *REDUCTIONS[route], error)
+    threads = threading.active_count()
+    # the traceback, held here, keeps the route's frame alive
+    with pytest.raises(error) as caught:
+        _block_routes(1e-300, 1e-300)[route](ba300, 5 * block_height(ba300.n))
     assert len(calls) == 3
     assert threading.active_count() == threads
     assert caught.traceback
