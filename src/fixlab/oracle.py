@@ -5,10 +5,10 @@ are single replacement events. States are encoded as bitmasks, little
 endian by vertex id: bit i set means vertex i currently holds a
 mutant. State 0 (no mutants) and state 2^n - 1 (all mutants) are the
 absorbing ends. Fixation probabilities and conditional absorption
-times then come from sparse linear solves over the transient states,
-with no sampling error and a checked residual, which is what makes
-this module the referee for both the iterative solver and the
-simulator.
+times then come from sparse linear solves against I - P with those two
+rows pinned, with no sampling error and a checked residual, which is
+what makes this module the referee for both the iterative solver and
+the simulator.
 """
 
 from __future__ import annotations
@@ -135,8 +135,10 @@ def build_chain(graph, rule=Rule.BD, r=1.0):
     bad = np.flatnonzero(np.abs(sums - 1.0) > ROW_SUM_TOL * max(1, len(graph.out_dst)))
     if bad.size:
         raise ArithmeticError(f"chain rows {bad[:5].tolist()} do not sum to 1")
-    source = sum(1 << v for v in range(n) if reaches_all(graph, [v]))
-    return ChainModel(n, rule, r, chain, source)
+    # one search per vertex, so memoized: a graph is often asked under several rules
+    if "source" not in graph._ops:
+        graph._ops["source"] = sum(1 << v for v in range(n) if reaches_all(graph, [v]))
+    return ChainModel(n, rule, r, chain, graph._ops["source"])
 
 
 def _replacement_odds(graph, rule, r, mutant):
@@ -263,18 +265,19 @@ def bicgstab(a, b, x=None):
     return x, MAX_ITERATIONS, MAX_ITERATIONS
 
 
-def checked_solve(system, rhs, name):
+def checked_solve(system, rhs, name, x=None):
     """Solve ``system @ x = rhs`` to ``RESIDUAL_TOL``: ``(x, residual, iterations)``.
 
-    ``system`` is a square CSR matrix with a nonzero diagonal. Runs
-    ``bicgstab`` and checks the largest residual |rhs - system x| over
-    max(1, max |x|) against ``RESIDUAL_TOL``. A run that misses the
-    bound (its recurrence residual drifted from the true one, it broke
-    down, or it ran out of steps) is restarted from its iterate, at most
-    ``RESTARTS`` times; then ArithmeticError names ``name``.
-    ``iterations`` sums the steps of every run.
+    ``system`` is a square CSR matrix with a nonzero diagonal, and ``x``
+    the start (zeros if None), updated in place. Runs ``bicgstab`` and
+    checks the largest residual |rhs - system x| over max(1, max |x|)
+    against ``RESIDUAL_TOL``. A run that misses the bound (its recurrence
+    residual drifted from the true one, it broke down, or it ran out of
+    steps) is restarted from its iterate, at most ``RESTARTS`` times;
+    then ArithmeticError names ``name``. ``iterations`` sums the steps
+    of every run.
     """
-    x, iterations = None, 0
+    iterations = 0
     for _ in range(RESTARTS + 1):
         x, info, steps = bicgstab(system, rhs, x)
         iterations += steps
@@ -288,22 +291,49 @@ def checked_solve(system, rhs, name):
     )
 
 
+def _pinned_system(chain):
+    """I - P over every state, with the rows of the empty and the full
+    state pinned to the identity: one sparse subtraction, no copy of the
+    transient block. Every row has a nonzero diagonal: 1 on the pinned
+    rows, and 1 - p_ss > 0 on a transient row, also where P holds no
+    entry there (a state with no null event)."""
+    from scipy.sparse import diags
+
+    pin = np.ones(chain.n_states)
+    pin[[0, -1]] = 2.0  # 2 - 1: an absorbing row of P is its own self-loop
+    return diags(pin, format="csr") - chain.transitions
+
+
 def _solutions(chain):
     """Solve the absorption systems once; reused across configurations.
 
-    With Q the transient-to-transient block, h = (I - Q)^-1 b_fix gives
-    fixation probabilities, (I - Q) u = h the fixation-weighted times,
-    and (I - Q) a = 1 the absorption times. Every state absorbs, so the
-    extinction probabilities are 1 - h, and exactly 0 where the mutants
-    hold the whole source component, which residents can never re-enter;
-    conditional means are then u/h (fixation) and symmetric for extinction.
+    The four systems share one matrix over every state,
+    ``_pinned_system``: I - P with the rows of the empty and the full
+    state pinned to the identity. A solution's value at an end is then
+    that end's right-hand side, and its transient part solves (I - Q) x
+    = b + (P's columns of the ends) x_ends, with Q the transient block.
+    The fixation probabilities h are 1 at the full state and 0 at the
+    empty one; the absorption times a, and the fixation-weighted times
+    u, are 0 at both ends, with 1 and h on the transient states. Every
+    state absorbs, so the extinction probabilities are 1 - h, and
+    exactly 0 where the mutants hold the whole source component, which
+    residents can never re-enter; conditional means are then u/h
+    (fixation) and symmetric for extinction.
+
+    Each solve starts with the ends at their values; from zeros,
+    BiCGSTAB breaks down at once on the pinned system's h. The
+    fixation- and extinction-weighted times add up to the absorption
+    times, so the extinction solve starts from a - u_fix, and takes a
+    few steps where the others take tens.
 
     Each system goes through ``checked_solve``: absolute accuracy for the
     probabilities h, so 1 - h meets the same bound, relative to the
-    largest time for u and a. Restarts are needed on the directed
-    5-cycle, and on stars at extreme fitness where BiCGSTAB breaks down.
-    The residuals and iteration counts of the four solves are kept on
-    the chain.
+    largest time for u and a. A restart is needed on the directed
+    5-cycle, where a run stops on its recurrence residual while the true
+    one is still far off; a breakdown, as on a star's extinction
+    probabilities at extreme fitness, is restarted the same way. The
+    residuals and iteration counts of the four solves are kept on the
+    chain. The solutions are indexed by state.
     """
     if chain._solutions is not None:
         return chain._solutions
@@ -312,30 +342,28 @@ def _solutions(chain):
             "no vertex reaches every other, so states that hold two source "
             "components apart never reach fixation or extinction"
         )
-    from scipy.sparse import identity
-
-    full = chain.n_states - 1
-    transient = np.arange(1, full)
-    p = chain.transitions[transient]
-    system = (identity(len(transient), format="csr") - p[:, transient]).tocsr()
+    system = _pinned_system(chain)
     chain.residuals, chain.iterations = {}, {}
 
-    def solve(name, rhs):
-        x, chain.residuals[name], chain.iterations[name] = checked_solve(system, rhs, name)
+    def solve(name, rhs, x=None):
+        x, chain.residuals[name], chain.iterations[name] = checked_solve(system, rhs, name, x)
         return x
 
-    h_fix = solve("h_fix", p[:, [full]].toarray().ravel())
+    to_full = np.zeros(chain.n_states)
+    to_full[-1] = 1.0
+    h_fix = solve("h_fix", to_full, to_full.copy())
     # checked unclamped above; the solve is accurate in absolute terms only,
     # so a probability far below RESIDUAL_TOL can land a hair outside [0, 1]
     np.clip(h_fix, 0.0, 1.0, out=h_fix)
     h_ext = 1.0 - h_fix
-    h_ext[(~transient & chain.source) == 0] = 0.0
-    a_all = solve("a_all", np.ones(len(transient)))
+    h_ext[(~np.arange(chain.n_states) & chain.source) == 0] = 0.0
+    inner = np.ones(chain.n_states)  # 1 on the transient states, 0 at both ends
+    inner[[0, -1]] = 0.0
+    a_all = solve("a_all", inner)
+    u_fix = solve("u_fix", h_fix * inner)
     chain._solutions = {
-        "transient": transient,
-        "h_fix": h_fix, "h_ext": h_ext,
-        "u_fix": solve("u_fix", h_fix), "u_ext": solve("u_ext", h_ext),
-        "a_all": a_all,
+        "h_fix": h_fix, "h_ext": h_ext, "a_all": a_all, "u_fix": u_fix,
+        "u_ext": solve("u_ext", h_ext * inner, a_all - u_fix),
     }
     return chain._solutions
 
@@ -347,8 +375,7 @@ def fixation_exact(chain, config):
         return 0.0
     if s == chain.n_states - 1:
         return 1.0
-    sol = _solutions(chain)
-    return float(sol["h_fix"][s - 1])
+    return float(_solutions(chain)["h_fix"][s])
 
 
 @dataclass(frozen=True)
@@ -379,14 +406,13 @@ def mean_times_exact(chain, config):
     if s == chain.n_states - 1:
         return MeanTimes(0.0, float("nan"), 0.0, extinction_defined=False)
     sol = _solutions(chain)
-    k = s - 1
-    h, hbar = float(sol["h_fix"][k]), float(sol["h_ext"][k])
-    t_fix = float(sol["u_fix"][k]) / h if h > 0 else float("nan")
-    t_ext = float(sol["u_ext"][k]) / hbar if hbar > 0 else float("nan")
+    h, hbar = float(sol["h_fix"][s]), float(sol["h_ext"][s])
+    t_fix = float(sol["u_fix"][s]) / h if h > 0 else float("nan")
+    t_ext = float(sol["u_ext"][s]) / hbar if hbar > 0 else float("nan")
     return MeanTimes(
         fixation=t_fix,
         extinction=t_ext,
-        absorption=float(sol["a_all"][k]),
+        absorption=float(sol["a_all"][s]),
         fixation_defined=h > 0,
         extinction_defined=hbar > 0,
     )

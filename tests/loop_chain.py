@@ -1,17 +1,30 @@
-"""Per-state loop build of the exact chain, kept as the test reference.
+"""Per-state loop build of the exact chain and the sliced absorption
+solve, kept as test references.
 
-This is the original event-by-event enumeration that ``build_chain``
-replaced with array operations. It walks every state, every drawn
-vertex and every neighbor, so it is slow but easy to check against
-the rule semantics; the tests require the array build to give the same
-nonzero pattern and the same entries up to float64 rounding.
+``loop_transitions`` is the original event-by-event enumeration that
+``build_chain`` replaced with array operations. It walks every state,
+every drawn vertex and every neighbor, so it is slow but easy to check
+against the rule semantics; the tests require the array build to give
+the same nonzero pattern and the same entries up to float64 rounding.
+
+``sliced_solutions`` solves the absorption systems the oracle solved
+before it pinned the absorbing rows: I - Q, with Q the transient block
+sliced out of the chain, and P's column of the full state as the
+fixation right-hand side. It solves them by sparse LU, which shares no
+solver code with the oracle, or as the oracle did, each by
+``checked_solve`` from zeros. LU fill grows fast with the state count
+(58M entries and over a minute on a 14-vertex star), and BiCGSTAB from
+zeros on this system's extinction-weighted times stalls on the directed
+5-cycle under db-b.
 """
 
 import numpy as np
-from scipy.sparse import csr_matrix
+from scipy.sparse import csr_matrix, identity
 from scipy.sparse.csgraph import breadth_first_order
+from scipy.sparse.linalg import splu
 
 from fixlab import Rule, resolve_rule
+from fixlab.oracle import checked_solve
 
 
 def loop_transitions(graph, rule=Rule.BD, r=1.0):
@@ -111,3 +124,28 @@ def states_reaching(chain, end):
 def chain_absorbs(chain):
     """True iff every state of ``chain`` reaches the empty or the full state."""
     return bool((states_reaching(chain, 0) | states_reaching(chain, chain.n_states - 1)).all())
+
+
+def transient_system(chain):
+    """(I - Q), Q the transient block of ``chain``, and the transient rows of P."""
+    transient = np.arange(1, chain.n_states - 1)
+    p = chain.transitions[transient]
+    return (identity(len(transient), format="csr") - p[:, transient]).tocsr(), p
+
+
+def sliced_solutions(chain, lu=True):
+    """h_fix, h_ext, a_all, u_fix and u_ext over the transient states,
+    solved against ``transient_system`` by one sparse LU factorization, or
+    with ``lu=False`` each by ``checked_solve`` from zeros."""
+    system, p = transient_system(chain)
+    if lu:
+        solve = splu(system.tocsc()).solve
+    else:
+        def solve(rhs):
+            return checked_solve(system, rhs, "sliced")[0]
+    transient = np.arange(1, chain.n_states - 1)
+    h_fix = np.clip(solve(p[:, [chain.n_states - 1]].toarray().ravel()), 0.0, 1.0)
+    h_ext = 1.0 - h_fix
+    h_ext[(~transient & chain.source) == 0] = 0.0
+    return {"h_fix": h_fix, "h_ext": h_ext, "a_all": solve(np.ones(len(transient))),
+            "u_fix": solve(h_fix), "u_ext": solve(h_ext)}

@@ -4,7 +4,7 @@ import pytest
 import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.sparse import diags, identity
+from scipy.sparse import diags
 from scipy.sparse.linalg import spsolve
 
 from fixlab import (
@@ -22,7 +22,13 @@ from fixlab import (
 from fixlab import oracle
 from fixlab.oracle import MAX_ITERATIONS, RESIDUAL_TOL, RTOL
 
-from .loop_chain import chain_absorbs, loop_transitions, states_reaching
+from .loop_chain import (
+    chain_absorbs,
+    loop_transitions,
+    sliced_solutions,
+    states_reaching,
+    transient_system,
+)
 from .util import (
     complete_graph,
     cycle_graph,
@@ -151,16 +157,21 @@ def test_chain_at_the_cap_agrees_with_iteration():
         assert exact[v] == pytest.approx(solve(g, [v], options).fixation, abs=1e-6)
     assert set(chain.residuals) == {"h_fix", "a_all", "u_fix", "u_ext"}
     assert max(chain.residuals.values()) <= RESIDUAL_TOL
-    assert all(k >= 1 for k in chain.iterations.values())
+    # the extinction-weighted times start from the other solves, a - u_fix,
+    # and may take no step; the three cold solves take tens
+    cold = [chain.iterations[name] for name in ("h_fix", "a_all", "u_fix")]
+    assert min(cold) >= 1 and chain.iterations["u_ext"] < min(cold)
 
 
 def test_solve_restarts_past_a_bicgstab_breakdown(monkeypatch):
-    # a single BiCGSTAB run breaks down on this star's extinction system
-    # (I - Q) x = P[:, 0]; the oracle takes extinction as 1 - fixation, so
-    # the system is built and solved here
+    # a single BiCGSTAB run breaks down on this star's extinction
+    # probabilities: the oracle's pinned system with 1 at the empty state,
+    # started there; the oracle takes extinction as 1 - fixation, so the
+    # system is solved here
     chain = build_chain(star_graph(11), Rule.BD_B, r=0.01)
-    system, p = _absorption_system(chain)
-    b = p[:, [0]].toarray().ravel()
+    system = oracle._pinned_system(chain)
+    b = np.zeros(chain.n_states)
+    b[0] = 1.0
     infos = []
     real = oracle.bicgstab
 
@@ -170,7 +181,7 @@ def test_solve_restarts_past_a_bicgstab_breakdown(monkeypatch):
         return result
 
     monkeypatch.setattr(oracle, "bicgstab", recorded)
-    x, residual, _ = oracle.checked_solve(system, b, "h_ext")
+    x, residual, _ = oracle.checked_solve(system, b, "h_ext", b.copy())
     assert infos[0] == -10 and infos[-1] == 0
     assert residual <= RESIDUAL_TOL
     assert np.max(np.abs(b - system @ x)) <= RESIDUAL_TOL * max(1.0, np.max(np.abs(x)))
@@ -205,7 +216,7 @@ def test_checked_solve_sums_the_steps_of_every_run(monkeypatch):
     monkeypatch.setattr(oracle, "bicgstab", counted)
     chain = build_chain(cycle_graph(5), Rule.BD)
     fixation_exact(chain, [0])
-    assert len(runs) > 5  # the u systems restart
+    assert len(runs) > len(chain.iterations)  # the fixation-weighted times restart
     assert sum(runs) == sum(chain.iterations.values())
 
 
@@ -280,7 +291,7 @@ def test_graph_level_absorption_matches_the_chain_search(rule, r):
             continue
         absorbing += 1
         h_fix = fixation_exact(chain, config)
-        system, p = _absorption_system(chain)
+        system, p = transient_system(chain)
         h_ext = spsolve(system.tocsc(), p[:, [0]].toarray().ravel())[state_of(config) - 1]
         assert abs(h_ext - (1.0 - h_fix)) <= 2 * RESIDUAL_TOL
         times = mean_times_exact(chain, config)
@@ -310,6 +321,23 @@ def test_extinction_is_undefined_where_mutants_hold_the_source_component():
     assert times.fixation_defined and times.fixation == pytest.approx(3.0)
     assert mean_times_exact(chain, [0]).extinction_defined
     assert not mean_times_exact(chain, [2]).fixation_defined
+
+
+def test_source_search_runs_once_per_graph(monkeypatch):
+    g = random_digraph(43, 6)
+    calls = []
+    real = oracle.reaches_all
+
+    def counted(graph, config):
+        calls.append(config)
+        return real(graph, config)
+
+    monkeypatch.setattr(oracle, "reaches_all", counted)
+    first = build_chain(g, Rule.BD)
+    assert len(calls) == g.n
+    for rule, r in ((Rule.DB, 1.0), (Rule.LD, 1.5), (Rule.BD_B, 2.0)):
+        assert build_chain(g, rule, r=r).source == first.source == 0b111111
+    assert len(calls) == g.n
 
 
 def test_chain_with_no_source_component_is_refused_however_built():
@@ -415,13 +443,6 @@ same_steps_as_scipy = pytest.mark.skipif(
     not SCIPY_STEPS, reason="scipy below 1.12 has no rtol= and other BiCGSTAB steps")
 
 
-def _absorption_system(chain):
-    """(I - Q) and the transient rows of P, built as ``oracle._solutions`` builds them."""
-    transient = np.arange(1, chain.n_states - 1)
-    p = chain.transitions[transient]
-    return (identity(len(transient), format="csr") - p[:, transient]).tocsr(), p
-
-
 def _scipy_bicgstab(system, b, x0=None, maxiter=MAX_ITERATIONS):
     from scipy.sparse.linalg import bicgstab
 
@@ -437,9 +458,9 @@ def _assert_same_run(ours, reference):
 
 
 @st.composite
-def _systems(draw):
-    """An absorption system and one of its right-hand sides, on a drawn
-    digraph: a ring through every vertex plus random extra edges."""
+def _chains(draw):
+    """The chain of a drawn digraph under a drawn rule: a ring through every
+    vertex plus random extra edges."""
     n = draw(st.integers(2, 6))
     vertex = st.integers(0, n - 1)
     extra = draw(st.sets(st.tuples(vertex, vertex).filter(lambda e: e[0] != e[1]),
@@ -450,28 +471,93 @@ def _systems(draw):
     g = EvolutionaryGraph(n, [(s, d, w / sums[s]) for (s, d), w in zip(pairs, raw)])
     rule = draw(st.sampled_from(ALL_RULES))
     r = 1.0 if rule in (Rule.BD, Rule.DB) else draw(st.sampled_from((0.01, 0.6, 1.7, 40.0)))
-    system, p = _absorption_system(build_chain(g, rule, r=r))
-    end = draw(st.sampled_from((0, p.shape[1] - 1, None)))
+    return build_chain(g, rule, r=r)
+
+
+@st.composite
+def _systems(draw):
+    """One absorption system of a drawn chain, twice: ``(system, b)`` against
+    the sliced I - Q from zeros, and ``(pinned, b, start)`` against the
+    oracle's pinned I - P from the start that holds the ends at their
+    values. The right-hand side is P's column of an end (1 at that end), or
+    1 on every transient state."""
+    chain = draw(_chains())
+    system, p = transient_system(chain)
+    end = draw(st.sampled_from((0, chain.n_states - 1, None)))
     b = np.ones(p.shape[0]) if end is None else p[:, [end]].toarray().ravel()
-    return system, b
+    pinned_b = np.zeros(chain.n_states)
+    if end is None:
+        pinned_b[1:-1] = 1.0
+    else:
+        pinned_b[end] = 1.0
+    start = np.zeros(chain.n_states) if end is None else pinned_b.copy()
+    return (system, b), (oracle._pinned_system(chain), pinned_b, start)
 
 
 @same_steps_as_scipy
 @settings(max_examples=150, deadline=None)
 @given(_systems())
 def test_bicgstab_takes_scipys_steps(case):
-    system, b = case
+    (system, b), (pinned, pinned_b, start) = case
     _assert_same_run(oracle.bicgstab(system, b),
                      _scipy_bicgstab(system, b))
+    _assert_same_run(oracle.bicgstab(pinned, pinned_b, start.copy()),
+                     _scipy_bicgstab(pinned, pinned_b, x0=start.copy()))
 
 
 @settings(max_examples=60, deadline=None)
 @given(_systems())
 def test_checked_solve_meets_the_residual_bound(case):
-    system, b = case
-    x, residual, _ = oracle.checked_solve(system, b, "h_fix")
-    assert residual <= RESIDUAL_TOL
-    assert np.max(np.abs(b - system @ x)) <= RESIDUAL_TOL * max(1.0, np.max(np.abs(x)))
+    (system, b), (pinned, pinned_b, start) = case
+    for a, rhs, x in ((system, b, None), (pinned, pinned_b, start)):
+        x, residual, _ = oracle.checked_solve(a, rhs, "h_fix", x)
+        assert residual <= RESIDUAL_TOL
+        assert np.max(np.abs(rhs - a @ x)) <= RESIDUAL_TOL * max(1.0, np.max(np.abs(x)))
+
+
+def _assert_agrees_with_the_sliced_solve(chain, lu=True):
+    solutions = oracle._solutions(chain)
+    for name, reference in sliced_solutions(chain, lu).items():
+        got = solutions[name]
+        assert got.shape == (chain.n_states,)
+        assert got[0] == (name == "h_ext") and got[-1] == (name == "h_fix")
+        scale = max(1.0, np.max(np.abs(reference)))
+        assert np.max(np.abs(got[1:-1] - reference)) <= RESIDUAL_TOL * scale, name
+    assert max(chain.residuals.values()) <= RESIDUAL_TOL
+
+
+@settings(max_examples=150, deadline=None)
+@given(_chains())
+def test_pinned_solutions_agree_with_the_sliced_solve(chain):
+    _assert_agrees_with_the_sliced_solve(chain)
+
+
+@pytest.mark.parametrize("graph, rule, r", [
+    # no null event from either one-mutant state, so P has no diagonal there
+    (two_cycle(), Rule.BD, 1.0),
+    # one source component, {0, 1}, that is not the whole graph: extinction
+    # is forced to 0 on the states that hold it
+    (EvolutionaryGraph(3, [(0, 1, 0.5), (0, 2, 0.5), (1, 0, 1.0)]), Rule.DB, 1.0),
+    # fixation chances near 1e-44, far below the solve's accuracy
+    (star_graph(13), Rule.BD_B, 0.01),
+])
+def test_pinned_solutions_agree_with_the_sliced_solve_on_edge_cases(graph, rule, r):
+    # against the cold BiCGSTAB route the pinned system replaced
+    chain = build_chain(graph, rule, r=r)
+    assert (oracle._pinned_system(chain).diagonal() > 0).all()
+    _assert_agrees_with_the_sliced_solve(chain, lu=False)
+
+
+@pytest.mark.parametrize("r", [0.01, 0.6, 1.7])
+def test_directed_five_cycle_under_db_b_solves_at_any_fitness(r):
+    # each vertex has one in-neighbour, so fitness steers no draw and db-b
+    # is plain db; from zeros, BiCGSTAB on this chain's extinction-weighted
+    # times stalled at residual 0.33 through every restart
+    times = mean_times_exact(build_chain(cycle_graph(5), Rule.DB_B, r=r), [0])
+    expected = mean_times_exact(build_chain(cycle_graph(5), Rule.DB), [0])
+    assert times.fixation == pytest.approx(expected.fixation, rel=1e-10)
+    assert times.extinction == pytest.approx(expected.extinction, rel=1e-10)
+    assert times.absorption == pytest.approx(expected.absorption, rel=1e-10)
 
 
 @same_steps_as_scipy
@@ -481,16 +567,24 @@ def test_checked_solve_meets_the_residual_bound(case):
     (star_graph(6), Rule.DB_D, 0.01),
 ])
 def test_bicgstab_continues_from_a_given_start_as_scipy_does(graph, rule, r):
-    system, p = _absorption_system(build_chain(graph, rule, r=r))
+    chain = build_chain(graph, rule, r=r)
+    system, p = transient_system(chain)
     b = np.ones(p.shape[0])
     start = _scipy_bicgstab(system, b, maxiter=2)[0]
     _assert_same_run(oracle.bicgstab(system, b, start.copy()),
                      _scipy_bicgstab(system, b, x0=start.copy()))
+    # the pinned system, from two steps past the start that pins the full state
+    pinned = oracle._pinned_system(chain)
+    b = np.zeros(chain.n_states)
+    b[-1] = 1.0
+    start = _scipy_bicgstab(pinned, b, x0=b.copy(), maxiter=2)[0]
+    _assert_same_run(oracle.bicgstab(pinned, b, start.copy()),
+                     _scipy_bicgstab(pinned, b, x0=start.copy()))
 
 
 @same_steps_as_scipy
 def test_bicgstab_on_a_zero_right_hand_side():
-    system, p = _absorption_system(build_chain(random_digraph(12, 5), Rule.LD, r=1.5))
+    system, p = transient_system(build_chain(random_digraph(12, 5), Rule.LD, r=1.5))
     b = np.zeros(p.shape[0])
     ours = oracle.bicgstab(system, b)
     _assert_same_run(ours, _scipy_bicgstab(system, b))
@@ -500,7 +594,7 @@ def test_bicgstab_on_a_zero_right_hand_side():
 @same_steps_as_scipy
 @pytest.mark.parametrize("maxiter", [1, 2, 3])
 def test_bicgstab_that_runs_out_of_steps(maxiter, monkeypatch):
-    system, p = _absorption_system(build_chain(random_digraph(13, 7), Rule.DB_B, r=1.7))
+    system, p = transient_system(build_chain(random_digraph(13, 7), Rule.DB_B, r=1.7))
     b = p[:, [p.shape[1] - 1]].toarray().ravel()
     monkeypatch.setattr(oracle, "MAX_ITERATIONS", maxiter)
     ours = oracle.bicgstab(system, b)
