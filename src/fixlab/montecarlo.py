@@ -23,6 +23,9 @@ Event semantics by rule (fitness f is r on mutants, 1 on residents):
 
 At r = 1 each family collapses to its neutral kernel; the neutral rule
 names are accepted and dispatched to the cheapest equivalent sampler.
+Each sampler kind has its own event loop (``_play_bd_b`` ... ``_play_ld``),
+chosen once per ``_Process``; the loops share only the rare paths, the
+flip commit and the draw refill.
 """
 
 from __future__ import annotations
@@ -68,10 +71,10 @@ def default_thread_count():
 class _Draws:
     """Uniform variates from one generator, read in order from ``buf[i:]``.
 
-    ``_play`` appends the generator's next ``chunk`` variates to the
-    unread tail when fewer than two are left, and doubles ``chunk`` up
-    to ``_BUFFER``; chunked draws from one generator equal one long
-    draw, so the stream does not depend on where the chunks break.
+    A play loop appends the generator's next ``chunk`` variates to the
+    unread tail when fewer than two are left (``_refill``), and doubles
+    ``chunk`` up to ``_BUFFER``; chunked draws from one generator equal
+    one long draw, so the stream does not depend on where the chunks break.
     """
 
     __slots__ = ("rng", "buf", "i", "chunk")
@@ -83,6 +86,12 @@ class _Draws:
         self.chunk = _FIRST_CHUNK
 
 
+def _refill(random, buf, i, chunk):
+    # the unread tail and the next chunk: (buf, i, stop, chunk) for the loop
+    buf = buf[i:] + random(chunk).tolist()
+    return buf, 0, len(buf) - 1, chunk * 2 if chunk < _BUFFER else chunk
+
+
 class _State:
     """One trajectory: types, mutant count and the swap-set index lists.
 
@@ -92,6 +101,15 @@ class _State:
     """
 
     __slots__ = ("member", "m", "mut", "res", "pos", "eb_mut", "eb_res", "epos")
+
+    def copy(self):
+        st = _State()
+        st.member, st.m, st.mut, st.res, st.pos = (
+            self.member[:], self.m, self.mut[:], self.res[:], self.pos[:])
+        st.eb_mut = st.eb_res = st.epos = None
+        if self.epos is not None:
+            st.eb_mut, st.eb_res, st.epos = self.eb_mut[:], self.eb_res[:], self.epos[:]
+        return st
 
 
 @dataclass(frozen=True)
@@ -111,7 +129,14 @@ def _positions(universe, *lists):
 
 
 class _Process:
-    """Immutable sampling tables for one (graph, rule, r); shared by runs."""
+    """Immutable sampling tables for one (graph, rule, r); shared by runs.
+
+    ``play`` is the event loop of the sampler kind, and ``rows[v]`` the
+    table that loop reads for vertex v, so an event does one list lookup:
+    under bd-b the row's cumsum without its last entry and its targets,
+    under bd-d its (target, weight) pairs, under db-b and db-d v's
+    incoming neighbours, under ld v's outgoing edge ids.
+    """
 
     def __init__(self, graph, rule, r):
         self.graph = graph
@@ -129,6 +154,19 @@ class _Process:
         self.k_in = graph.k_in.tolist()
         self.n_edges = len(graph.out_dst)
         self.edge_src = np.repeat(np.arange(self.n), graph.k_out).tolist()
+        self.play = _LOOPS[self.kind]
+        out = list(zip(self.out_ptr, self.out_ptr[1:]))
+        if self.kind == _K_BD_B:
+            # the draw past the row's last kept entry picks the last edge,
+            # also where the float cumsum ends below 1
+            self.rows = [(self.out_cum[a:b - 1], self.out_dst[a:b]) for a, b in out]
+        elif self.kind == _K_BD_D:
+            self.rows = [list(zip(self.out_dst[a:b], self.out_w[a:b])) for a, b in out]
+        elif self.kind == _K_LD:
+            self.rows = [range(a, b) for a, b in out]
+        else:
+            ptr = self.in_ptr
+            self.rows = [self.in_src[a:b] for a, b in zip(ptr, ptr[1:])]
 
     def new_state(self, members):
         st = _State()
@@ -150,138 +188,233 @@ class _Process:
 def _play(proc, st, draws, step_cap):
     """Play events on ``st`` until absorption or ``step_cap`` events.
 
-    This is the module's one event law. Each sampler kind is an inline
-    block and a flip is committed inline (swap-set move, ld edge-bucket
-    moves, mutant count), all on locals. Draws are read from ``draws``,
-    whose cursor is left after the last one used, so calls can share a
-    stream. ``st`` is left at the final state.
+    Runs the sampler kind's own loop (``proc.play``). Draws are read from
+    ``draws``, whose cursor is left after the last one used, so calls can
+    share a stream. ``st`` is left at the final state.
     """
-    n, m = proc.n, st.m
-    if m == 0:
+    if st.m == 0:
         return RunResult(False, 0, False)
-    if m == n:
+    if st.m == proc.n:
         return RunResult(True, 0, False)
-    kind, r, n_edges = proc.kind, proc.r, proc.n_edges
-    out_ptr, out_dst, out_w, out_cum = proc.out_ptr, proc.out_dst, proc.out_w, proc.out_cum
-    in_ptr, in_src, k_in, edge_src = proc.in_ptr, proc.in_src, proc.k_in, proc.edge_src
-    member, mut, res, pos = st.member, st.mut, st.res, st.pos
-    eb_mut, eb_res, epos = st.eb_mut, st.eb_res, st.epos
+    return proc.play(proc, st, draws, step_cap)
+
+
+def _move(items, src, dst, pos):
+    # move each of ``items`` from swap list src to dst; pos[x] is x's index
+    for x in items:
+        k = pos[x]
+        last = src[-1]
+        src[k] = last
+        pos[last] = k
+        src.pop()
+        pos[x] = len(dst)
+        dst.append(x)
+
+
+def _flip(st, vertex, new):
+    # commit one flip of ``vertex`` to type ``new``: the one-item ``_move``
+    # inline, as every flip pays it; returns the new mutant count
+    st.member[vertex] = new
+    mut, pos = st.mut, st.pos
+    src, dst = (st.res, mut) if new else (mut, st.res)
+    k = pos[vertex]
+    last = src[-1]
+    src[k] = last
+    pos[last] = k
+    src.pop()
+    pos[vertex] = len(dst)
+    dst.append(vertex)
+    st.m = len(mut)
+    return st.m
+
+
+# In every loop below a pick int(x) from x in [0, len) is clamped against
+# the last-ulp rounding of u * len; each event reads at most two variates,
+# and the per-state totals are the per-event expressions, evaluated once
+# per flip. A loop ends by writing back the draw cursor.
+
+def _play_bd_b(proc, st, draws, cap):
+    n, r, rows = proc.n, proc.r, proc.rows
+    member, mut, res, m = st.member, st.mut, st.res, st.m
     random, buf, i, chunk = draws.rng.random, draws.buf, draws.i, draws.chunk
-    stop = len(buf) - 1  # an event reads at most two variates
-    steps = 0
-    while steps < step_cap:
-        steps += 1
+    stop = len(buf) - 1
+    rm = r * m
+    phi = rm + (n - m)
+    for steps in range(1, cap + 1):
         if i >= stop:
-            buf = buf[i:] + random(chunk).tolist()
-            i, stop = 0, len(buf) - 1
-            if chunk < _BUFFER:
-                chunk *= 2
-        # a pick int(x) from x in [0, len) is clamped against the last-ulp
-        # rounding of u * len, and a draw past a row's float cumsum, which
-        # can end a ulp or more below 1, is clamped to the row's last entry
-        if kind == _K_BD_B:
-            x = buf[i] * (r * m + (n - m))
-            if x < r * m:
-                k = int(x / r)
-                breeder = mut[k if k < m else m - 1]
-            else:
-                k = int(x - r * m)
-                breeder = res[k if k < n - m else n - m - 1]
-            # the first edge of the row whose cumsum exceeds the draw
-            last = out_ptr[breeder + 1] - 1
-            k = bisect_right(out_cum, buf[i + 1], out_ptr[breeder], last + 1)
-            i += 2
-            vertex, new = out_dst[k if k < last else last], member[breeder]
-        elif kind == _K_BD_D:
-            breeder = int(buf[i] * n)
-            if breeder >= n:
-                breeder = n - 1
-            lo, hi = out_ptr[breeder], out_ptr[breeder + 1]
-            total = 0.0
-            for k in range(lo, hi):
-                w = out_w[k]
-                total += w / r if member[out_dst[k]] else w
-            x = buf[i + 1] * total
-            i += 2
-            acc = 0.0
-            vertex = out_dst[hi - 1]
-            for k in range(lo, hi):
-                w = out_w[k]
-                acc += w / r if member[out_dst[k]] else w
-                if x < acc:
-                    vertex = out_dst[k]
-                    break
-            new = member[breeder]
-        elif kind == _K_DB_B:
-            vertex = int(buf[i] * n)
-            if vertex >= n:
-                vertex = n - 1
-            lo, hi = in_ptr[vertex], in_ptr[vertex + 1]
-            total = 0.0
-            for k in range(lo, hi):
-                total += r if member[in_src[k]] else 1.0
-            x = buf[i + 1] * total
-            i += 2
-            acc = 0.0
-            rep = in_src[hi - 1]
-            for k in range(lo, hi):
-                acc += r if member[in_src[k]] else 1.0
-                if x < acc:
-                    rep = in_src[k]
-                    break
-            new = member[rep]
-        elif kind == _K_DB_D:
-            x = buf[i] * (m / r + (n - m))
-            if x < m / r:
-                k = int(x * r)
-                vertex = mut[k if k < m else m - 1]
-            else:
-                k = int(x - m / r)
-                vertex = res[k if k < n - m else n - m - 1]
-            k = in_ptr[vertex] + int(buf[i + 1] * k_in[vertex])
-            i += 2
-            last = in_ptr[vertex + 1] - 1
-            new = member[in_src[k if k < last else last]]
-        else:  # ld
-            cm = len(eb_mut)
-            x = buf[i] * (r * cm + (n_edges - cm))
-            i += 1
-            if x < r * cm:
-                k = int(x / r)
-                e = eb_mut[k if k < cm else cm - 1]
-            else:
-                k = int(x - r * cm)
-                e = eb_res[k if k < n_edges - cm else n_edges - cm - 1]
-            vertex, new = out_dst[e], member[edge_src[e]]
+            buf, i, stop, chunk = _refill(random, buf, i, chunk)
+        x = buf[i] * phi
+        if x < rm:
+            k = int(x / r)
+            breeder = mut[k if k < m else m - 1]
+        else:
+            k = int(x - rm)
+            breeder = res[k if k < n - m else n - m - 1]
+        # the first edge of the row whose cumsum exceeds the draw
+        cum, dst = rows[breeder]
+        vertex = dst[bisect_right(cum, buf[i + 1])]
+        i += 2
+        new = member[breeder]
         if member[vertex] != new:
-            member[vertex] = new
-            src, dst = (res, mut) if new else (mut, res)
-            k = pos[vertex]
-            last = src[-1]
-            src[k] = last
-            pos[last] = k
-            src.pop()
-            pos[vertex] = len(dst)
-            dst.append(vertex)
-            m = len(mut)
-            if kind == _K_LD:
-                src, dst = (eb_res, eb_mut) if new else (eb_mut, eb_res)
-                for e in range(out_ptr[vertex], out_ptr[vertex + 1]):
-                    k = epos[e]
-                    last = src[-1]
-                    src[k] = last
-                    epos[last] = k
-                    src.pop()
-                    epos[e] = len(dst)
-                    dst.append(e)
+            m = _flip(st, vertex, new)
+            if m == 0 or m == n:
+                result = RunResult(m == n, steps, False)
+                break
+            rm = r * m
+            phi = rm + (n - m)
+    else:
+        result = RunResult(False, cap, True)
+    draws.buf, draws.i, draws.chunk = buf, i, chunk
+    return result
+
+
+def _play_bd_d(proc, st, draws, cap):
+    n, r, rows = proc.n, proc.r, proc.rows
+    member = st.member
+    random, buf, i, chunk = draws.rng.random, draws.buf, draws.i, draws.chunk
+    stop = len(buf) - 1
+    for steps in range(1, cap + 1):
+        if i >= stop:
+            buf, i, stop, chunk = _refill(random, buf, i, chunk)
+        breeder = int(buf[i] * n)
+        if breeder >= n:
+            breeder = n - 1
+        row = rows[breeder]
+        total = 0.0
+        for v, w in row:
+            total += w / r if member[v] else w
+        x = buf[i + 1] * total
+        i += 2
+        acc = 0.0
+        vertex = row[-1][0]
+        for v, w in row:
+            acc += w / r if member[v] else w
+            if x < acc:
+                vertex = v
+                break
+        new = member[breeder]
+        if member[vertex] != new:
+            m = _flip(st, vertex, new)
             if m == 0 or m == n:
                 result = RunResult(m == n, steps, False)
                 break
     else:
-        result = RunResult(False, steps, True)
-    st.m = m
+        result = RunResult(False, cap, True)
     draws.buf, draws.i, draws.chunk = buf, i, chunk
     return result
+
+
+def _play_db_b(proc, st, draws, cap):
+    n, r, rows = proc.n, proc.r, proc.rows
+    member = st.member
+    random, buf, i, chunk = draws.rng.random, draws.buf, draws.i, draws.chunk
+    stop = len(buf) - 1
+    for steps in range(1, cap + 1):
+        if i >= stop:
+            buf, i, stop, chunk = _refill(random, buf, i, chunk)
+        vertex = int(buf[i] * n)
+        if vertex >= n:
+            vertex = n - 1
+        row = rows[vertex]
+        total = 0.0
+        for u in row:
+            total += r if member[u] else 1.0
+        x = buf[i + 1] * total
+        i += 2
+        acc = 0.0
+        rep = row[-1]
+        for u in row:
+            acc += r if member[u] else 1.0
+            if x < acc:
+                rep = u
+                break
+        new = member[rep]
+        if member[vertex] != new:
+            m = _flip(st, vertex, new)
+            if m == 0 or m == n:
+                result = RunResult(m == n, steps, False)
+                break
+    else:
+        result = RunResult(False, cap, True)
+    draws.buf, draws.i, draws.chunk = buf, i, chunk
+    return result
+
+
+def _play_db_d(proc, st, draws, cap):
+    n, r, rows = proc.n, proc.r, proc.rows
+    member, mut, res, m = st.member, st.mut, st.res, st.m
+    random, buf, i, chunk = draws.rng.random, draws.buf, draws.i, draws.chunk
+    stop = len(buf) - 1
+    mr = m / r
+    psi = mr + (n - m)
+    for steps in range(1, cap + 1):
+        if i >= stop:
+            buf, i, stop, chunk = _refill(random, buf, i, chunk)
+        x = buf[i] * psi
+        if x < mr:
+            k = int(x * r)
+            vertex = mut[k if k < m else m - 1]
+        else:
+            k = int(x - mr)
+            vertex = res[k if k < n - m else n - m - 1]
+        row = rows[vertex]
+        k = int(buf[i + 1] * len(row))
+        i += 2
+        new = member[row[k] if k < len(row) else row[-1]]
+        if member[vertex] != new:
+            m = _flip(st, vertex, new)
+            if m == 0 or m == n:
+                result = RunResult(m == n, steps, False)
+                break
+            mr = m / r
+            psi = mr + (n - m)
+    else:
+        result = RunResult(False, cap, True)
+    draws.buf, draws.i, draws.chunk = buf, i, chunk
+    return result
+
+
+def _play_ld(proc, st, draws, cap):
+    n, r, rows, n_edges = proc.n, proc.r, proc.rows, proc.n_edges
+    out_dst, edge_src = proc.out_dst, proc.edge_src
+    member, eb_mut, eb_res, epos = st.member, st.eb_mut, st.eb_res, st.epos
+    random, buf, i, chunk = draws.rng.random, draws.buf, draws.i, draws.chunk
+    stop = len(buf) - 1
+    cm = len(eb_mut)
+    rc = r * cm
+    phi = rc + (n_edges - cm)
+    for steps in range(1, cap + 1):
+        if i >= stop:
+            buf, i, stop, chunk = _refill(random, buf, i, chunk)
+        x = buf[i] * phi
+        i += 1
+        if x < rc:
+            k = int(x / r)
+            e = eb_mut[k if k < cm else cm - 1]
+        else:
+            k = int(x - rc)
+            e = eb_res[k if k < n_edges - cm else n_edges - cm - 1]
+        vertex, new = out_dst[e], member[edge_src[e]]
+        if member[vertex] != new:
+            m = _flip(st, vertex, new)
+            _move(rows[vertex], *((eb_res, eb_mut) if new else (eb_mut, eb_res)), epos)
+            if m == 0 or m == n:
+                result = RunResult(m == n, steps, False)
+                break
+            cm = len(eb_mut)
+            rc = r * cm
+            phi = rc + (n_edges - cm)
+    else:
+        result = RunResult(False, cap, True)
+    draws.buf, draws.i, draws.chunk = buf, i, chunk
+    return result
+
+
+_LOOPS = {
+    _K_BD_B: _play_bd_b, _K_BD_D: _play_bd_d, _K_DB_B: _play_db_b,
+    _K_DB_D: _play_db_d, _K_LD: _play_ld,
+}
+
 
 def _run_seed(master_seed, index):
     return np.random.Generator(
@@ -385,14 +518,20 @@ def sample_transitions(graph, config, rule=Rule.BD, r=1.0, events=100_000, seed=
     members = check_config(graph, config)
     proc = _Process(graph, rule, r)
     draws = _Draws(_run_seed(vertex_id(seed, "seed"), 0))
+    template = proc.new_state(members)
+    m0, mask0 = template.m, sum(1 << v for v in template.mut)
+    st = template.copy()
     counts = {}
     for _ in range(events):
-        st = proc.new_state(members)
         _play(proc, st, draws, 1)
-        mask = 0
-        for v in range(proc.n):
-            if st.member[v]:
-                mask |= 1 << v
+        if st.m == m0:
+            mask = mask0
+        else:
+            # a flip appends the vertex to the list it joins; an event that
+            # flips nothing leaves the state as it was, so only a flip
+            # needs a fresh copy of the template
+            mask = mask0 ^ (1 << (st.mut[-1] if st.m > m0 else st.res[-1]))
+            st = template.copy()
         counts[mask] = counts.get(mask, 0) + 1
     return counts
 

@@ -38,6 +38,11 @@ RTOL = 1e-13
 MAX_ITERATIONS = 1000
 RESTARTS = 3
 
+# BiCGSTAB's inner products on longer vectors are summed over slices of
+# this many entries: OpenBLAS splits a dot over threads only from 10,001
+# entries on, and the split changes the bits
+_DOT_SLICE = 8192
+
 
 def state_of(config):
     """Bitmask state for a set of vertex ids.
@@ -192,6 +197,11 @@ def _ratio(num, den):
                      where=den != 0)
 
 
+def _sliced_dot(a, b):
+    return sum(np.dot(a[k:k + _DOT_SLICE], b[k:k + _DOT_SLICE])
+               for k in range(0, len(a), _DOT_SLICE))
+
+
 def bicgstab(a, b, x=None):
     """Jacobi-preconditioned BiCGSTAB on the square CSR matrix ``a``.
 
@@ -203,14 +213,18 @@ def bicgstab(a, b, x=None):
 
     The steps are scipy's (>= 1.12) ``bicgstab(a, b, x, rtol=RTOL,
     atol=0, maxiter=MAX_ITERATIONS, M=diags(1 / a.diagonal()))`` in scipy's
-    order, so every result is bit for bit scipy's, without its operator
-    layers: ``csr_matvec`` into zeroed vectors, ``dinv * p`` for the
-    preconditioner and in-place vector updates.
+    order, without its operator layers: ``csr_matvec`` into zeroed
+    vectors, ``dinv * p`` for the preconditioner and in-place vector
+    updates. Up to ``_DOT_SLICE`` states every result is bit for bit
+    scipy's. Past that, an inner product is the in-order sum of ``np.dot``
+    over ``_DOT_SLICE``-entry slices, which multi-threaded BLAS computes
+    on one thread, so the result does not depend on the BLAS thread count.
     """
     from scipy.sparse import _sparsetools
 
     n = len(b)
-    dot, multiply, sqrt = np.dot, np.multiply, math.sqrt
+    dot = np.dot if n <= _DOT_SLICE else _sliced_dot
+    multiply, sqrt = np.multiply, math.sqrt
     dinv = 1.0 / a.diagonal()
     indptr, indices, data = a.indptr, a.indices, a.data
 

@@ -1,10 +1,13 @@
 """The event sampler as one method call per event, kept as the test reference.
 
-This is the sampler that ``fixlab.montecarlo._play`` replaced with one
-locals-only loop: buffered draws behind ``_Draws.u``, index sets behind
-``_SwapSet``, a bound ``event`` method that dispatches on the sampler
-kind, a separate ``apply_flip`` and a ``run`` loop around them. The
-tests require the package to give the same bits for every seed.
+This is the sampler that ``fixlab.montecarlo`` replaced with one
+locals-only loop per sampler kind (``_play_bd_b`` ... ``_play_ld``):
+buffered draws behind ``_Draws.u``, index sets behind ``_SwapSet``, a
+bound ``event`` method that dispatches on the sampler kind at every
+event, a separate ``apply_flip`` and a ``run`` loop around them. It
+reads only the package's flat tables (``out_ptr``, ``out_cum``,
+``in_src`` and the rest), not its per-vertex rows. The tests require
+the package to give the same bits for every seed.
 """
 
 import numpy as np

@@ -1,10 +1,10 @@
-"""The play loop gives the same bits as the reference event sampler.
+"""The per-kind play loops give the same bits as the reference event sampler.
 
-``fixlab.montecarlo._play`` plays every event on locals, with each
-sampler kind inline. ``simulate_run``, ``estimate`` and
-``sample_transitions`` are compared here, exactly, against
-``tests/loop_montecarlo.py`` under every rule and fitness of
-``test_montecarlo._COMBOS``.
+``fixlab.montecarlo`` plays every event on locals, in one loop per
+sampler kind (``_play_bd_b`` ... ``_play_ld``). ``simulate_run``,
+``estimate`` and ``sample_transitions`` are compared here, exactly,
+against ``tests/loop_montecarlo.py`` under every rule and fitness of
+``test_montecarlo._COMBOS``, and under all five kinds at r < 1.
 """
 
 from dataclasses import replace
@@ -12,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fixlab import estimate, generate, sample_transitions, simulate_run
+from fixlab import Rule, estimate, generate, sample_transitions, simulate_run
 
 from . import loop_montecarlo as ref
 from .test_montecarlo import _COMBOS
@@ -95,3 +95,23 @@ def test_a_long_run_matches_the_reference(rule, r):
     # past the first 4096-variate chunk of the stream
     assert got.steps > 4096
     assert got == ref.simulate_run(g, config, rule, r, 0)
+
+
+# every sampler kind with a deleterious mutant (r < 1, which no entry of
+# _COMBOS has): a mutant's share of each fitness-weighted draw is then
+# smaller than a resident's
+_DELETERIOUS = [(rule, 0.6) for rule in (Rule.BD_B, Rule.BD_D, Rule.DB_B, Rule.DB_D, Rule.LD)]
+
+
+@pytest.mark.parametrize("rule,r", _DELETERIOUS, ids=[f"{rule}@{r}" for rule, r in _DELETERIOUS])
+@pytest.mark.parametrize("n", (4, 9, 22))
+def test_deleterious_mutants_match_the_reference(ba100, rule, r, n):
+    g = random_digraph(200 + n, n)
+    config = _config(g, n)
+    assert_same_runs(g, config, rule, r, range(8))
+    assert_same_runs(g, config, rule, r, range(4), step_cap=50)
+    assert_same_estimate(g, config, rule, r, runs=30, seed=n)
+    got = sample_transitions(g, config, rule=rule, r=r, events=400, seed=n)
+    assert got == ref.sample_transitions(g, config, rule, r, 400, n)
+    majority = list(range(0, 100, 2))
+    assert_same_estimate(ba100, majority, rule, r, runs=3, seed=n)

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -600,3 +604,31 @@ def test_bicgstab_that_runs_out_of_steps(maxiter, monkeypatch):
     ours = oracle.bicgstab(system, b)
     _assert_same_run(ours, _scipy_bicgstab(system, b, maxiter=maxiter))
     assert ours[1:] == (maxiter, maxiter)
+
+
+# the four solves of one N = 14 chain, written raw to stdout
+_SOLVE_IN_A_CHILD = """
+import sys
+from fixlab import build_chain, generate, oracle
+chain = build_chain(generate("preferential_attachment", 14, seed=3, m=2), "bd")
+solutions = oracle._solutions(chain)
+for name in ("h_fix", "a_all", "u_fix", "u_ext"):
+    sys.stdout.buffer.write(solutions[name].tobytes())
+"""
+
+
+def test_solutions_do_not_depend_on_the_blas_thread_count():
+    # 2^14 states are past one slice, so each inner product is summed over
+    # slices that BLAS computes on one thread; one np.dot over the whole
+    # vector gave h_fix in 73 steps under one thread and 72 under two
+    assert 2**14 > oracle._DOT_SLICE
+    out = []
+    for threads in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-c", _SOLVE_IN_A_CHILD], capture_output=True, timeout=120,
+            env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
+        )
+        assert proc.returncode == 0, proc.stderr.decode()
+        out.append(proc.stdout)
+    assert len(out[0]) == 4 * 2**14 * 8
+    assert out[0] == out[1]
