@@ -203,6 +203,10 @@ def _cmd_oracle(args, graph, config):
         solved = {
             "method": "bicgstab",
             "preconditioner": "jacobi",
+            # the system BiCGSTAB iterates on, so that iteration counts are
+            # read against it
+            "system": "even-parity Schur complement",
+            "system_states": chain.half.n_states,
             "iterations": chain.iterations,
             "max_residual": max(chain.residuals.values()),
             "residual_bound": oracle.RESIDUAL_TOL,

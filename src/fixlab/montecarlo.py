@@ -478,9 +478,11 @@ def estimate(
     cap = step_cap_for(graph, step_cap)
     seed = vertex_id(seed, "seed")
 
+    # every run starts from the same set, so from a copy of one state
+    template = proc.new_state(members)
     t0 = perf_counter()
     results = [
-        _play(proc, proc.new_state(members), _Draws(_run_seed(seed, k)), cap)
+        _play(proc, template.copy(), _Draws(_run_seed(seed, k)), cap)
         for k in range(runs)
     ]
     wall = perf_counter() - t0

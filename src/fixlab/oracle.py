@@ -67,12 +67,15 @@ def config_of(state, n):
 class ChainModel:
     """Transition structure of the replacement process on all 2^n states."""
 
-    def __init__(self, n, rule, r, transitions, source):
+    def __init__(self, n, rule, r, transitions, source, half):
         self.n = n
         self.n_states = 1 << n
         self.rule = rule
         self.r = float(r)
         self.transitions = transitions
+        # the pinned I - P reduced to its even-parity states, which the
+        # absorption solves iterate on
+        self.half = half
         # bitmask of the vertices that reach every vertex: the graph's one
         # source component, or 0 when it has two or more and some states
         # never absorb, which the first solve refuses
@@ -106,6 +109,7 @@ def build_chain(graph, rule=Rule.BD, r=1.0):
     plus the diagonal, each computed for all 2^n states at once from
     the state-by-vertex bit matrix; the diagonal is the sum of the null
     events, not one minus the rest, so the row-sum check stays a check.
+    The flip columns also give the chain's ``EvenHalf``.
     """
     rule = resolve_rule(rule, r)
     n = graph.n
@@ -124,26 +128,35 @@ def build_chain(graph, rule=Rule.BD, r=1.0):
     for s in (0, n_states - 1):  # absorbing: no mutant, or no resident, left
         data[s] = 0.0
         data[s, n] = 1.0
-    cols = np.empty((n_states, n + 1), dtype=np.int64)
+    sums = data @ np.ones(n + 1)
+    bad = np.flatnonzero(np.abs(sums - 1.0) > ROW_SUM_TOL * max(1, len(graph.out_dst)))
+    if bad.size:
+        raise ArithmeticError(f"chain rows {bad[:5].tolist()} do not sum to 1")
+    # the diagonal of the pinned I - P, as _pinned_system computes it; taken
+    # before the CSR below, which shares data and sorts it in place
+    pin = np.ones(n_states)
+    pin[[0, -1]] = 2.0
+    # the same for every chain on n vertices, so memoized like the source below
+    if "parity" not in graph._ops:
+        graph._ops["parity"] = _parity_layout(n)
+    half = EvenHalf(data, pin - data[:, n], graph._ops["parity"])
+    # int32, the index type scipy would cast them to after a scan
+    cols = np.empty((n_states, n + 1), dtype=np.int32)
     cols[:, :n] = states[:, None] ^ flips
     cols[:, n] = states
     # scipy.sparse is imported on first use, as in dynamics.kernel_matrix
     from scipy.sparse import csr_matrix
 
     chain = csr_matrix(
-        (data.ravel(), cols.ravel(), np.arange(0, data.size + 1, n + 1)),
+        (data.ravel(), cols.ravel(), np.arange(0, data.size + 1, n + 1, dtype=np.int32)),
         shape=(n_states, n_states),
     )
     chain.sort_indices()
     chain.eliminate_zeros()
-    sums = np.asarray(chain.sum(axis=1)).ravel()
-    bad = np.flatnonzero(np.abs(sums - 1.0) > ROW_SUM_TOL * max(1, len(graph.out_dst)))
-    if bad.size:
-        raise ArithmeticError(f"chain rows {bad[:5].tolist()} do not sum to 1")
     # one search per vertex, so memoized: a graph is often asked under several rules
     if "source" not in graph._ops:
         graph._ops["source"] = sum(1 << v for v in range(n) if reaches_all(graph, [v]))
-    return ChainModel(n, rule, r, chain, graph._ops["source"])
+    return ChainModel(n, rule, r, chain, graph._ops["source"], half)
 
 
 def _replacement_odds(graph, rule, r, mutant):
@@ -197,13 +210,130 @@ def _ratio(num, den):
                      where=den != 0)
 
 
+class EvenHalf:
+    """A chain's pinned I - P reduced to its states of even mutant count.
+
+    One event flips at most one vertex, so every off-diagonal entry of the
+    pinned I - P links a state of even mutant count to one of odd count,
+    and the two pinned rows have none: with D its diagonal, the system
+    A x = b reads D_E x_E - P_EO x_O = b_E and D_O x_O - P_OE x_E = b_O
+    (E, O: even, odd). Eliminating x_O leaves the Jacobi-scaled Schur
+    complement, S x_E = D_E^-1 b_E + B' D_O^-1 b_O with S = I - B'C',
+    B' = D_E^-1 P_EO and C' = D_O^-1 P_OE; then x_O = D_O^-1 b_O + C' x_E
+    (Saad, Iterative Methods for Sparse Linear Systems, 2003, sec. 2.4).
+
+    Each pair of states {2k, 2k + 1} holds one of each parity, so both
+    halves are indexed by k = s >> 1, and flipping vertex v takes row k
+    of one half to column k ^ (2^v >> 1) of the other. B' and C' are
+    CSR with those int32 columns and ``n`` entries a row, zeros kept;
+    B' is stored negated, so S v is two ``csr_matvec`` calls, the second
+    adding onto a copy of v, and B'C' is never formed. ``diagonal`` is
+    S's own, 1 - sum_v B'[k, v] C'[k ^ (2^v >> 1), v], the Jacobi
+    preconditioner of the solves on S.
+    """
+
+    def __init__(self, rows, pinned_diagonal, layout):
+        # rows[s] is P[s, s ^ 2^v] for each vertex v, then P[s, s];
+        # pinned_diagonal is that of the pinned I - P; layout is
+        # _parity_layout(n)
+        m = len(rows) // 2
+        self.n_states = m
+        order, self.indptr, self.indices, across = layout
+        self.even, self.odd = order[:m], order[m:]
+        d = pinned_diagonal[order]
+        self.d_even, self.d_odd = d[:m], d[m:]
+        # 0 where d is 0, on a state no event leaves: only in a chain that
+        # never absorbs, which the solves refuse
+        scale = _ratio(np.ones(2 * m), d)
+        scale[:m] *= -1.0
+        halves = rows.take(order, axis=0)[:, :-1] * scale[:, None]  # -B' above C'
+        self.minus_b, self.c = halves[:m].ravel(), halves[m:].ravel()
+        self._diagonal = 1.0 + np.einsum("ij,ij->i", halves[:m], self.c.take(across))
+
+    def diagonal(self):
+        return self._diagonal
+
+    def reduce(self, b):
+        """The right-hand side on the half, D_E^-1 b_E + B' D_O^-1 b_O."""
+        from scipy.sparse import _sparsetools
+
+        m = self.n_states
+        rhs = b[self.even] / self.d_even
+        _sparsetools.csr_matvec(m, m, self.indptr, self.indices, self.minus_b,
+                                -(b[self.odd] / self.d_odd), rhs)
+        return rhs
+
+    def extend(self, x_even, b):
+        """The solution over every state, from its even half: x_O = D_O^-1 b_O + C' x_E."""
+        from scipy.sparse import _sparsetools
+
+        m = self.n_states
+        x_odd = b[self.odd] / self.d_odd
+        _sparsetools.csr_matvec(m, m, self.indptr, self.indices, self.c, x_even, x_odd)
+        x = np.empty(2 * m)
+        x[self.even] = x_even
+        x[self.odd] = x_odd
+        return x
+
+
+def _parity_layout(n):
+    """What every ``EvenHalf`` on n vertices shares: the even states then
+    the odd ones (the k-th of each in pair k), the CSR row pointers and
+    int32 columns of either half, and for each entry of B' the flat index
+    of the C' entry that flips the same vertex back. Read-only, since
+    chains share it."""
+    m = 1 << (n - 1)
+    k = np.arange(m)
+    parity = k
+    for shift in (16, 8, 4, 2, 1):
+        parity = parity ^ (parity >> shift)
+    even = 2 * k + (parity & 1)
+    columns = k[:, None] ^ ((1 << np.arange(n)) >> 1)
+    layout = (np.concatenate((even, even ^ 1)), np.arange(0, m * n + 1, n, dtype=np.int32),
+              columns.astype(np.int32).ravel(), columns * n + np.arange(n))
+    for array in layout:
+        array.flags.writeable = False
+    return layout
+
+
+def _product(a):
+    """``matvec(v, out)``, which writes a v into ``out`` and returns it:
+    one ``csr_matvec`` into zeros for a CSR matrix, and for an
+    ``EvenHalf`` C'v into a zeroed buffer, then -B' times it added onto a
+    copy of v."""
+    from scipy.sparse import _sparsetools
+
+    csr_matvec = _sparsetools.csr_matvec
+    if isinstance(a, EvenHalf):
+        m, indptr, indices, c, minus_b = a.n_states, a.indptr, a.indices, a.c, a.minus_b
+        w = np.empty(m)
+
+        def matvec(v, out):
+            w.fill(0.0)
+            csr_matvec(m, m, indptr, indices, c, v, w)
+            out[:] = v
+            csr_matvec(m, m, indptr, indices, minus_b, w, out)
+            return out
+
+        return matvec
+    n, indptr, indices, data = a.shape[0], a.indptr, a.indices, a.data
+
+    def matvec(v, out):
+        out.fill(0.0)
+        csr_matvec(n, n, indptr, indices, data, v, out)
+        return out
+
+    return matvec
+
+
 def _sliced_dot(a, b):
     return sum(np.dot(a[k:k + _DOT_SLICE], b[k:k + _DOT_SLICE])
                for k in range(0, len(a), _DOT_SLICE))
 
 
 def bicgstab(a, b, x=None):
-    """Jacobi-preconditioned BiCGSTAB on the square CSR matrix ``a``.
+    """Jacobi-preconditioned BiCGSTAB on ``a``: a square CSR matrix, or an
+    ``EvenHalf`` for its operator S.
 
     Returns ``(x, info, iterations)``: ``info`` is 0 on convergence
     (|b - a x| below ``RTOL`` |b|, by the recurrence residual), the
@@ -213,25 +343,20 @@ def bicgstab(a, b, x=None):
 
     The steps are scipy's (>= 1.12) ``bicgstab(a, b, x, rtol=RTOL,
     atol=0, maxiter=MAX_ITERATIONS, M=diags(1 / a.diagonal()))`` in scipy's
-    order, without its operator layers: ``csr_matvec`` into zeroed
-    vectors, ``dinv * p`` for the preconditioner and in-place vector
-    updates. Up to ``_DOT_SLICE`` states every result is bit for bit
-    scipy's. Past that, an inner product is the in-order sum of ``np.dot``
-    over ``_DOT_SLICE``-entry slices, which multi-threaded BLAS computes
-    on one thread, so the result does not depend on the BLAS thread count.
+    order, without its operator layers: ``a v`` through ``_product``,
+    ``dinv * p`` for the preconditioner and in-place vector updates. Up
+    to ``_DOT_SLICE`` entries every result is bit for bit scipy's, on a
+    CSR matrix and on a ``LinearOperator`` that computes S v as
+    ``_product`` does. Past that, an inner product is the in-order sum of
+    ``np.dot`` over ``_DOT_SLICE``-entry slices, which multi-threaded BLAS
+    computes on one thread, so the result does not depend on the BLAS
+    thread count.
     """
-    from scipy.sparse import _sparsetools
-
     n = len(b)
     dot = np.dot if n <= _DOT_SLICE else _sliced_dot
     multiply, sqrt = np.multiply, math.sqrt
     dinv = 1.0 / a.diagonal()
-    indptr, indices, data = a.indptr, a.indices, a.data
-
-    def matvec(v, out):
-        out.fill(0.0)
-        _sparsetools.csr_matvec(n, n, indptr, indices, data, v, out)
-        return out
+    matvec = _product(a)
 
     bnorm = sqrt(dot(b, b))
     if bnorm == 0.0:
@@ -279,21 +404,34 @@ def bicgstab(a, b, x=None):
     return x, MAX_ITERATIONS, MAX_ITERATIONS
 
 
-def checked_solve(system, rhs, name, x=None):
+def checked_solve(system, rhs, name, x=None, half=None):
     """Solve ``system @ x = rhs`` to ``RESIDUAL_TOL``: ``(x, residual, iterations)``.
 
     ``system`` is a square CSR matrix with a nonzero diagonal, and ``x``
-    the start (zeros if None), updated in place. Runs ``bicgstab`` and
-    checks the largest residual |rhs - system x| over max(1, max |x|)
-    against ``RESIDUAL_TOL``. A run that misses the bound (its recurrence
+    the start (zeros if None). Runs ``bicgstab`` and checks the largest
+    residual |rhs - system x| over max(1, max |x|) against
+    ``RESIDUAL_TOL``. A run that misses the bound (its recurrence
     residual drifted from the true one, it broke down, or it ran out of
     steps) is restarted from its iterate, at most ``RESTARTS`` times;
     then ArithmeticError names ``name``. ``iterations`` sums the steps
     of every run.
+
+    Without ``half`` the runs are on ``system`` and update ``x`` in
+    place. ``half``, the ``EvenHalf`` of ``system``, moves them to its
+    operator S, started from the even half of ``x``; each run's x is then
+    its iterate on the half extended by back-substitution, a new array,
+    and the residual is still checked on ``system`` over every state.
     """
+    if half is not None:
+        reduced = half.reduce(rhs)
+        start = None if x is None else x[half.even]
     iterations = 0
     for _ in range(RESTARTS + 1):
-        x, info, steps = bicgstab(system, rhs, x)
+        if half is None:
+            x, info, steps = bicgstab(system, rhs, x)
+        else:
+            start, info, steps = bicgstab(half, reduced, start)
+            x = half.extend(start, rhs)
         iterations += steps
         residual = float(np.max(np.abs(rhs - system @ x), initial=0.0)
                          / max(np.max(np.abs(x), initial=0.0), 1.0))
@@ -334,20 +472,27 @@ def _solutions(chain):
     residents can never re-enter; conditional means are then u/h
     (fixation) and symmetric for extinction.
 
-    Each solve starts with the ends at their values; from zeros,
-    BiCGSTAB breaks down at once on the pinned system's h. The
+    BiCGSTAB iterates on the chain's ``EvenHalf``, the Schur complement
+    over the 2^(n-1) states of even mutant count, and takes about half
+    the steps it takes on the full system; the odd states follow by one
+    back-substitution. Each solve starts with the ends at their values
+    (at odd n the full state is odd, and its value enters the half
+    through the right-hand side); from zeros, BiCGSTAB breaks down at
+    once on the pinned system's h. The
     fixation- and extinction-weighted times add up to the absorption
     times, so the extinction solve starts from a - u_fix, and takes a
     few steps where the others take tens.
 
-    Each system goes through ``checked_solve``: absolute accuracy for the
+    Each system goes through ``checked_solve``, whose residual is taken
+    with ``_pinned_system`` over every state: absolute accuracy for the
     probabilities h, so 1 - h meets the same bound, relative to the
-    largest time for u and a. A restart is needed on the directed
-    5-cycle, where a run stops on its recurrence residual while the true
-    one is still far off; a breakdown, as on a star's extinction
-    probabilities at extreme fitness, is restarted the same way. The
-    residuals and iteration counts of the four solves are kept on the
-    chain. The solutions are indexed by state.
+    largest time for u and a. A run that breaks down is restarted from
+    its iterate, as the fixation solve is on a 5-vertex graph whose one
+    source vertex feeds two 2-cycles; so is a run that stops on its
+    recurrence residual while the true one is still far off, as runs on
+    the full system of the directed 5-cycle did. The residuals and
+    iteration counts of the four solves are kept on the chain. The
+    solutions are indexed by state.
     """
     if chain._solutions is not None:
         return chain._solutions
@@ -360,7 +505,8 @@ def _solutions(chain):
     chain.residuals, chain.iterations = {}, {}
 
     def solve(name, rhs, x=None):
-        x, chain.residuals[name], chain.iterations[name] = checked_solve(system, rhs, name, x)
+        x, chain.residuals[name], chain.iterations[name] = checked_solve(
+            system, rhs, name, x, chain.half)
         return x
 
     to_full = np.zeros(chain.n_states)

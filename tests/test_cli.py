@@ -361,6 +361,8 @@ def test_oracle_reports_its_solve(capsys):
     assert code == 0
     solve = json.loads(out)["solve"]
     assert (solve["method"], solve["preconditioner"]) == ("bicgstab", "jacobi")
+    assert solve["system"] == "even-parity Schur complement"
+    assert solve["system_states"] == 2**9
     assert set(solve["iterations"]) == {"h_fix", "a_all", "u_fix", "u_ext"}
     assert all(k >= 1 for k in solve["iterations"].values())
     assert 0.0 <= solve["max_residual"] <= solve["residual_bound"] == RESIDUAL_TOL

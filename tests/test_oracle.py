@@ -120,6 +120,18 @@ def test_array_build_matches_the_loop_reference(rule, r):
             assert np.abs(probs - reference.data[lo:hi]).max() <= 1e-14
 
 
+def test_rows_that_do_not_sum_to_one_are_refused(monkeypatch):
+    real = oracle._replacement_odds
+
+    def skewed(*args):
+        gain, loss = real(*args)
+        return gain * 1.01, loss
+
+    monkeypatch.setattr(oracle, "_replacement_odds", skewed)
+    with pytest.raises(ArithmeticError, match="do not sum to 1"):
+        build_chain(random_digraph(7, 5), Rule.BD)
+
+
 # ------------------------------------------------------------- fixation
 
 
@@ -196,16 +208,42 @@ def test_solve_restarts_past_a_bicgstab_breakdown(monkeypatch):
     assert times.extinction == pytest.approx(times.absorption, rel=1e-12)
 
 
-def test_solve_restarts_past_a_drifted_residual():
-    # on the directed 5-cycle a single run of the u systems stops on its
-    # recurrence residual while the true residual is still far off
+def test_solve_restarts_past_a_drifted_residual(monkeypatch):
+    # on the directed 5-cycle's pinned system a single run of the u systems
+    # stops on its recurrence residual while the true residual is still far
+    # off; the oracle's runs on the even half take one or two steps there
+    # and stop on the true solution
     chain = build_chain(cycle_graph(5), Rule.BD)
     h = fixation_exact(chain, [0])
+    runs = []
+    real = oracle.bicgstab
+
+    def recorded(*args, **kwargs):
+        result = real(*args, **kwargs)
+        runs.append(result[1])
+        return result
+
+    monkeypatch.setattr(oracle, "bicgstab", recorded)
+    system = oracle._pinned_system(chain)
+    inner = np.ones(chain.n_states)
+    inner[[0, -1]] = 0.0
+    b = oracle._solutions(chain)["h_fix"] * inner
+    x, residual, _ = oracle.checked_solve(system, b, "u_fix")
+    assert len(runs) > 1 and runs[0] == 0
+    assert residual <= RESIDUAL_TOL
     times = mean_times_exact(chain, [0])
     assert max(chain.residuals.values()) <= RESIDUAL_TOL
     assert h == pytest.approx(0.2, abs=1e-12)
+    assert x[1] / h == pytest.approx(times.fixation, rel=1e-9)
     blended = h * times.fixation + (1.0 - h) * times.extinction
     assert blended == pytest.approx(times.absorption, rel=1e-10)
+
+
+# vertex 4 has no incoming edge and feeds two 2-cycles: the first run of
+# the fixation solve breaks down (rho = 0), and a restart finishes it
+_FEEDER = EvolutionaryGraph(5, [
+    (0, 3, 1.0), (1, 2, 1.0), (2, 1, 1.0), (3, 0, 1.0), (4, 0, 0.5), (4, 2, 0.5),
+])
 
 
 def test_checked_solve_sums_the_steps_of_every_run(monkeypatch):
@@ -214,14 +252,16 @@ def test_checked_solve_sums_the_steps_of_every_run(monkeypatch):
 
     def counted(*args, **kwargs):
         result = real(*args, **kwargs)
-        runs.append(result[2])
+        runs.append(result[1:])
         return result
 
     monkeypatch.setattr(oracle, "bicgstab", counted)
-    chain = build_chain(cycle_graph(5), Rule.BD)
+    chain = build_chain(_FEEDER, Rule.BD)
     fixation_exact(chain, [0])
-    assert len(runs) > len(chain.iterations)  # the fixation-weighted times restart
-    assert sum(runs) == sum(chain.iterations.values())
+    assert runs[0][0] == -10  # the fixation probabilities restart
+    assert len(runs) > len(chain.iterations)
+    assert sum(steps for _, steps in runs) == sum(chain.iterations.values())
+    assert max(chain.residuals.values()) <= RESIDUAL_TOL
 
 
 def test_fixation_stays_a_probability_far_below_the_solve_accuracy():
@@ -348,7 +388,7 @@ def test_chain_with_no_source_component_is_refused_however_built():
     g = EvolutionaryGraph(2, [(0, 1, 1.0), (1, 0, 1.0)])
     built = build_chain(g, Rule.BD)
     assert built.source == 0b11
-    chain = oracle.ChainModel(2, Rule.BD, 1.0, built.transitions, 0)
+    chain = oracle.ChainModel(2, Rule.BD, 1.0, built.transitions, 0, built.half)
     with pytest.raises(ArithmeticError, match="never reach fixation or extinction"):
         fixation_exact(chain, [0])
     assert fixation_exact(chain, [0, 1]) == 1.0
@@ -447,12 +487,13 @@ same_steps_as_scipy = pytest.mark.skipif(
     not SCIPY_STEPS, reason="scipy below 1.12 has no rtol= and other BiCGSTAB steps")
 
 
-def _scipy_bicgstab(system, b, x0=None, maxiter=MAX_ITERATIONS):
+def _scipy_bicgstab(system, b, x0=None, maxiter=MAX_ITERATIONS, diagonal=None):
     from scipy.sparse.linalg import bicgstab
 
     steps = []
+    diagonal = system.diagonal() if diagonal is None else diagonal
     x, info = bicgstab(system, b, x0=x0, rtol=RTOL, atol=0.0, maxiter=maxiter,
-                       M=diags(1.0 / system.diagonal()), callback=steps.append)
+                       M=diags(1.0 / diagonal), callback=steps.append)
     return x, info, len(steps)
 
 
@@ -462,10 +503,10 @@ def _assert_same_run(ours, reference):
 
 
 @st.composite
-def _chains(draw):
+def _chains(draw, rules=ALL_RULES, sizes=st.integers(2, 6)):
     """The chain of a drawn digraph under a drawn rule: a ring through every
     vertex plus random extra edges."""
-    n = draw(st.integers(2, 6))
+    n = draw(sizes)
     vertex = st.integers(0, n - 1)
     extra = draw(st.sets(st.tuples(vertex, vertex).filter(lambda e: e[0] != e[1]),
                          max_size=2 * n))
@@ -473,7 +514,7 @@ def _chains(draw):
     raw = draw(st.lists(st.floats(0.1, 1.0), min_size=len(pairs), max_size=len(pairs)))
     sums = np.bincount([s for s, _ in pairs], weights=raw, minlength=n)
     g = EvolutionaryGraph(n, [(s, d, w / sums[s]) for (s, d), w in zip(pairs, raw)])
-    rule = draw(st.sampled_from(ALL_RULES))
+    rule = draw(st.sampled_from(rules))
     r = 1.0 if rule in (Rule.BD, Rule.DB) else draw(st.sampled_from((0.01, 0.6, 1.7, 40.0)))
     return build_chain(g, rule, r=r)
 
@@ -507,6 +548,91 @@ def test_bicgstab_takes_scipys_steps(case):
                      _scipy_bicgstab(system, b))
     _assert_same_run(oracle.bicgstab(pinned, pinned_b, start.copy()),
                      _scipy_bicgstab(pinned, pinned_b, x0=start.copy()))
+
+
+@pytest.mark.parametrize("rule", ALL_RULES)
+@pytest.mark.parametrize("parity", [0, 1])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_every_move_of_the_chain_flips_one_vertex(rule, parity, data):
+    # the even-parity reduction rests on this: P links states of even and
+    # odd mutant count only, and the pinned ends have no move at all; at odd
+    # N the full state is odd, in the half the reduction eliminates
+    sizes = st.sampled_from([n for n in range(2, 8) if n % 2 == parity])
+    chain = data.draw(_chains(rules=(rule,), sizes=sizes))
+    p = chain.transitions.tocoo()
+    moves = p.row != p.col
+    flipped = p.row[moves] ^ p.col[moves]
+    assert ((flipped & (flipped - 1)) == 0).all() and (flipped > 0).all()
+    assert not np.isin(p.row[moves], [0, chain.n_states - 1]).any()
+    half = chain.half
+    assert (half.even >> 1).tolist() == list(range(chain.n_states // 2))
+    assert [bin(s).count("1") % 2 for s in half.even] == [0] * half.n_states
+    assert ((chain.n_states - 1) in half.odd) == (chain.n % 2 == 1)
+
+
+def _dense_half(half):
+    """S as a dense matrix, one column per unit vector."""
+    matvec = oracle._product(half)
+    return np.column_stack([matvec(unit, np.empty(half.n_states))
+                            for unit in np.eye(half.n_states)])
+
+
+@pytest.mark.parametrize("rule, r", [
+    (Rule.BD, 1.0), (Rule.DB, 1.0), (Rule.LD, 1.7), (Rule.BD_B, 0.6), (Rule.BD_D, 1.7),
+    (Rule.DB_B, 40.0), (Rule.DB_D, 0.01),
+])
+@pytest.mark.parametrize("n", [2, 3, 6, 7, 8])
+def test_even_half_is_the_schur_complement_of_the_pinned_system(rule, r, n):
+    chain = build_chain(random_digraph(70 + n, n), rule, r=r)
+    half = chain.half
+    a = oracle._pinned_system(chain).toarray()
+    e, o = half.even, half.odd
+    d = np.diag(a)
+    # the odd states link to even ones only, so A_OO is its diagonal
+    assert (a[np.ix_(o, o)] == np.diag(d[o])).all()
+    assert (a[np.ix_(e, e)] == np.diag(d[e])).all()
+    schur = np.diag(d[e]) - a[np.ix_(e, o)] @ np.diag(1.0 / d[o]) @ a[np.ix_(o, e)]
+    assert np.abs(d[e][:, None] * _dense_half(half) - schur).max() <= 1e-15
+    assert np.abs(d[e] * half.diagonal() - np.diag(schur)).max() <= 1e-15
+    # the right-hand side on the half and the back-substitution solve A x = b
+    b = np.random.default_rng(n).uniform(-1.0, 1.0, chain.n_states)
+    x = half.extend(np.linalg.solve(_dense_half(half), half.reduce(b)), b)
+    assert np.abs(x - np.linalg.solve(a, b)).max() <= 1e-12
+
+
+def _half_operator(half):
+    """S as a scipy LinearOperator: [I, -B'] times v stacked on C'v, one
+    sparse product each, which adds in the order of ``oracle._product``."""
+    from scipy.sparse import csr_matrix, hstack, identity
+    from scipy.sparse.linalg import LinearOperator
+
+    m = half.n_states
+    c = csr_matrix((half.c, half.indices, half.indptr), shape=(m, m))
+    minus_b = csr_matrix((half.minus_b, half.indices, half.indptr), shape=(m, m))
+    stacked = hstack([identity(m, format="csr"), minus_b], format="csr")
+    return LinearOperator((m, m), matvec=lambda v: stacked @ np.concatenate([v, c @ v]),
+                          dtype=float)
+
+
+@same_steps_as_scipy
+@settings(max_examples=150, deadline=None)
+@given(_chains(), st.sampled_from((0, -1, None)))
+def test_bicgstab_on_the_even_half_takes_scipys_steps(chain, end):
+    # the oracle's own right-hand sides and starts on the half: an end's
+    # indicator from the start that holds the ends at their values, or 1 on
+    # every transient state from zeros
+    half = chain.half
+    b = np.zeros(chain.n_states)
+    if end is None:
+        b[1:-1] = 1.0
+    else:
+        b[end] = 1.0
+    rhs = half.reduce(b)
+    start = (b if end is not None else np.zeros(chain.n_states))[half.even]
+    operator = _half_operator(half)
+    _assert_same_run(oracle.bicgstab(half, rhs, start.copy()),
+                     _scipy_bicgstab(operator, rhs, x0=start.copy(), diagonal=half.diagonal()))
 
 
 @settings(max_examples=60, deadline=None)
@@ -606,11 +732,11 @@ def test_bicgstab_that_runs_out_of_steps(maxiter, monkeypatch):
     assert ours[1:] == (maxiter, maxiter)
 
 
-# the four solves of one N = 14 chain, written raw to stdout
+# the four solves of one N = 15 chain, written raw to stdout
 _SOLVE_IN_A_CHILD = """
 import sys
 from fixlab import build_chain, generate, oracle
-chain = build_chain(generate("preferential_attachment", 14, seed=3, m=2), "bd")
+chain = build_chain(generate("preferential_attachment", 15, seed=3, m=2), "bd")
 solutions = oracle._solutions(chain)
 for name in ("h_fix", "a_all", "u_fix", "u_ext"):
     sys.stdout.buffer.write(solutions[name].tobytes())
@@ -618,9 +744,10 @@ for name in ("h_fix", "a_all", "u_fix", "u_ext"):
 
 
 def test_solutions_do_not_depend_on_the_blas_thread_count():
-    # 2^14 states are past one slice, so each inner product is summed over
-    # slices that BLAS computes on one thread; one np.dot over the whole
-    # vector gave h_fix in 73 steps under one thread and 72 under two
+    # the solves run on the even half, 2^14 states, past one slice, so each
+    # inner product is summed over slices that BLAS computes on one thread;
+    # one np.dot over the whole vector took u_ext in 0 steps under one thread
+    # and in 1 under two, and gave other bits
     assert 2**14 > oracle._DOT_SLICE
     out = []
     for threads in ("1", "2"):
@@ -630,5 +757,5 @@ def test_solutions_do_not_depend_on_the_blas_thread_count():
         )
         assert proc.returncode == 0, proc.stderr.decode()
         out.append(proc.stdout)
-    assert len(out[0]) == 4 * 2**14 * 8
+    assert len(out[0]) == 4 * 2**15 * 8
     assert out[0] == out[1]
