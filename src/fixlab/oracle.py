@@ -60,8 +60,25 @@ def state_of(config):
 
 
 def config_of(state, n):
-    """Vertex ids set in a bitmask state."""
+    """Vertex ids set in a bitmask state of an n-vertex chain.
+
+    ``state`` must be an integer in 0..2^n - 1, else ``ValueError``: a
+    negative or too large one is refused, not wrapped or truncated.
+    """
+    state = _check_state(state, n)
     return frozenset(v for v in range(n) if (state >> v) & 1)
+
+
+def _check_state(state, n):
+    """``state`` as an int in 0..2^n - 1, else ``ValueError`` naming the range.
+
+    Bools and non-integers are refused as ``vertex_id`` refuses them;
+    numpy integers are taken.
+    """
+    state = vertex_id(state, "state")
+    if not 0 <= state < 1 << n:
+        raise ValueError(f"state {state} outside 0..{(1 << n) - 1}")
+    return state
 
 
 class ChainModel:
@@ -87,7 +104,11 @@ class ChainModel:
         self.iterations = None
 
     def row(self, state):
-        """Outgoing transition of one state: (destination states, probabilities)."""
+        """Outgoing transition of one state: (destination states, probabilities).
+
+        ``state`` must be an integer in 0..2^n - 1, as for ``config_of``.
+        """
+        state = _check_state(state, self.n)
         t = self.transitions
         lo, hi = t.indptr[state], t.indptr[state + 1]
         return t.indices[lo:hi].copy(), t.data[lo:hi].copy()
@@ -132,8 +153,9 @@ def build_chain(graph, rule=Rule.BD, r=1.0):
     bad = np.flatnonzero(np.abs(sums - 1.0) > ROW_SUM_TOL * max(1, len(graph.out_dst)))
     if bad.size:
         raise ArithmeticError(f"chain rows {bad[:5].tolist()} do not sum to 1")
-    # the diagonal of the pinned I - P, as _pinned_system computes it; taken
-    # before the CSR below, which shares data and sorts it in place
+    # the diagonal of the pinned I - P: pin - P[s, s], pin 1 on every state
+    # and 2 at the ends (2 - 1: an absorbing row of P is its own self-loop);
+    # taken before the CSR below, which shares data and sorts it in place
     pin = np.ones(n_states)
     pin[[0, -1]] = 2.0
     # the same for every chain on n vertices, so memoized like the source below
@@ -407,20 +429,21 @@ def bicgstab(a, b, x=None):
 def checked_solve(system, rhs, name, x=None, half=None):
     """Solve ``system @ x = rhs`` to ``RESIDUAL_TOL``: ``(x, residual, iterations)``.
 
-    ``system`` is a square CSR matrix with a nonzero diagonal, and ``x``
-    the start (zeros if None). Runs ``bicgstab`` and checks the largest
-    residual |rhs - system x| over max(1, max |x|) against
-    ``RESIDUAL_TOL``. A run that misses the bound (its recurrence
-    residual drifted from the true one, it broke down, or it ran out of
-    steps) is restarted from its iterate, at most ``RESTARTS`` times;
-    then ArithmeticError names ``name``. ``iterations`` sums the steps
-    of every run.
+    ``system`` is a square CSR matrix with a nonzero diagonal, or a
+    ``ChainModel``, which stands for its pinned I - P (see ``_solutions``)
+    and is solved on its ``half``; ``x`` is the start (zeros if None).
+    Runs ``bicgstab`` and checks the largest residual |rhs - system x| over
+    max(1, max |x|) against ``RESIDUAL_TOL``. A run that misses the bound
+    (its recurrence residual drifted from the true one, it broke down, or
+    it ran out of steps) is restarted from its iterate, at most
+    ``RESTARTS`` times; then ArithmeticError names ``name``.
+    ``iterations`` sums the steps of every run.
 
     Without ``half`` the runs are on ``system`` and update ``x`` in
     place. ``half``, the ``EvenHalf`` of ``system``, moves them to its
     operator S, started from the even half of ``x``; each run's x is then
     its iterate on the half extended by back-substitution, a new array,
-    and the residual is still checked on ``system`` over every state.
+    and the residual is still checked over every state.
     """
     if half is not None:
         reduced = half.reduce(rhs)
@@ -433,7 +456,7 @@ def checked_solve(system, rhs, name, x=None, half=None):
             start, info, steps = bicgstab(half, reduced, start)
             x = half.extend(start, rhs)
         iterations += steps
-        residual = float(np.max(np.abs(rhs - system @ x), initial=0.0)
+        residual = float(np.max(np.abs(_residual(system, rhs, x)), initial=0.0)
                          / max(np.max(np.abs(x), initial=0.0), 1.0))
         if info == 0 and residual <= RESIDUAL_TOL:
             return x, residual, iterations
@@ -443,27 +466,34 @@ def checked_solve(system, rhs, name, x=None, half=None):
     )
 
 
-def _pinned_system(chain):
-    """I - P over every state, with the rows of the empty and the full
-    state pinned to the identity: one sparse subtraction, no copy of the
-    transient block. Every row has a nonzero diagonal: 1 on the pinned
-    rows, and 1 - p_ss > 0 on a transient row, also where P holds no
-    entry there (a state with no null event)."""
-    from scipy.sparse import diags
+def _residual(system, rhs, x):
+    """rhs - system x. For a ``ChainModel`` it is taken from P itself, as
+    rhs - pin x + P x with pin 1 on every state and 2 at the two ends, so
+    no pinned I - P is formed: P x is one ``csr_matvec`` adding onto
+    rhs - pin x."""
+    if not isinstance(system, ChainModel):
+        return rhs - system @ x
+    from scipy.sparse import _sparsetools
 
-    pin = np.ones(chain.n_states)
-    pin[[0, -1]] = 2.0  # 2 - 1: an absorbing row of P is its own self-loop
-    return diags(pin, format="csr") - chain.transitions
+    p = system.transitions
+    r = rhs - x
+    r[0] = rhs[0] - 2.0 * x[0]
+    r[-1] = rhs[-1] - 2.0 * x[-1]
+    _sparsetools.csr_matvec(system.n_states, system.n_states, p.indptr, p.indices, p.data,
+                            x, r)
+    return r
 
 
 def _solutions(chain):
     """Solve the absorption systems once; reused across configurations.
 
-    The four systems share one matrix over every state,
-    ``_pinned_system``: I - P with the rows of the empty and the full
-    state pinned to the identity. A solution's value at an end is then
-    that end's right-hand side, and its transient part solves (I - Q) x
-    = b + (P's columns of the ends) x_ends, with Q the transient block.
+    The four systems share one matrix over every state, the pinned
+    I - P: I - P with the rows of the empty and the full state pinned to
+    the identity. It is never formed: the solves run on the chain's
+    ``EvenHalf``, and the residual is taken from P. A solution's value at
+    an end is then that end's right-hand side, and its transient part
+    solves (I - Q) x = b + (P's columns of the ends) x_ends, with Q the
+    transient block.
     The fixation probabilities h are 1 at the full state and 0 at the
     empty one; the absorption times a, and the fixation-weighted times
     u, are 0 at both ends, with 1 and h on the transient states. Every
@@ -483,10 +513,10 @@ def _solutions(chain):
     times, so the extinction solve starts from a - u_fix, and takes a
     few steps where the others take tens.
 
-    Each system goes through ``checked_solve``, whose residual is taken
-    with ``_pinned_system`` over every state: absolute accuracy for the
-    probabilities h, so 1 - h meets the same bound, relative to the
-    largest time for u and a. A run that breaks down is restarted from
+    Each system goes through ``checked_solve`` with the chain as its
+    system, so its residual is taken from P over every state, the ends
+    included: absolute accuracy for the probabilities h, so 1 - h meets
+    the same bound, relative to the largest time for u and a. A run that breaks down is restarted from
     its iterate, as the fixation solve is on a 5-vertex graph whose one
     source vertex feeds two 2-cycles; so is a run that stops on its
     recurrence residual while the true one is still far off, as runs on
@@ -501,12 +531,11 @@ def _solutions(chain):
             "no vertex reaches every other, so states that hold two source "
             "components apart never reach fixation or extinction"
         )
-    system = _pinned_system(chain)
     chain.residuals, chain.iterations = {}, {}
 
     def solve(name, rhs, x=None):
         x, chain.residuals[name], chain.iterations[name] = checked_solve(
-            system, rhs, name, x, chain.half)
+            chain, rhs, name, x, chain.half)
         return x
 
     to_full = np.zeros(chain.n_states)

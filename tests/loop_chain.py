@@ -1,5 +1,5 @@
-"""Per-state loop build of the exact chain and the sliced absorption
-solve, kept as test references.
+"""Per-state loop build of the exact chain, the sliced absorption solve
+and the pinned system, kept as test references.
 
 ``loop_transitions`` is the original event-by-event enumeration that
 ``build_chain`` replaced with array operations. It walks every state,
@@ -16,10 +16,14 @@ solver code with the oracle, or as the oracle did, each by
 (58M entries and over a minute on a 14-vertex star), and BiCGSTAB from
 zeros on this system's extinction-weighted times stalls on the directed
 5-cycle under db-b.
+
+``pinned_system`` forms the one matrix of the oracle's four solves, the
+pinned I - P, which the oracle itself never forms: it solves on the
+chain's even half and takes each residual from P.
 """
 
 import numpy as np
-from scipy.sparse import csr_matrix, identity
+from scipy.sparse import csr_matrix, diags, identity
 from scipy.sparse.csgraph import breadth_first_order
 from scipy.sparse.linalg import splu
 
@@ -124,6 +128,17 @@ def states_reaching(chain, end):
 def chain_absorbs(chain):
     """True iff every state of ``chain`` reaches the empty or the full state."""
     return bool((states_reaching(chain, 0) | states_reaching(chain, chain.n_states - 1)).all())
+
+
+def pinned_system(chain):
+    """I - P over every state, with the rows of the empty and the full
+    state pinned to the identity: one sparse subtraction, no copy of the
+    transient block. Every row has a nonzero diagonal: 1 on the pinned
+    rows, and 1 - p_ss > 0 on a transient row, also where P holds no
+    entry there (a state with no null event)."""
+    pin = np.ones(chain.n_states)
+    pin[[0, -1]] = 2.0  # 2 - 1: an absorbing row of P is its own self-loop
+    return diags(pin, format="csr") - chain.transitions
 
 
 def transient_system(chain):

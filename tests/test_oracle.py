@@ -29,6 +29,7 @@ from fixlab.oracle import MAX_ITERATIONS, RESIDUAL_TOL, RTOL
 from .loop_chain import (
     chain_absorbs,
     loop_transitions,
+    pinned_system,
     sliced_solutions,
     states_reaching,
     transient_system,
@@ -59,6 +60,34 @@ def test_state_encoding_is_little_endian():
 def test_state_round_trip():
     for state in range(16):
         assert state_of(config_of(state, 4)) == state
+
+
+@pytest.mark.parametrize("state", [-1, -8, 8, 9, 2**70, -(2**70), np.int64(-1), np.uint8(8)])
+def test_states_outside_the_chain_are_refused_by_range(state):
+    # -1 once read as every vertex and 9 as vertex 0 alone
+    with pytest.raises(ValueError, match=rf"^state {int(state)} outside 0\.\.7$"):
+        config_of(state, 3)
+
+
+@pytest.mark.parametrize("bad", [2.0, True, np.float64(1.0), "1", None], ids=repr)
+def test_non_integer_states_are_refused_not_truncated(bad):
+    with pytest.raises(ValueError, match="^state .* is not an integer$"):
+        config_of(bad, 3)
+
+
+def test_chain_rows_are_refused_outside_the_chain():
+    # -31 once gave state 1's row and -1 an empty one; 32 and 2.0 raised
+    # numpy's IndexError
+    chain = build_chain(cycle_graph(5), Rule.BD)
+    for state in (-31, -1, 32, 2**70):
+        with pytest.raises(ValueError, match=rf"^state {state} outside 0\.\.31$"):
+            chain.row(state)
+    for bad in (2.0, True, np.float64(1.0)):
+        with pytest.raises(ValueError, match="is not an integer"):
+            chain.row(bad)
+    for state in (0, 31):
+        assert [a.tolist() for a in chain.row(np.int64(state))] == [[state], [1.0]]
+    assert config_of(np.int64(31), 5) == frozenset(range(5))
 
 
 # ------------------------------------------------------------- structure
@@ -185,7 +214,7 @@ def test_solve_restarts_past_a_bicgstab_breakdown(monkeypatch):
     # started there; the oracle takes extinction as 1 - fixation, so the
     # system is solved here
     chain = build_chain(star_graph(11), Rule.BD_B, r=0.01)
-    system = oracle._pinned_system(chain)
+    system = pinned_system(chain)
     b = np.zeros(chain.n_states)
     b[0] = 1.0
     infos = []
@@ -224,7 +253,7 @@ def test_solve_restarts_past_a_drifted_residual(monkeypatch):
         return result
 
     monkeypatch.setattr(oracle, "bicgstab", recorded)
-    system = oracle._pinned_system(chain)
+    system = pinned_system(chain)
     inner = np.ones(chain.n_states)
     inner[[0, -1]] = 0.0
     b = oracle._solutions(chain)["h_fix"] * inner
@@ -536,7 +565,7 @@ def _systems(draw):
     else:
         pinned_b[end] = 1.0
     start = np.zeros(chain.n_states) if end is None else pinned_b.copy()
-    return (system, b), (oracle._pinned_system(chain), pinned_b, start)
+    return (system, b), (pinned_system(chain), pinned_b, start)
 
 
 @same_steps_as_scipy
@@ -586,7 +615,7 @@ def _dense_half(half):
 def test_even_half_is_the_schur_complement_of_the_pinned_system(rule, r, n):
     chain = build_chain(random_digraph(70 + n, n), rule, r=r)
     half = chain.half
-    a = oracle._pinned_system(chain).toarray()
+    a = pinned_system(chain).toarray()
     e, o = half.even, half.odd
     d = np.diag(a)
     # the odd states link to even ones only, so A_OO is its diagonal
@@ -645,6 +674,73 @@ def test_checked_solve_meets_the_residual_bound(case):
         assert np.max(np.abs(rhs - a @ x)) <= RESIDUAL_TOL * max(1.0, np.max(np.abs(x)))
 
 
+@pytest.mark.parametrize("rule, r", [
+    (Rule.BD, 1.0), (Rule.DB, 1.0), (Rule.LD, 1.7), (Rule.BD_B, 0.6), (Rule.BD_D, 1.7),
+    (Rule.DB_B, 40.0), (Rule.DB_D, 0.01),
+])
+@pytest.mark.parametrize("n", [3, 6, 9, 10])
+def test_residual_from_p_keeps_the_solutions_of_the_pinned_system(rule, r, n):
+    # the oracle checks its solves against P; checked against the pinned
+    # I - P instead, the same runs give the same bits. The residuals differ
+    # by rounding only: each entry is a float64 sum of at most n + 3 terms
+    # (b_s, pin_s x_s with pin <= 2, and P's row times x, at most |x| in
+    # all) taken in another order, so the two differ by at most
+    # 2 (n + 3) eps (|b| + 4 |x|)
+    chain = build_chain(random_digraph(90 + n, n), rule, r=r)
+    solutions = oracle._solutions(chain)
+    system = pinned_system(chain)
+    inner = np.ones(chain.n_states)
+    inner[[0, -1]] = 0.0
+    to_full = np.zeros(chain.n_states)
+    to_full[-1] = 1.0
+    # the right-hand sides and starts of oracle._solutions
+    cases = {
+        "h_fix": (to_full, to_full.copy()),
+        "a_all": (inner, None),
+        "u_fix": (solutions["h_fix"] * inner, None),
+        "u_ext": (solutions["h_ext"] * inner, solutions["a_all"] - solutions["u_fix"]),
+    }
+    for name, (b, start) in cases.items():
+        x, residual, iterations = oracle.checked_solve(system, b, name, start, chain.half)
+        if name == "h_fix":
+            np.clip(x, 0.0, 1.0, out=x)
+        assert x.tobytes() == solutions[name].tobytes(), name
+        assert iterations == chain.iterations[name]
+        scale = max(1.0, np.max(np.abs(x)))
+        bound = 2 * (n + 3) * np.finfo(float).eps * (np.max(np.abs(b)) + 4 * scale) / scale
+        assert abs(chain.residuals[name] - residual) <= bound, name
+
+
+@pytest.mark.parametrize("kind", ["empty", "odd", "full"])
+def test_a_solution_wrong_at_one_state_is_refused(kind, monkeypatch):
+    # the residual covers every state: an odd one, which BiCGSTAB never
+    # iterates on, and either end, whose row is pinned. The error is sized
+    # so that only the wrong state's own row sees it: it moves that row's
+    # residual by 2 RESIDUAL_TOL and every other row's by at most a quarter
+    # of that, so a check that skipped the state would pass the solution.
+    # Under db a one-vertex state of N = 7 becomes an end with chance 1/7
+    chain = build_chain(random_digraph(7, 7), Rule.DB)
+    p = chain.transitions.toarray()
+    pin = np.ones(chain.n_states)
+    pin[[0, -1]] = 2.0
+    own = pin - np.diag(p)
+    others = (p - np.diag(np.diag(p))).max(axis=0)
+    odd = chain.half.odd[chain.half.odd != chain.n_states - 1]
+    wrong = {"empty": 0, "full": chain.n_states - 1,
+             "odd": odd[np.argmax(own[odd] / others[odd])]}[kind]
+    assert own[wrong] >= 4 * others[wrong]
+    real = oracle.EvenHalf.extend
+
+    def corrupted(self, x_even, b):
+        x = real(self, x_even, b)
+        x[wrong] += 2 * RESIDUAL_TOL / own[wrong]
+        return x
+
+    monkeypatch.setattr(oracle.EvenHalf, "extend", corrupted)
+    with pytest.raises(ArithmeticError, match="solve for h_fix failed"):
+        fixation_exact(chain, [0])
+
+
 def _assert_agrees_with_the_sliced_solve(chain, lu=True):
     solutions = oracle._solutions(chain)
     for name, reference in sliced_solutions(chain, lu).items():
@@ -674,7 +770,7 @@ def test_pinned_solutions_agree_with_the_sliced_solve(chain):
 def test_pinned_solutions_agree_with_the_sliced_solve_on_edge_cases(graph, rule, r):
     # against the cold BiCGSTAB route the pinned system replaced
     chain = build_chain(graph, rule, r=r)
-    assert (oracle._pinned_system(chain).diagonal() > 0).all()
+    assert (pinned_system(chain).diagonal() > 0).all()
     _assert_agrees_with_the_sliced_solve(chain, lu=False)
 
 
@@ -704,7 +800,7 @@ def test_bicgstab_continues_from_a_given_start_as_scipy_does(graph, rule, r):
     _assert_same_run(oracle.bicgstab(system, b, start.copy()),
                      _scipy_bicgstab(system, b, x0=start.copy()))
     # the pinned system, from two steps past the start that pins the full state
-    pinned = oracle._pinned_system(chain)
+    pinned = pinned_system(chain)
     b = np.zeros(chain.n_states)
     b[-1] = 1.0
     start = _scipy_bicgstab(pinned, b, x0=b.copy(), maxiter=2)[0]
