@@ -62,7 +62,7 @@ def parse_rule(name):
         ) from None
 
 
-def resolve_rule(rule, r=1.0, kernel=False):
+def resolve_rule(rule, r=1.0, kernel=False, graph=None):
     """The one check of a rule name and the fitness it is used with.
 
     Names are case-insensitive. Fitness must be finite and positive.
@@ -70,6 +70,12 @@ def resolve_rule(rule, r=1.0, kernel=False):
     biases, so they are refused at r != 1; ``ld`` has a single biased
     form and takes any r. With ``kernel=True`` (kernel iteration,
     which is neutral by construction) biased names are refused too.
+
+    With ``graph`` (the simulator and the exact chain), r is also refused
+    where r n |E| or n |E| / r overflows a float, with n vertices and |E|
+    edges: every total a sampler or the chain build sums, of fitnesses
+    over vertices or edges, or of weights shaded by 1/r, stays below one
+    of the two, so an accepted r never turns a total into inf or NaN.
     """
     if not isinstance(rule, Rule):
         rule = parse_rule(rule)
@@ -85,6 +91,13 @@ def resolve_rule(rule, r=1.0, kernel=False):
             f"rule {rule} carries a fitness bias; kernel iteration is neutral "
             "only, so use one of the neutral kernels (bd, db, ld)"
         )
+    if graph is not None:
+        size = graph.n * len(graph.out_dst)
+        if not (math.isfinite(size * float(r)) and math.isfinite(size / float(r))):
+            raise ValueError(
+                f"fitness r = {r} overflows the event totals on this graph: "
+                f"r*n*|E| and n*|E|/r must be finite (n = {graph.n}, |E| = {len(graph.out_dst)})"
+            )
     return rule
 
 

@@ -25,7 +25,15 @@ At r = 1 each family collapses to its neutral kernel; the neutral rule
 names are accepted and dispatched to the cheapest equivalent sampler.
 Each sampler kind has its own event loop (``_play_bd_b`` ... ``_play_ld``),
 chosen once per ``_Process``; the loops share only the rare paths, the
-flip commit and the draw refill.
+flip commit and the draw refill. A kind's per-vertex tables depend on
+the graph alone, so they are built once per graph and kind and kept in
+``graph._ops``, as the kernels are.
+
+The bd-d and db-b loops scan the drawn vertex's row to weigh the second
+draw. Each keeps a count per vertex of the mutants in its row, updated
+on every flip, and steps past an event whose row holds only the drawn
+vertex's own type: such an event is null whatever its second variate,
+so both variates are still read and the stream keeps its bits.
 """
 
 from __future__ import annotations
@@ -97,18 +105,22 @@ class _State:
 
     ``mut``/``res`` list the mutant and resident vertices and ``pos[v]``
     is v's index in whichever list holds it; under ld, ``eb_mut``/``eb_res``
-    and ``epos`` do the same for edges by the type of their source.
+    and ``epos`` do the same for edges by the type of their source. Under
+    bd-d and db-b, ``cnt[v]`` is the number of mutants in the row the loop
+    reads for v (its out-neighbours, or its in-neighbours).
     """
 
-    __slots__ = ("member", "m", "mut", "res", "pos", "eb_mut", "eb_res", "epos")
+    __slots__ = ("member", "m", "mut", "res", "pos", "eb_mut", "eb_res", "epos", "cnt")
 
     def copy(self):
         st = _State()
         st.member, st.m, st.mut, st.res, st.pos = (
             self.member[:], self.m, self.mut[:], self.res[:], self.pos[:])
-        st.eb_mut = st.eb_res = st.epos = None
+        st.eb_mut = st.eb_res = st.epos = st.cnt = None
         if self.epos is not None:
             st.eb_mut, st.eb_res, st.epos = self.eb_mut[:], self.eb_res[:], self.epos[:]
+        if self.cnt is not None:
+            st.cnt = self.cnt[:]
         return st
 
 
@@ -128,45 +140,66 @@ def _positions(universe, *lists):
     return pos
 
 
+def _tables(graph, kind):
+    """The graph's flat lists and the per-vertex rows of one sampler kind.
+
+    Built once per graph and kind, as the kernels are, and read-only:
+    the graph's arrays as lists (``out_ptr`` ... ``edge_src``, shared by
+    every kind), ``rows`` and ``watch``. ``watch[u]`` lists the vertices
+    whose row holds u, whose counts a flip of u moves: the other
+    direction's adjacency under bd-d and db-b, None under the other kinds.
+    """
+    key = ("events", kind)
+    if key in graph._ops:
+        return graph._ops[key]
+    if "events" not in graph._ops:
+        graph._ops["events"] = (
+            graph.out_ptr.tolist(), graph.out_dst.tolist(), graph.out_w.tolist(),
+            graph.out_cum.tolist(), graph.in_ptr.tolist(), graph.in_src.tolist(),
+            graph.k_in.tolist(), np.repeat(np.arange(graph.n), graph.k_out).tolist())
+    flat = graph._ops["events"]
+    out_ptr, out_dst, out_w, out_cum, in_ptr, in_src = flat[:6]
+    out = list(zip(out_ptr, out_ptr[1:]))
+    watch = None
+    if kind == _K_BD_B:
+        # the draw past the row's last kept entry picks the last edge,
+        # also where the float cumsum ends below 1
+        rows = [(out_cum[a:b - 1], out_dst[a:b]) for a, b in out]
+    elif kind == _K_BD_D:
+        rows = [list(zip(out_dst[a:b], out_w[a:b])) for a, b in out]
+        watch = [in_src[a:b] for a, b in zip(in_ptr, in_ptr[1:])]
+    elif kind == _K_LD:
+        rows = [range(a, b) for a, b in out]
+    else:
+        rows = [in_src[a:b] for a, b in zip(in_ptr, in_ptr[1:])]
+        if kind == _K_DB_B:
+            watch = [out_dst[a:b] for a, b in out]
+    graph._ops[key] = tables = (*flat, rows, watch)
+    return tables
+
+
 class _Process:
-    """Immutable sampling tables for one (graph, rule, r); shared by runs.
+    """Sampling tables for one (graph, rule, r); shared by runs.
 
     ``play`` is the event loop of the sampler kind, and ``rows[v]`` the
     table that loop reads for vertex v, so an event does one list lookup:
     under bd-b the row's cumsum without its last entry and its targets,
     under bd-d its (target, weight) pairs, under db-b and db-d v's
-    incoming neighbours, under ld v's outgoing edge ids.
+    incoming neighbours, under ld v's outgoing edge ids. The tables come
+    from ``_tables``, shared by every process of this kind on the graph.
     """
 
     def __init__(self, graph, rule, r):
         self.graph = graph
-        self.rule = resolve_rule(rule, r)
+        self.rule = resolve_rule(rule, r, graph=graph)
         self.r = float(r)
         self.n = graph.n
         self.kind = (_KIND_AT_UNIT_FITNESS if self.r == 1.0 else _KIND)[self.rule]
         check_neighbours(graph, self.rule, "events")
-        self.out_ptr = graph.out_ptr.tolist()
-        self.out_dst = graph.out_dst.tolist()
-        self.out_w = graph.out_w.tolist()
-        self.out_cum = graph.out_cum.tolist()
-        self.in_ptr = graph.in_ptr.tolist()
-        self.in_src = graph.in_src.tolist()
-        self.k_in = graph.k_in.tolist()
-        self.n_edges = len(graph.out_dst)
-        self.edge_src = np.repeat(np.arange(self.n), graph.k_out).tolist()
+        (self.out_ptr, self.out_dst, self.out_w, self.out_cum, self.in_ptr, self.in_src,
+         self.k_in, self.edge_src, self.rows, self.watch) = _tables(graph, self.kind)
+        self.n_edges = len(self.out_dst)
         self.play = _LOOPS[self.kind]
-        out = list(zip(self.out_ptr, self.out_ptr[1:]))
-        if self.kind == _K_BD_B:
-            # the draw past the row's last kept entry picks the last edge,
-            # also where the float cumsum ends below 1
-            self.rows = [(self.out_cum[a:b - 1], self.out_dst[a:b]) for a, b in out]
-        elif self.kind == _K_BD_D:
-            self.rows = [list(zip(self.out_dst[a:b], self.out_w[a:b])) for a, b in out]
-        elif self.kind == _K_LD:
-            self.rows = [range(a, b) for a, b in out]
-        else:
-            ptr = self.in_ptr
-            self.rows = [self.in_src[a:b] for a, b in zip(ptr, ptr[1:])]
 
     def new_state(self, members):
         st = _State()
@@ -177,7 +210,12 @@ class _Process:
         st.mut = [v for v in range(self.n) if st.member[v]]
         st.res = [v for v in range(self.n) if not st.member[v]]
         st.pos = _positions(self.n, st.mut, st.res)
-        st.eb_mut = st.eb_res = st.epos = None
+        st.eb_mut = st.eb_res = st.epos = st.cnt = None
+        if self.watch is not None:
+            st.cnt = [0] * self.n
+            for u in st.mut:
+                for v in self.watch[u]:
+                    st.cnt[v] += 1
         if self.kind == _K_LD:
             st.eb_mut = [e for e in range(self.n_edges) if st.member[self.edge_src[e]]]
             st.eb_res = [e for e in range(self.n_edges) if not st.member[self.edge_src[e]]]
@@ -232,6 +270,13 @@ def _flip(st, vertex, new):
 # the last-ulp rounding of u * len; each event reads at most two variates,
 # and the per-state totals are the per-event expressions, evaluated once
 # per flip. A loop ends by writing back the draw cursor.
+#
+# Only bd-d and db-b skip an event whose row holds one type: theirs are the
+# loops that scan the row. The bd-b, db-d and ld picks are O(1) or a
+# bisect, and the same skip in bd-b cost more than it saved, as a flip of
+# a BA hub updates the counts of many watchers: the bd and bd-b questions
+# of the simulate benchmark (seed 1, one pass) took 0.35-0.38 s with it
+# and 0.31-0.33 s without.
 
 def _play_bd_b(proc, st, draws, cap):
     n, r, rows = proc.n, proc.r, proc.rows
@@ -269,8 +314,8 @@ def _play_bd_b(proc, st, draws, cap):
 
 
 def _play_bd_d(proc, st, draws, cap):
-    n, r, rows = proc.n, proc.r, proc.rows
-    member = st.member
+    n, r, rows, watch = proc.n, proc.r, proc.rows, proc.watch
+    member, cnt = st.member, st.cnt
     random, buf, i, chunk = draws.rng.random, draws.buf, draws.i, draws.chunk
     stop = len(buf) - 1
     for steps in range(1, cap + 1):
@@ -280,6 +325,10 @@ def _play_bd_d(proc, st, draws, cap):
         if breeder >= n:
             breeder = n - 1
         row = rows[breeder]
+        # every target holds the breeder's type: null, whatever buf[i + 1]
+        if cnt[breeder] == (len(row) if member[breeder] else 0):
+            i += 2
+            continue
         total = 0.0
         for v, w in row:
             total += w / r if member[v] else w
@@ -295,6 +344,9 @@ def _play_bd_d(proc, st, draws, cap):
         new = member[breeder]
         if member[vertex] != new:
             m = _flip(st, vertex, new)
+            step = 1 if new else -1
+            for v in watch[vertex]:
+                cnt[v] += step
             if m == 0 or m == n:
                 result = RunResult(m == n, steps, False)
                 break
@@ -305,8 +357,8 @@ def _play_bd_d(proc, st, draws, cap):
 
 
 def _play_db_b(proc, st, draws, cap):
-    n, r, rows = proc.n, proc.r, proc.rows
-    member = st.member
+    n, r, rows, watch = proc.n, proc.r, proc.rows, proc.watch
+    member, cnt = st.member, st.cnt
     random, buf, i, chunk = draws.rng.random, draws.buf, draws.i, draws.chunk
     stop = len(buf) - 1
     for steps in range(1, cap + 1):
@@ -316,6 +368,10 @@ def _play_db_b(proc, st, draws, cap):
         if vertex >= n:
             vertex = n - 1
         row = rows[vertex]
+        # every replacer holds the dying vertex's type: null, whatever buf[i + 1]
+        if cnt[vertex] == (len(row) if member[vertex] else 0):
+            i += 2
+            continue
         total = 0.0
         for u in row:
             total += r if member[u] else 1.0
@@ -331,6 +387,9 @@ def _play_db_b(proc, st, draws, cap):
         new = member[rep]
         if member[vertex] != new:
             m = _flip(st, vertex, new)
+            step = 1 if new else -1
+            for v in watch[vertex]:
+                cnt[v] += step
             if m == 0 or m == n:
                 result = RunResult(m == n, steps, False)
                 break

@@ -132,7 +132,7 @@ def build_chain(graph, rule=Rule.BD, r=1.0):
     events, not one minus the rest, so the row-sum check stays a check.
     The flip columns also give the chain's ``EvenHalf``.
     """
-    rule = resolve_rule(rule, r)
+    rule = resolve_rule(rule, r, graph=graph)
     n = graph.n
     if n > ORACLE_CAP:
         raise ValueError(f"population {n} above the exact-chain cap {ORACLE_CAP}")
@@ -373,6 +373,14 @@ def bicgstab(a, b, x=None):
     ``np.dot`` over ``_DOT_SLICE``-entry slices, which multi-threaded BLAS
     computes on one thread, so the result does not depend on the BLAS
     thread count.
+
+    One bound differs from scipy's: rho = <r~, r> is a breakdown at
+    |rho| <= eps^2 |b|^2, not at |rho| < eps^2. rho scales with |b|^2, so
+    scipy's absolute bound refuses a system whose right-hand side is
+    tiny (u_fix where h is ~1e-22) on its first step; at |b| = 1 the two
+    agree. Below |b| ~ 1e-146, |b|^2 eps^2 rounds to 0 and only rho = 0
+    is a breakdown; below |b| ~ 1e-162, |b|^2 itself rounds to 0 and b
+    is returned unsolved, as for b = 0, for the caller's residual check.
     """
     n = len(b)
     dot = np.dot if n <= _DOT_SLICE else _sliced_dot
@@ -384,7 +392,8 @@ def bicgstab(a, b, x=None):
     if bnorm == 0.0:
         return b.copy(), 0, 0
     atol = RTOL * bnorm
-    tiny = np.finfo(float).eps ** 2  # scipy's breakdown bound for rho and omega
+    tiny = np.finfo(float).eps ** 2  # scipy's breakdown bound for omega
+    rho_tiny = tiny * bnorm * bnorm  # and for rho over |b|^2 (see above)
     if x is None:
         x = np.zeros(n)
     v, t, phat, shat, tmp = (np.empty(n) for _ in range(5))
@@ -394,7 +403,7 @@ def bicgstab(a, b, x=None):
         if sqrt(dot(r, r)) < atol:
             return x, 0, iteration
         rho = dot(rtilde, r)
-        if abs(rho) < tiny:
+        if abs(rho) <= rho_tiny:
             return x, -10, iteration
         if iteration:
             if abs(omega) < tiny:

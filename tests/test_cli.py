@@ -235,6 +235,19 @@ def test_simulate_event_cap_below_one_exits_one(capsys, two_cycle_file, steps):
     assert json.loads(out)["error"] == f"per-run event cap must be at least 1, got {steps}"
 
 
+@pytest.mark.parametrize("command", ["simulate", "oracle"])
+@pytest.mark.parametrize("r", ["1e308", "1e-308"])
+def test_a_fitness_that_overflows_the_totals_exits_one(capsys, two_cycle_file, command, r):
+    # simulate once printed "cannot convert float NaN to integer" here
+    code, out = run_cli(capsys, [
+        command, "--graph", two_cycle_file, "--config", "[0]", "--rule", "bd-b", "--r", r,
+    ])
+    assert code == 1
+    assert json.loads(out)["error"] == (
+        f"fitness r = {float(r)} overflows the event totals on this graph: "
+        "r*n*|E| and n*|E|/r must be finite (n = 2, |E| = 2)")
+
+
 def test_solve_replays_from_its_own_manifest(capsys, tmp_path):
     path = str(tmp_path / "g.json")
     assert main(["generate", "--generate", "ba:n=20,m=2,seed=7", "--out", path]) == 0

@@ -4,19 +4,24 @@
 sampler kind (``_play_bd_b`` ... ``_play_ld``). ``simulate_run``,
 ``estimate`` and ``sample_transitions`` are compared here, exactly,
 against ``tests/loop_montecarlo.py`` under every rule and fitness of
-``test_montecarlo._COMBOS``, and under all five kinds at r < 1.
+``test_montecarlo._COMBOS``, and under all five kinds at r < 1. The
+bd-d and db-b loops' per-vertex mutant counts, which let them step past
+an event whose row holds one type, are checked against a recount, and
+the tables kept once per graph and kind against fresh graphs.
 """
 
+import copy
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from fixlab import Rule, estimate, generate, sample_transitions, simulate_run
+from fixlab import EvolutionaryGraph, Rule, estimate, generate, sample_transitions, simulate_run
+from fixlab.montecarlo import _Draws, _play, _Process, _run_seed
 
 from . import loop_montecarlo as ref
 from .test_montecarlo import _COMBOS
-from .util import random_digraph
+from .util import random_digraph, star_graph
 
 COMBO_IDS = [f"{rule}@{r}" for rule, r in _COMBOS]
 SIZES = (3, 4, 6, 9, 14, 22, 30)
@@ -115,3 +120,83 @@ def test_deleterious_mutants_match_the_reference(ba100, rule, r, n):
     assert got == ref.sample_transitions(g, config, rule, r, 400, n)
     majority = list(range(0, 100, 2))
     assert_same_estimate(ba100, majority, rule, r, runs=3, seed=n)
+
+
+# ------------------------------------------------- one-type rows and tables
+
+# the two kinds whose loops scan the drawn vertex's row, and the side of
+# the graph that row lies on
+_COUNTED = [(Rule.BD_D, "out"), (Rule.DB_B, "in")]
+
+
+def _recount(graph, member, side):
+    # mutants among each vertex's out- or in-neighbours, from the graph's arrays
+    ptr, nbrs = ((graph.out_ptr, graph.out_dst) if side == "out"
+                 else (graph.in_ptr, graph.in_src))
+    return [sum(member[u] for u in nbrs[ptr[v]:ptr[v + 1]].tolist())
+            for v in range(graph.n)]
+
+
+@pytest.mark.parametrize("r", [0.5, 2.0])
+@pytest.mark.parametrize("rule,side", _COUNTED, ids=[str(rule) for rule, _ in _COUNTED])
+def test_row_counts_match_a_recount_after_every_event(rule, side, r):
+    g = random_digraph(41, 9, p=0.35)
+    rows_out = [sorted(g.out_dst[g.out_ptr[v]:g.out_ptr[v + 1]].tolist()) for v in range(g.n)]
+    rows_in = [sorted(g.in_src[g.in_ptr[v]:g.in_ptr[v + 1]].tolist()) for v in range(g.n)]
+    assert rows_out != rows_in
+    proc = _Process(g, rule, r)
+    draws = _Draws(_run_seed(7, 0))
+    start = [0, 3, 4]
+    st = proc.new_state(start)
+    assert st.cnt == _recount(g, st.member, side)
+    degree = g.k_out if side == "out" else g.k_in
+    flips = one_type = 0
+    for _ in range(10_000):
+        member, cnt, i = st.member[:], st.cnt[:], draws.i
+        _play(proc, st, draws, 1)
+        assert st.cnt == _recount(g, st.member, side)
+        flips += st.member != member
+        # the event read two variates, skipped or not (a refill moves the
+        # unread tail to the front, so the cursor is then 2)
+        assert draws.i in (i + 2, 2)
+        v = int(draws.buf[draws.i - 2] * g.n)
+        one_type += cnt[v] == (degree[v] if member[v] else 0)
+        if st.m in (0, g.n):
+            st = proc.new_state(start)
+    assert flips > 1000 and one_type > 1000
+
+
+@pytest.mark.parametrize("r", [0.5, 2.0])
+@pytest.mark.parametrize("rule", [Rule.BD_D, Rule.DB_B])
+def test_hub_flips_on_a_star_match_the_reference(rule, r):
+    # every leaf's row is the hub alone and the hub's row every leaf, so a
+    # hub flip moves the count of every leaf
+    g = star_graph(12)
+    for config in ([0], [1], [0, 5, 6], list(range(1, 13))):
+        assert_same_runs(g, config, rule, r, range(6))
+        assert_same_estimate(g, config, rule, r, runs=20, seed=len(config))
+        got = sample_transitions(g, config, rule=rule, r=r, events=300, seed=3)
+        assert got == ref.sample_transitions(g, config, rule, r, 300, 3)
+
+
+def test_tables_are_built_once_per_graph_and_kind_and_left_unchanged():
+    spec = [(Rule.BD_D, 1.5), (Rule.DB_B, 0.7), (Rule.BD_B, 1.5), (Rule.LD, 2.0),
+            (Rule.BD_D, 0.8), (Rule.DB_B, 1.5)]
+    g = generate("preferential_attachment", 40, seed=12, weighting="random", m=2)
+
+    def fresh():
+        return EvolutionaryGraph(g.n, g.edges)
+
+    tables = {}
+    for k, (rule, r) in enumerate(spec):
+        got = estimate(g, [k], rule=rule, r=r, runs=6, seed=k)
+        want = estimate(fresh(), [k], rule=rule, r=r, runs=6, seed=k)
+        assert replace(got, wall_time=0.0) == replace(want, wall_time=0.0)
+        proc = _Process(g, rule, r)
+        if proc.kind in tables:
+            assert proc.rows is tables[proc.kind][0]
+        else:
+            tables[proc.kind] = (proc.rows, copy.deepcopy(g._ops[("events", proc.kind)]))
+    assert len(tables) == 4
+    for kind, (rows, snapshot) in tables.items():
+        assert g._ops[("events", kind)] == snapshot

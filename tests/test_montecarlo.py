@@ -226,6 +226,36 @@ def test_nonpositive_fitness_is_rejected():
         simulate_run(two_cycle(), [0], rule=Rule.BD_B, r=0.0)
 
 
+# one rule per sampler kind, each with the fitness that overflows its totals
+_KINDS = (Rule.BD_B, Rule.BD_D, Rule.DB_B, Rule.DB_D, Rule.LD)
+
+
+@pytest.mark.parametrize("r", [1e308, 1e-308])
+@pytest.mark.parametrize("rule", _KINDS, ids=str)
+def test_a_fitness_that_overflows_the_totals_is_refused(rule, r):
+    # at 1e308 r m overflowed under bd-b and ld (NaN picks) and db-b capped
+    # runs; at 1e-308 m / r overflowed under db-d, and bd-d capped every run
+    g = random_digraph(5, 6)
+    message = "^" + re.escape(f"fitness r = {r} overflows the event totals on this graph")
+    for call in (lambda: estimate(g, [0], rule=rule, r=r, runs=4),
+                 lambda: simulate_run(g, [0], rule=rule, r=r),
+                 lambda: sample_transitions(g, [0], rule=rule, r=r, events=4)):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
+@pytest.mark.parametrize("rule", _KINDS, ids=str)
+def test_a_fitness_just_inside_the_bound_absorbs(rule):
+    # the largest and smallest r the bound takes: every run ends without NaN
+    # or inf in a total, the fitter type fixing and the weaker dying out
+    g = random_digraph(5, 6)
+    size = g.n * len(g.out_dst)
+    for r, fixes in ((1e308 / size, True), (size / 1e308, False)):
+        s = estimate(g, [0, 1, 2], rule=rule, r=r, runs=8, seed=1)
+        assert s.capped_runs == 0
+        assert s.fixations == (8 if fixes else 0)
+
+
 def test_bisect_stays_inside_a_row_whose_cumsum_ends_below_one():
     # nine weights of 1/9 accumulate to 0.9999999999999996; a draw above
     # that must pick the row's last edge, not the next vertex's first

@@ -293,6 +293,45 @@ def test_checked_solve_sums_the_steps_of_every_run(monkeypatch):
     assert max(chain.residuals.values()) <= RESIDUAL_TOL
 
 
+def _inverse_degree_graph():
+    g = nx.gnm_random_graph(8, 14, seed=3)
+    return EvolutionaryGraph(8, [(u, v, 1.0 / g.degree(u)) for u in g for v in g[u]])
+
+
+@pytest.mark.parametrize("r", [1e3, 1e-3, 1e6, 1e-6, 1e10, 1e-10, 1e20, 1e50, 1e5, 1e-50])
+@pytest.mark.parametrize("rule", [Rule.BD_B, Rule.BD_D, Rule.DB_B, Rule.DB_D, Rule.LD], ids=str)
+def test_a_system_whose_right_hand_side_is_tiny_is_solved(rule, r):
+    # u_fix's right-hand side is h, ~1e-22 at r = 1e-6, and u_ext's is
+    # 1 - h, as small at r = 1e6: an absolute rho bound of eps^2 called
+    # either a breakdown on its first step, on 14 of the first 40 pairs
+    chain = build_chain(_inverse_degree_graph(), rule, r)
+    h = fixation_exact(chain, [0])
+    times = mean_times_exact(chain, [0])
+    assert 0.0 <= h <= 1.0
+    assert max(chain.residuals.values()) <= RESIDUAL_TOL
+    assert times.absorption > 0
+
+
+def test_the_rho_bound_scales_with_the_right_hand_side():
+    # scaled by a power of two, b ~ 1e-22 takes the steps of b itself, and
+    # every product and sum scales exactly, so x keeps its bits scaled
+    chain = build_chain(_inverse_degree_graph(), Rule.BD_B, 1.5)
+    system, p = transient_system(chain)
+    b = p[:, [p.shape[1] - 1]].toarray().ravel()
+    x, info, steps = oracle.bicgstab(system, b)
+    tiny_x, tiny_info, tiny_steps = oracle.bicgstab(system, b * 2.0**-73)
+    assert (tiny_info, tiny_steps) == (info, steps) and info == 0
+    assert tiny_x.tobytes() == (x * 2.0**-73).tobytes()
+
+
+@pytest.mark.parametrize("r", [1e308, 1e-308])
+@pytest.mark.parametrize("rule", [Rule.BD_B, Rule.BD_D, Rule.DB_B, Rule.DB_D, Rule.LD], ids=str)
+def test_a_fitness_that_overflows_the_chain_is_refused(rule, r):
+    # the build warned of an overflow, then found rows that do not sum to 1
+    with pytest.raises(ValueError, match=f"^fitness r = {r:g}".replace("+", r"\+")):
+        build_chain(random_digraph(2, 6), rule, r)
+
+
 def test_fixation_stays_a_probability_far_below_the_solve_accuracy():
     # the hub of this star fixes with chance ~1e-44; the absolute-accuracy
     # solve gave -3.1e-44 there, and extinction chances a hair above 1
