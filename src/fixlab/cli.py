@@ -18,7 +18,7 @@ import io
 import json
 import sys
 
-from . import __version__, dynamics, graphs, montecarlo, mttf, oracle, solver
+from . import __version__, dynamics, graphs, linear, montecarlo, mttf, oracle, solver
 from . import bounds as bounds_mod
 
 _GENERATOR_ALIASES = {
@@ -205,11 +205,11 @@ def _cmd_oracle(args, graph, config):
             "preconditioner": "jacobi",
             # the system BiCGSTAB iterates on, so that iteration counts are
             # read against it
-            "system": "even-parity Schur complement",
+            "system": chain.half.name,
             "system_states": chain.half.n_states,
             "iterations": chain.iterations,
             "max_residual": max(chain.residuals.values()),
-            "residual_bound": oracle.RESIDUAL_TOL,
+            "residual_bound": linear.RESIDUAL_TOL,
         }
     return {
         "fixation": fix,

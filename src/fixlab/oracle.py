@@ -6,42 +6,24 @@ endian by vertex id: bit i set means vertex i currently holds a
 mutant. State 0 (no mutants) and state 2^n - 1 (all mutants) are the
 absorbing ends. Fixation probabilities and conditional absorption
 times then come from sparse linear solves against I - P with those two
-rows pinned, with no sampling error and a checked residual, which is
-what makes this module the referee for both the iterative solver and
-the simulator.
+rows pinned (``fixlab.linear.checked_solve`` on the chain's ``EvenHalf``),
+with no sampling error and a checked residual, which is what makes this
+module the referee for both the iterative solver and the simulator.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dynamics import Rule, check_neighbours, neutral_part, resolve_rule
 from .graphs import check_config, reaches_all, vertex_id
+from .linear import checked_solve
 
 ORACLE_CAP = 16
 
 ROW_SUM_TOL = 1e-12
-
-# largest residual accepted from an absorption solve, over max(1, max |x|):
-# absolute for probabilities, relative to the largest value for times
-RESIDUAL_TOL = 1e-10
-
-# one BiCGSTAB run stops when its recurrence residual falls below
-# RTOL |b| or after MAX_ITERATIONS steps; a run that stops
-# without meeting RESIDUAL_TOL (its recurrence residual drifted from the
-# true one, it broke down, or it ran out of steps) is restarted from its
-# iterate, at most RESTARTS times
-RTOL = 1e-13
-MAX_ITERATIONS = 1000
-RESTARTS = 3
-
-# BiCGSTAB's inner products on longer vectors are summed over slices of
-# this many entries: OpenBLAS splits a dot over threads only from 10,001
-# entries on, and the split changes the bits
-_DOT_SLICE = 8192
 
 
 def state_of(config):
@@ -153,15 +135,6 @@ def build_chain(graph, rule=Rule.BD, r=1.0):
     bad = np.flatnonzero(np.abs(sums - 1.0) > ROW_SUM_TOL * max(1, len(graph.out_dst)))
     if bad.size:
         raise ArithmeticError(f"chain rows {bad[:5].tolist()} do not sum to 1")
-    # the diagonal of the pinned I - P: pin - P[s, s], pin 1 on every state
-    # and 2 at the ends (2 - 1: an absorbing row of P is its own self-loop);
-    # taken before the CSR below, which shares data and sorts it in place
-    pin = np.ones(n_states)
-    pin[[0, -1]] = 2.0
-    # the same for every chain on n vertices, so memoized like the source below
-    if "parity" not in graph._ops:
-        graph._ops["parity"] = _parity_layout(n)
-    half = EvenHalf(data, pin - data[:, n], graph._ops["parity"])
     # int32, the index type scipy would cast them to after a scan
     cols = np.empty((n_states, n + 1), dtype=np.int32)
     cols[:, :n] = states[:, None] ^ flips
@@ -173,6 +146,15 @@ def build_chain(graph, rule=Rule.BD, r=1.0):
         (data.ravel(), cols.ravel(), np.arange(0, data.size + 1, n + 1, dtype=np.int32)),
         shape=(n_states, n_states),
     )
+    # the diagonal of the pinned I - P: pin - P[s, s], pin 1 on every state
+    # and 2 at the ends (2 - 1: an absorbing row of P is its own self-loop);
+    # both it and the half read data before the CSR's sort permutes it in place
+    pin = np.ones(n_states)
+    pin[[0, -1]] = 2.0
+    # the same for every chain on n vertices, so memoized like the source below
+    if "parity" not in graph._ops:
+        graph._ops["parity"] = _parity_layout(n)
+    half = EvenHalf(data, pin - data[:, n], graph._ops["parity"], chain)
     chain.sort_indices()
     chain.eliminate_zeros()
     # one search per vertex, so memoized: a graph is often asked under several rules
@@ -251,15 +233,21 @@ class EvenHalf:
     B' is stored negated, so S v is two ``csr_matvec`` calls, the second
     adding onto a copy of v, and B'C' is never formed. ``diagonal`` is
     S's own, 1 - sum_v B'[k, v] C'[k ^ (2^v >> 1), v], the Jacobi
-    preconditioner of the solves on S.
+    preconditioner of the solves that ``fixlab.linear.checked_solve`` runs on S.
     """
 
-    def __init__(self, rows, pinned_diagonal, layout):
+    name = "even-parity Schur complement"
+
+    def __init__(self, rows, pinned_diagonal, layout, transitions):
         # rows[s] is P[s, s ^ 2^v] for each vertex v, then P[s, s];
         # pinned_diagonal is that of the pinned I - P; layout is
-        # _parity_layout(n)
+        # _parity_layout(n); transitions is P as CSR
         m = len(rows) // 2
         self.n_states = m
+        self.transitions = transitions
+        self._scratch = np.empty(m)  # C'v in matvec, so one solve at a time on a half
+        from scipy.sparse import _sparsetools  # here, not per product (~9% of S v)
+        self._csr_matvec = _sparsetools.csr_matvec
         order, self.indptr, self.indices, across = layout
         self.even, self.odd = order[:m], order[m:]
         d = pinned_diagonal[order]
@@ -275,27 +263,44 @@ class EvenHalf:
     def diagonal(self):
         return self._diagonal
 
-    def reduce(self, b):
-        """The right-hand side on the half, D_E^-1 b_E + B' D_O^-1 b_O."""
-        from scipy.sparse import _sparsetools
+    def matvec(self, v, out):
+        """S v: C'v into the zeroed scratch, then -B' times it onto a copy of v."""
+        csr_matvec, m, w = self._csr_matvec, self.n_states, self._scratch
+        w.fill(0.0)
+        csr_matvec(m, m, self.indptr, self.indices, self.c, v, w)
+        out[:] = v
+        csr_matvec(m, m, self.indptr, self.indices, self.minus_b, w, out)
+        return out
 
+    def reduce(self, b, x):
+        """The right-hand side on the half, D_E^-1 b_E + B' D_O^-1 b_O, and
+        the even half of the start x (None if x is None)."""
         m = self.n_states
         rhs = b[self.even] / self.d_even
-        _sparsetools.csr_matvec(m, m, self.indptr, self.indices, self.minus_b,
-                                -(b[self.odd] / self.d_odd), rhs)
-        return rhs
+        self._csr_matvec(m, m, self.indptr, self.indices, self.minus_b,
+                         -(b[self.odd] / self.d_odd), rhs)
+        return rhs, None if x is None else x[self.even]
 
     def extend(self, x_even, b):
         """The solution over every state, from its even half: x_O = D_O^-1 b_O + C' x_E."""
-        from scipy.sparse import _sparsetools
-
         m = self.n_states
         x_odd = b[self.odd] / self.d_odd
-        _sparsetools.csr_matvec(m, m, self.indptr, self.indices, self.c, x_even, x_odd)
+        self._csr_matvec(m, m, self.indptr, self.indices, self.c, x_even, x_odd)
         x = np.empty(2 * m)
         x[self.even] = x_even
         x[self.odd] = x_odd
         return x
+
+    def residual(self, b, x):
+        """b - A x over every state, A the pinned I - P, as b - pin x + P x
+        (pin 1, and 2 at the ends): P x is one ``csr_matvec`` adding onto
+        b - pin x, and no pinned I - P is formed."""
+        p = self.transitions
+        r = b - x
+        r[0] = b[0] - 2.0 * x[0]
+        r[-1] = b[-1] - 2.0 * x[-1]
+        self._csr_matvec(len(r), len(r), p.indptr, p.indices, p.data, x, r)
+        return r
 
 
 def _parity_layout(n):
@@ -316,181 +321,6 @@ def _parity_layout(n):
     for array in layout:
         array.flags.writeable = False
     return layout
-
-
-def _product(a):
-    """``matvec(v, out)``, which writes a v into ``out`` and returns it:
-    one ``csr_matvec`` into zeros for a CSR matrix, and for an
-    ``EvenHalf`` C'v into a zeroed buffer, then -B' times it added onto a
-    copy of v."""
-    from scipy.sparse import _sparsetools
-
-    csr_matvec = _sparsetools.csr_matvec
-    if isinstance(a, EvenHalf):
-        m, indptr, indices, c, minus_b = a.n_states, a.indptr, a.indices, a.c, a.minus_b
-        w = np.empty(m)
-
-        def matvec(v, out):
-            w.fill(0.0)
-            csr_matvec(m, m, indptr, indices, c, v, w)
-            out[:] = v
-            csr_matvec(m, m, indptr, indices, minus_b, w, out)
-            return out
-
-        return matvec
-    n, indptr, indices, data = a.shape[0], a.indptr, a.indices, a.data
-
-    def matvec(v, out):
-        out.fill(0.0)
-        csr_matvec(n, n, indptr, indices, data, v, out)
-        return out
-
-    return matvec
-
-
-def _sliced_dot(a, b):
-    return sum(np.dot(a[k:k + _DOT_SLICE], b[k:k + _DOT_SLICE])
-               for k in range(0, len(a), _DOT_SLICE))
-
-
-def bicgstab(a, b, x=None):
-    """Jacobi-preconditioned BiCGSTAB on ``a``: a square CSR matrix, or an
-    ``EvenHalf`` for its operator S.
-
-    Returns ``(x, info, iterations)``: ``info`` is 0 on convergence
-    (|b - a x| below ``RTOL`` |b|, by the recurrence residual), the
-    iteration count when ``MAX_ITERATIONS`` runs out, and -10 or -11 on a
-    breakdown; ``iterations`` counts the completed steps, as a callback
-    would. The start ``x`` (zeros if None) is updated in place.
-
-    The steps are scipy's (>= 1.12) ``bicgstab(a, b, x, rtol=RTOL,
-    atol=0, maxiter=MAX_ITERATIONS, M=diags(1 / a.diagonal()))`` in scipy's
-    order, without its operator layers: ``a v`` through ``_product``,
-    ``dinv * p`` for the preconditioner and in-place vector updates. Up
-    to ``_DOT_SLICE`` entries every result is bit for bit scipy's, on a
-    CSR matrix and on a ``LinearOperator`` that computes S v as
-    ``_product`` does. Past that, an inner product is the in-order sum of
-    ``np.dot`` over ``_DOT_SLICE``-entry slices, which multi-threaded BLAS
-    computes on one thread, so the result does not depend on the BLAS
-    thread count.
-
-    One bound differs from scipy's: rho = <r~, r> is a breakdown at
-    |rho| <= eps^2 |b|^2, not at |rho| < eps^2. rho scales with |b|^2, so
-    scipy's absolute bound refuses a system whose right-hand side is
-    tiny (u_fix where h is ~1e-22) on its first step; at |b| = 1 the two
-    agree. Below |b| ~ 1e-146, |b|^2 eps^2 rounds to 0 and only rho = 0
-    is a breakdown; below |b| ~ 1e-162, |b|^2 itself rounds to 0 and b
-    is returned unsolved, as for b = 0, for the caller's residual check.
-    """
-    n = len(b)
-    dot = np.dot if n <= _DOT_SLICE else _sliced_dot
-    multiply, sqrt = np.multiply, math.sqrt
-    dinv = 1.0 / a.diagonal()
-    matvec = _product(a)
-
-    bnorm = sqrt(dot(b, b))
-    if bnorm == 0.0:
-        return b.copy(), 0, 0
-    atol = RTOL * bnorm
-    tiny = np.finfo(float).eps ** 2  # scipy's breakdown bound for omega
-    rho_tiny = tiny * bnorm * bnorm  # and for rho over |b|^2 (see above)
-    if x is None:
-        x = np.zeros(n)
-    v, t, phat, shat, tmp = (np.empty(n) for _ in range(5))
-    r = b - matvec(x, tmp) if x.any() else b.copy()
-    rtilde = r.copy()
-    for iteration in range(MAX_ITERATIONS):
-        if sqrt(dot(r, r)) < atol:
-            return x, 0, iteration
-        rho = dot(rtilde, r)
-        if abs(rho) <= rho_tiny:
-            return x, -10, iteration
-        if iteration:
-            if abs(omega) < tiny:
-                return x, -11, iteration
-            beta = (rho / rho_prev) * (alpha / omega)
-            p -= multiply(v, omega, out=tmp)
-            p *= beta
-            p += r
-        else:
-            p = r.copy()
-        multiply(dinv, p, out=phat)
-        matvec(phat, v)
-        rv = dot(rtilde, v)
-        if rv == 0:
-            return x, -11, iteration
-        alpha = rho / rv
-        r -= multiply(v, alpha, out=tmp)
-        # scipy's s is a copy of r here, and r is not touched until s is used up
-        if sqrt(dot(r, r)) < atol:
-            x += multiply(phat, alpha, out=tmp)
-            return x, 0, iteration
-        multiply(dinv, r, out=shat)
-        matvec(shat, t)
-        omega = dot(t, r) / dot(t, t)
-        x += multiply(phat, alpha, out=tmp)
-        x += multiply(shat, omega, out=tmp)
-        r -= multiply(t, omega, out=tmp)
-        rho_prev = rho
-    return x, MAX_ITERATIONS, MAX_ITERATIONS
-
-
-def checked_solve(system, rhs, name, x=None, half=None):
-    """Solve ``system @ x = rhs`` to ``RESIDUAL_TOL``: ``(x, residual, iterations)``.
-
-    ``system`` is a square CSR matrix with a nonzero diagonal, or a
-    ``ChainModel``, which stands for its pinned I - P (see ``_solutions``)
-    and is solved on its ``half``; ``x`` is the start (zeros if None).
-    Runs ``bicgstab`` and checks the largest residual |rhs - system x| over
-    max(1, max |x|) against ``RESIDUAL_TOL``. A run that misses the bound
-    (its recurrence residual drifted from the true one, it broke down, or
-    it ran out of steps) is restarted from its iterate, at most
-    ``RESTARTS`` times; then ArithmeticError names ``name``.
-    ``iterations`` sums the steps of every run.
-
-    Without ``half`` the runs are on ``system`` and update ``x`` in
-    place. ``half``, the ``EvenHalf`` of ``system``, moves them to its
-    operator S, started from the even half of ``x``; each run's x is then
-    its iterate on the half extended by back-substitution, a new array,
-    and the residual is still checked over every state.
-    """
-    if half is not None:
-        reduced = half.reduce(rhs)
-        start = None if x is None else x[half.even]
-    iterations = 0
-    for _ in range(RESTARTS + 1):
-        if half is None:
-            x, info, steps = bicgstab(system, rhs, x)
-        else:
-            start, info, steps = bicgstab(half, reduced, start)
-            x = half.extend(start, rhs)
-        iterations += steps
-        residual = float(np.max(np.abs(_residual(system, rhs, x)), initial=0.0)
-                         / max(np.max(np.abs(x), initial=0.0), 1.0))
-        if info == 0 and residual <= RESIDUAL_TOL:
-            return x, residual, iterations
-    raise ArithmeticError(
-        f"exact chain solve for {name} failed after {iterations} BiCGSTAB "
-        f"iterations: info {info}, residual {residual:.3g} (bound {RESIDUAL_TOL:g})"
-    )
-
-
-def _residual(system, rhs, x):
-    """rhs - system x. For a ``ChainModel`` it is taken from P itself, as
-    rhs - pin x + P x with pin 1 on every state and 2 at the two ends, so
-    no pinned I - P is formed: P x is one ``csr_matvec`` adding onto
-    rhs - pin x."""
-    if not isinstance(system, ChainModel):
-        return rhs - system @ x
-    from scipy.sparse import _sparsetools
-
-    p = system.transitions
-    r = rhs - x
-    r[0] = rhs[0] - 2.0 * x[0]
-    r[-1] = rhs[-1] - 2.0 * x[-1]
-    _sparsetools.csr_matvec(system.n_states, system.n_states, p.indptr, p.indices, p.data,
-                            x, r)
-    return r
 
 
 def _solutions(chain):
@@ -522,11 +352,11 @@ def _solutions(chain):
     times, so the extinction solve starts from a - u_fix, and takes a
     few steps where the others take tens.
 
-    Each system goes through ``checked_solve`` with the chain as its
-    system, so its residual is taken from P over every state, the ends
+    Each system goes through ``checked_solve`` on the chain's
+    ``EvenHalf``, whose residual is taken from P over every state, the ends
     included: absolute accuracy for the probabilities h, so 1 - h meets
-    the same bound, relative to the largest time for u and a. A run that breaks down is restarted from
-    its iterate, as the fixation solve is on a 5-vertex graph whose one
+    the same bound, relative to the largest time for u and a. A run that
+    breaks down is restarted from its iterate, as the fixation solve is on a 5-vertex graph whose one
     source vertex feeds two 2-cycles; so is a run that stops on its
     recurrence residual while the true one is still far off, as runs on
     the full system of the directed 5-cycle did. The residuals and
@@ -544,7 +374,7 @@ def _solutions(chain):
 
     def solve(name, rhs, x=None):
         x, chain.residuals[name], chain.iterations[name] = checked_solve(
-            chain, rhs, name, x, chain.half)
+            chain.half, rhs, name, x)
         return x
 
     to_full = np.zeros(chain.n_states)

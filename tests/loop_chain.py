@@ -28,7 +28,7 @@ from scipy.sparse.csgraph import breadth_first_order
 from scipy.sparse.linalg import splu
 
 from fixlab import Rule, resolve_rule
-from fixlab.oracle import checked_solve
+from fixlab.linear import CsrOperator, checked_solve
 
 
 def loop_transitions(graph, rule=Rule.BD, r=1.0):
@@ -157,7 +157,7 @@ def sliced_solutions(chain, lu=True):
         solve = splu(system.tocsc()).solve
     else:
         def solve(rhs):
-            return checked_solve(system, rhs, "sliced")[0]
+            return checked_solve(CsrOperator(system), rhs, "sliced")[0]
     transient = np.arange(1, chain.n_states - 1)
     h_fix = np.clip(solve(p[:, [chain.n_states - 1]].toarray().ravel()), 0.0, 1.0)
     h_ext = 1.0 - h_fix

@@ -8,7 +8,7 @@ import pytest
 
 from fixlab import __version__, cli, graphs, load_graph
 from fixlab.cli import main
-from fixlab.oracle import RESIDUAL_TOL
+from fixlab.linear import RESIDUAL_TOL
 
 from . import loop_ingest
 from .loop_chain import loop_transitions

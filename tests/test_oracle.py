@@ -1,6 +1,8 @@
+import copy
 import os
 import subprocess
 import sys
+import warnings
 
 import networkx as nx
 import numpy as np
@@ -23,8 +25,8 @@ from fixlab import (
     solve,
     state_of,
 )
-from fixlab import oracle
-from fixlab.oracle import MAX_ITERATIONS, RESIDUAL_TOL, RTOL
+from fixlab import linear, oracle
+from fixlab.linear import MAX_ITERATIONS, RESIDUAL_TOL, RTOL, CsrOperator
 
 from .loop_chain import (
     chain_absorbs,
@@ -218,15 +220,15 @@ def test_solve_restarts_past_a_bicgstab_breakdown(monkeypatch):
     b = np.zeros(chain.n_states)
     b[0] = 1.0
     infos = []
-    real = oracle.bicgstab
+    real = linear.bicgstab
 
     def recorded(*args, **kwargs):
         result = real(*args, **kwargs)
         infos.append(result[1])
         return result
 
-    monkeypatch.setattr(oracle, "bicgstab", recorded)
-    x, residual, _ = oracle.checked_solve(system, b, "h_ext", b.copy())
+    monkeypatch.setattr(linear, "bicgstab", recorded)
+    x, residual, _ = linear.checked_solve(CsrOperator(system), b, "h_ext", b.copy())
     assert infos[0] == -10 and infos[-1] == 0
     assert residual <= RESIDUAL_TOL
     assert np.max(np.abs(b - system @ x)) <= RESIDUAL_TOL * max(1.0, np.max(np.abs(x)))
@@ -245,19 +247,19 @@ def test_solve_restarts_past_a_drifted_residual(monkeypatch):
     chain = build_chain(cycle_graph(5), Rule.BD)
     h = fixation_exact(chain, [0])
     runs = []
-    real = oracle.bicgstab
+    real = linear.bicgstab
 
     def recorded(*args, **kwargs):
         result = real(*args, **kwargs)
         runs.append(result[1])
         return result
 
-    monkeypatch.setattr(oracle, "bicgstab", recorded)
+    monkeypatch.setattr(linear, "bicgstab", recorded)
     system = pinned_system(chain)
     inner = np.ones(chain.n_states)
     inner[[0, -1]] = 0.0
     b = oracle._solutions(chain)["h_fix"] * inner
-    x, residual, _ = oracle.checked_solve(system, b, "u_fix")
+    x, residual, _ = linear.checked_solve(CsrOperator(system), b, "u_fix")
     assert len(runs) > 1 and runs[0] == 0
     assert residual <= RESIDUAL_TOL
     times = mean_times_exact(chain, [0])
@@ -277,14 +279,14 @@ _FEEDER = EvolutionaryGraph(5, [
 
 def test_checked_solve_sums_the_steps_of_every_run(monkeypatch):
     runs = []
-    real = oracle.bicgstab
+    real = linear.bicgstab
 
     def counted(*args, **kwargs):
         result = real(*args, **kwargs)
         runs.append(result[1:])
         return result
 
-    monkeypatch.setattr(oracle, "bicgstab", counted)
+    monkeypatch.setattr(linear, "bicgstab", counted)
     chain = build_chain(_FEEDER, Rule.BD)
     fixation_exact(chain, [0])
     assert runs[0][0] == -10  # the fixation probabilities restart
@@ -318,10 +320,28 @@ def test_the_rho_bound_scales_with_the_right_hand_side():
     chain = build_chain(_inverse_degree_graph(), Rule.BD_B, 1.5)
     system, p = transient_system(chain)
     b = p[:, [p.shape[1] - 1]].toarray().ravel()
-    x, info, steps = oracle.bicgstab(system, b)
-    tiny_x, tiny_info, tiny_steps = oracle.bicgstab(system, b * 2.0**-73)
+    x, info, steps = linear.bicgstab(CsrOperator(system), b)
+    tiny_x, tiny_info, tiny_steps = linear.bicgstab(CsrOperator(system), b * 2.0**-73)
     assert (tiny_info, tiny_steps) == (info, steps) and info == 0
     assert tiny_x.tobytes() == (x * 2.0**-73).tobytes()
+
+
+def test_bicgstab_ends_a_breakdown_on_a_finite_iterate():
+    # scaled by 2^-500, |t|^2 underflows to 0 in omega = <t, s> / |t|^2:
+    # the run took 0/0 and then every step on NaN vectors, and the refusal
+    # read "residual nan". It is a breakdown, the iterate stays finite, and
+    # the refusal reports the residual it was refused at
+    chain = build_chain(_inverse_degree_graph(), Rule.BD_B, 1.5)
+    system, p = transient_system(chain)
+    b = p[:, [p.shape[1] - 1]].toarray().ravel() * 2.0**-500
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        x, info, steps = linear.bicgstab(CsrOperator(system), b)
+        assert info == -11 and steps < MAX_ITERATIONS
+        assert np.isfinite(x).all()
+        with pytest.raises(ArithmeticError,
+                           match=r"^sparse matrix solve for h_fix failed .* info -11, residual \d"):
+            linear.checked_solve(CsrOperator(system), b, "h_fix")
 
 
 @pytest.mark.parametrize("r", [1e308, 1e-308])
@@ -548,7 +568,7 @@ def test_longer_cycles_take_longer():
 
 # ------------------------------------------------------------- BiCGSTAB
 
-# scipy's bicgstab takes rtol from 1.12 on, with the steps oracle.bicgstab
+# scipy's bicgstab takes rtol from 1.12 on, with the steps linear.bicgstab
 # copies; 1.10 and 1.11 call it tol and run a different implementation
 SCIPY_STEPS = tuple(int(part) for part in scipy.__version__.split(".")[:2]) >= (1, 12)
 same_steps_as_scipy = pytest.mark.skipif(
@@ -612,9 +632,9 @@ def _systems(draw):
 @given(_systems())
 def test_bicgstab_takes_scipys_steps(case):
     (system, b), (pinned, pinned_b, start) = case
-    _assert_same_run(oracle.bicgstab(system, b),
+    _assert_same_run(linear.bicgstab(CsrOperator(system), b),
                      _scipy_bicgstab(system, b))
-    _assert_same_run(oracle.bicgstab(pinned, pinned_b, start.copy()),
+    _assert_same_run(linear.bicgstab(CsrOperator(pinned), pinned_b, start.copy()),
                      _scipy_bicgstab(pinned, pinned_b, x0=start.copy()))
 
 
@@ -641,7 +661,7 @@ def test_every_move_of_the_chain_flips_one_vertex(rule, parity, data):
 
 def _dense_half(half):
     """S as a dense matrix, one column per unit vector."""
-    matvec = oracle._product(half)
+    matvec = half.matvec
     return np.column_stack([matvec(unit, np.empty(half.n_states))
                             for unit in np.eye(half.n_states)])
 
@@ -665,13 +685,13 @@ def test_even_half_is_the_schur_complement_of_the_pinned_system(rule, r, n):
     assert np.abs(d[e] * half.diagonal() - np.diag(schur)).max() <= 1e-15
     # the right-hand side on the half and the back-substitution solve A x = b
     b = np.random.default_rng(n).uniform(-1.0, 1.0, chain.n_states)
-    x = half.extend(np.linalg.solve(_dense_half(half), half.reduce(b)), b)
+    x = half.extend(np.linalg.solve(_dense_half(half), half.reduce(b, None)[0]), b)
     assert np.abs(x - np.linalg.solve(a, b)).max() <= 1e-12
 
 
 def _half_operator(half):
     """S as a scipy LinearOperator: [I, -B'] times v stacked on C'v, one
-    sparse product each, which adds in the order of ``oracle._product``."""
+    sparse product each, which adds in the order of ``EvenHalf.matvec``."""
     from scipy.sparse import csr_matrix, hstack, identity
     from scipy.sparse.linalg import LinearOperator
 
@@ -696,10 +716,10 @@ def test_bicgstab_on_the_even_half_takes_scipys_steps(chain, end):
         b[1:-1] = 1.0
     else:
         b[end] = 1.0
-    rhs = half.reduce(b)
+    rhs = half.reduce(b, None)[0]
     start = (b if end is not None else np.zeros(chain.n_states))[half.even]
     operator = _half_operator(half)
-    _assert_same_run(oracle.bicgstab(half, rhs, start.copy()),
+    _assert_same_run(linear.bicgstab(half, rhs, start.copy()),
                      _scipy_bicgstab(operator, rhs, x0=start.copy(), diagonal=half.diagonal()))
 
 
@@ -708,9 +728,56 @@ def test_bicgstab_on_the_even_half_takes_scipys_steps(chain, end):
 def test_checked_solve_meets_the_residual_bound(case):
     (system, b), (pinned, pinned_b, start) = case
     for a, rhs, x in ((system, b, None), (pinned, pinned_b, start)):
-        x, residual, _ = oracle.checked_solve(a, rhs, "h_fix", x)
+        x, residual, _ = linear.checked_solve(CsrOperator(a), rhs, "h_fix", x)
         assert residual <= RESIDUAL_TOL
         assert np.max(np.abs(rhs - a @ x)) <= RESIDUAL_TOL * max(1.0, np.max(np.abs(x)))
+
+
+class _DenseSystem:
+    """A system that is neither CSR nor a chain's half: a dense matrix whose
+    product adds each row's terms in column order, as ``csr_matvec`` adds
+    a sorted row's."""
+
+    name = "dense matrix"
+
+    def __init__(self, matrix):
+        self.matrix = matrix
+
+    def diagonal(self):
+        return self.matrix.diagonal()
+
+    def matvec(self, v, out):
+        out.fill(0.0)
+        for column, value in zip(self.matrix.T, v):
+            out += column * value
+        return out
+
+    def reduce(self, rhs, x):
+        return rhs, x
+
+    def extend(self, y, rhs):
+        return y
+
+    def residual(self, rhs, x):
+        return rhs - self.matrix @ x
+
+
+@settings(max_examples=60, deadline=None)
+@given(_systems())
+def test_any_system_of_the_contract_is_solved_as_its_csr_matrix(case):
+    # bicgstab and checked_solve read only the contract, so a system they
+    # have never seen takes the CSR operator's steps on the same matrix
+    (system, b), (pinned, pinned_b, start) = case
+    for a, rhs, x in ((system, b, None), (pinned, pinned_b, start)):
+        dense, sparse = _DenseSystem(a.toarray()), CsrOperator(a)
+        fresh = (lambda: None) if x is None else x.copy
+        _assert_same_run(linear.bicgstab(dense, rhs, fresh()),
+                         linear.bicgstab(sparse, rhs, fresh()))
+        got = linear.checked_solve(dense, rhs, "h_fix", fresh())
+        expected = linear.checked_solve(sparse, rhs, "h_fix", fresh())
+        assert got[0].tobytes() == expected[0].tobytes()
+        assert got[2] == expected[2]
+        assert max(got[1], expected[1]) <= RESIDUAL_TOL
 
 
 @pytest.mark.parametrize("rule, r", [
@@ -728,6 +795,9 @@ def test_residual_from_p_keeps_the_solutions_of_the_pinned_system(rule, r, n):
     chain = build_chain(random_digraph(90 + n, n), rule, r=r)
     solutions = oracle._solutions(chain)
     system = pinned_system(chain)
+    # the chain's half, with its residual taken from the pinned I - P
+    checked = copy.copy(chain.half)
+    checked.residual = lambda rhs, x: rhs - system @ x
     inner = np.ones(chain.n_states)
     inner[[0, -1]] = 0.0
     to_full = np.zeros(chain.n_states)
@@ -740,7 +810,7 @@ def test_residual_from_p_keeps_the_solutions_of_the_pinned_system(rule, r, n):
         "u_ext": (solutions["h_ext"] * inner, solutions["a_all"] - solutions["u_fix"]),
     }
     for name, (b, start) in cases.items():
-        x, residual, iterations = oracle.checked_solve(system, b, name, start, chain.half)
+        x, residual, iterations = linear.checked_solve(checked, b, name, start)
         if name == "h_fix":
             np.clip(x, 0.0, 1.0, out=x)
         assert x.tobytes() == solutions[name].tobytes(), name
@@ -836,14 +906,14 @@ def test_bicgstab_continues_from_a_given_start_as_scipy_does(graph, rule, r):
     system, p = transient_system(chain)
     b = np.ones(p.shape[0])
     start = _scipy_bicgstab(system, b, maxiter=2)[0]
-    _assert_same_run(oracle.bicgstab(system, b, start.copy()),
+    _assert_same_run(linear.bicgstab(CsrOperator(system), b, start.copy()),
                      _scipy_bicgstab(system, b, x0=start.copy()))
     # the pinned system, from two steps past the start that pins the full state
     pinned = pinned_system(chain)
     b = np.zeros(chain.n_states)
     b[-1] = 1.0
     start = _scipy_bicgstab(pinned, b, x0=b.copy(), maxiter=2)[0]
-    _assert_same_run(oracle.bicgstab(pinned, b, start.copy()),
+    _assert_same_run(linear.bicgstab(CsrOperator(pinned), b, start.copy()),
                      _scipy_bicgstab(pinned, b, x0=start.copy()))
 
 
@@ -851,7 +921,7 @@ def test_bicgstab_continues_from_a_given_start_as_scipy_does(graph, rule, r):
 def test_bicgstab_on_a_zero_right_hand_side():
     system, p = transient_system(build_chain(random_digraph(12, 5), Rule.LD, r=1.5))
     b = np.zeros(p.shape[0])
-    ours = oracle.bicgstab(system, b)
+    ours = linear.bicgstab(CsrOperator(system), b)
     _assert_same_run(ours, _scipy_bicgstab(system, b))
     assert ours[1:] == (0, 0) and not ours[0].any()
 
@@ -861,8 +931,8 @@ def test_bicgstab_on_a_zero_right_hand_side():
 def test_bicgstab_that_runs_out_of_steps(maxiter, monkeypatch):
     system, p = transient_system(build_chain(random_digraph(13, 7), Rule.DB_B, r=1.7))
     b = p[:, [p.shape[1] - 1]].toarray().ravel()
-    monkeypatch.setattr(oracle, "MAX_ITERATIONS", maxiter)
-    ours = oracle.bicgstab(system, b)
+    monkeypatch.setattr(linear, "MAX_ITERATIONS", maxiter)
+    ours = linear.bicgstab(CsrOperator(system), b)
     _assert_same_run(ours, _scipy_bicgstab(system, b, maxiter=maxiter))
     assert ours[1:] == (maxiter, maxiter)
 
@@ -883,7 +953,7 @@ def test_solutions_do_not_depend_on_the_blas_thread_count():
     # inner product is summed over slices that BLAS computes on one thread;
     # one np.dot over the whole vector took u_ext in 0 steps under one thread
     # and in 1 under two, and gave other bits
-    assert 2**14 > oracle._DOT_SLICE
+    assert 2**14 > linear._DOT_SLICE
     out = []
     for threads in ("1", "2"):
         proc = subprocess.run(
