@@ -85,18 +85,12 @@ def bound_report(graph, i, r, rule, epsilon=1e-6):
         )
     options = SolveOptions(rule=neutral_part(rule), epsilon=epsilon / 2)
     lo = solve(graph, [i], options).bracket()[0]
-    if rule in UPPER_BOUND_RULES:
-        raw = _raw_upper(graph, i, r, rule)
-        hi = float(min(1.0, max(0.0, raw)))
-        report = BoundReport(
-            rule=rule, r=r, lower=lo, upper=hi,
-            vacuous_upper=bool(raw > 1.0), formula_available=True,
-        )
-    else:
-        report = BoundReport(
-            rule=rule, r=r, lower=lo, upper=1.0,
-            vacuous_upper=True, formula_available=False,
-        )
+    # with no closed form (ld) the upper side clamps +inf: 1, flagged vacuous
+    raw = _raw_upper(graph, i, r, rule) if rule in UPPER_BOUND_RULES else np.inf
+    report = BoundReport(
+        rule=rule, r=r, lower=lo, upper=float(min(1.0, max(0.0, raw))),
+        vacuous_upper=bool(raw > 1.0), formula_available=rule in UPPER_BOUND_RULES,
+    )
     if report.lower > report.upper + 2.0 * epsilon:
         raise ArithmeticError(
             f"bound inversion: lower {report.lower} above upper {report.upper}"

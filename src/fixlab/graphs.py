@@ -123,7 +123,7 @@ class EvolutionaryGraph:
 
     __slots__ = (
         "n", "given_w",
-        "out_ptr", "out_dst", "out_w", "out_cum",
+        "out_ptr", "out_dst", "out_w",
         "in_ptr", "in_src", "in_w",
         "k_in", "k_out", "temperatures",
         "_ops",
@@ -151,12 +151,6 @@ class EvolutionaryGraph:
         np.cumsum(self.k_out, out=self.out_ptr[1:])
         self.out_dst = dst
         self.out_w = wgt
-        # per-row cumsums, one (rows, degree) block per out-degree; a
-        # cumsum along axis 1 adds in row order, as a 1-D one does
-        self.out_cum = np.empty_like(wgt)
-        for k in np.flatnonzero(np.bincount(self.k_out[self.k_out > 0])).tolist():
-            at = self.out_ptr[:-1][self.k_out == k, None] + np.arange(k)
-            self.out_cum[at] = np.cumsum(wgt[at], axis=1)
 
         order = np.lexsort((src, dst))
         self.in_ptr = np.zeros(n + 1, dtype=np.int64)

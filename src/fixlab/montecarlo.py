@@ -21,12 +21,13 @@ Event semantics by rule (fitness f is r on mutants, 1 on residents):
   type is copied onto the target. Biasing the death side instead
   yields the same process, so one form is implemented.
 
-At r = 1 each family collapses to its neutral kernel; the neutral rule
-names are accepted and dispatched to the cheapest equivalent sampler.
-Each sampler kind has its own event loop (``_play_bd_b`` ... ``_play_ld``),
+Each biased rule has its own event loop (``_play_bd_b`` ... ``_play_ld``),
 chosen once per ``_Process``; the loops share only the rare paths, the
-flip commit and the draw refill. A kind's per-vertex tables depend on
-the graph alone, so they are built once per graph and kind and kept in
+flip commit and the draw refill. At r = 1 each family collapses to its
+neutral kernel, the neutral rule names are accepted, and a rule plays
+the cheapest equivalent loop: bd and bd-d play bd-b's, db plays db-d's,
+and db-b keeps its own. A loop's per-vertex tables depend on the graph
+alone, so they are built once per graph and loop and kept in
 ``graph._ops``, as the kernels are.
 
 The bd-d and db-b loops scan the drawn vertex's row to weigh the second
@@ -41,6 +42,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from time import perf_counter
 
 import numpy as np
@@ -57,19 +59,6 @@ from .solver import _starting_set
 # double up to _BUFFER, so a run that absorbs early draws few
 _FIRST_CHUNK = 64
 _BUFFER = 4096
-
-# sampler kinds; at r = 1 each rule maps to the cheapest equivalent form
-_K_BD_B, _K_BD_D, _K_DB_B, _K_DB_D, _K_LD = range(5)
-_KIND = {
-    Rule.BD_B: _K_BD_B, Rule.BD_D: _K_BD_D,
-    Rule.DB_B: _K_DB_B, Rule.DB_D: _K_DB_D, Rule.LD: _K_LD,
-}
-_KIND_AT_UNIT_FITNESS = {
-    Rule.BD: _K_BD_B, Rule.BD_B: _K_BD_B, Rule.BD_D: _K_BD_B,
-    Rule.DB: _K_DB_D, Rule.DB_B: _K_DB_B, Rule.DB_D: _K_DB_D,
-    Rule.LD: _K_LD,
-}
-
 
 def default_thread_count():
     """Always 1: every run is played on the calling thread."""
@@ -140,66 +129,69 @@ def _positions(universe, *lists):
     return pos
 
 
-def _tables(graph, kind):
-    """The graph's flat lists and the per-vertex rows of one sampler kind.
+def _rows(ptr, items):
+    # the per-vertex slices of a CSR array pair, as lists
+    ptr, items = ptr.tolist(), items.tolist()
+    return [items[a:b] for a, b in zip(ptr, ptr[1:])]
 
-    Built once per graph and kind, as the kernels are, and read-only:
-    the graph's arrays as lists (``out_ptr`` ... ``edge_src``, shared by
-    every kind), ``rows`` and ``watch``. ``watch[u]`` lists the vertices
+
+def _tables(graph, play):
+    """The per-vertex tables of one event loop, from the graph's arrays.
+
+    Built once per graph and loop, as the kernels are, and read-only:
+    ``(rows, watch, out_dst, edge_src)``. ``watch[u]`` lists the vertices
     whose row holds u, whose counts a flip of u moves: the other
-    direction's adjacency under bd-d and db-b, None under the other kinds.
+    direction's adjacency under bd-d and db-b, None under the other
+    loops. ``out_dst`` and ``edge_src`` are the edges' targets and sources
+    as lists under ld, None under the other loops.
     """
-    key = ("events", kind)
+    key = ("events", play)
     if key in graph._ops:
         return graph._ops[key]
-    if "events" not in graph._ops:
-        graph._ops["events"] = (
-            graph.out_ptr.tolist(), graph.out_dst.tolist(), graph.out_w.tolist(),
-            graph.out_cum.tolist(), graph.in_ptr.tolist(), graph.in_src.tolist(),
-            graph.k_in.tolist(), np.repeat(np.arange(graph.n), graph.k_out).tolist())
-    flat = graph._ops["events"]
-    out_ptr, out_dst, out_w, out_cum, in_ptr, in_src = flat[:6]
-    out = list(zip(out_ptr, out_ptr[1:]))
-    watch = None
-    if kind == _K_BD_B:
-        # the draw past the row's last kept entry picks the last edge,
-        # also where the float cumsum ends below 1
-        rows = [(out_cum[a:b - 1], out_dst[a:b]) for a, b in out]
-    elif kind == _K_BD_D:
-        rows = [list(zip(out_dst[a:b], out_w[a:b])) for a, b in out]
-        watch = [in_src[a:b] for a, b in zip(in_ptr, in_ptr[1:])]
-    elif kind == _K_LD:
-        rows = [range(a, b) for a, b in out]
+    watch = out_dst = edge_src = None
+    if play is _play_bd_b:
+        # a row's cumulative weights without the last: the draw past the
+        # last kept entry picks the last edge, also where the float sum
+        # ends below 1; accumulate adds in order, as np.cumsum does
+        rows = [(list(accumulate(w[:-1])), dst) for dst, w in zip(
+            _rows(graph.out_ptr, graph.out_dst), _rows(graph.out_ptr, graph.out_w))]
+    elif play is _play_bd_d:
+        rows = [list(zip(dst, w)) for dst, w in zip(
+            _rows(graph.out_ptr, graph.out_dst), _rows(graph.out_ptr, graph.out_w))]
+        watch = _rows(graph.in_ptr, graph.in_src)
+    elif play is _play_ld:
+        ptr = graph.out_ptr.tolist()
+        rows = [range(a, b) for a, b in zip(ptr, ptr[1:])]
+        out_dst = graph.out_dst.tolist()
+        edge_src = np.repeat(np.arange(graph.n), graph.k_out).tolist()
     else:
-        rows = [in_src[a:b] for a, b in zip(in_ptr, in_ptr[1:])]
-        if kind == _K_DB_B:
-            watch = [out_dst[a:b] for a, b in out]
-    graph._ops[key] = tables = (*flat, rows, watch)
+        rows = _rows(graph.in_ptr, graph.in_src)
+        if play is _play_db_b:
+            watch = _rows(graph.out_ptr, graph.out_dst)
+    graph._ops[key] = tables = (rows, watch, out_dst, edge_src)
     return tables
 
 
 class _Process:
     """Sampling tables for one (graph, rule, r); shared by runs.
 
-    ``play`` is the event loop of the sampler kind, and ``rows[v]`` the
+    ``play`` is the event loop of the rule at r, and ``rows[v]`` the
     table that loop reads for vertex v, so an event does one list lookup:
-    under bd-b the row's cumsum without its last entry and its targets,
-    under bd-d its (target, weight) pairs, under db-b and db-d v's
-    incoming neighbours, under ld v's outgoing edge ids. The tables come
-    from ``_tables``, shared by every process of this kind on the graph.
+    under bd-b the row's cumulative weights without the last and its
+    targets, under bd-d its (target, weight) pairs, under db-b and db-d
+    v's incoming neighbours, under ld v's outgoing edge ids. The tables
+    come from ``_tables``, shared by every process of this loop on the
+    graph.
     """
 
     def __init__(self, graph, rule, r):
-        self.graph = graph
         self.rule = resolve_rule(rule, r, graph=graph)
         self.r = float(r)
         self.n = graph.n
-        self.kind = (_KIND_AT_UNIT_FITNESS if self.r == 1.0 else _KIND)[self.rule]
+        self.n_edges = len(graph.out_dst)
+        self.play = (_LOOP_AT_UNIT_FITNESS if self.r == 1.0 else _LOOP)[self.rule]
         check_neighbours(graph, self.rule, "events")
-        (self.out_ptr, self.out_dst, self.out_w, self.out_cum, self.in_ptr, self.in_src,
-         self.k_in, self.edge_src, self.rows, self.watch) = _tables(graph, self.kind)
-        self.n_edges = len(self.out_dst)
-        self.play = _LOOPS[self.kind]
+        self.rows, self.watch, self.out_dst, self.edge_src = _tables(graph, self.play)
 
     def new_state(self, members):
         st = _State()
@@ -216,7 +208,7 @@ class _Process:
             for u in st.mut:
                 for v in self.watch[u]:
                     st.cnt[v] += 1
-        if self.kind == _K_LD:
+        if self.edge_src is not None:
             st.eb_mut = [e for e in range(self.n_edges) if st.member[self.edge_src[e]]]
             st.eb_res = [e for e in range(self.n_edges) if not st.member[self.edge_src[e]]]
             st.epos = _positions(self.n_edges, st.eb_mut, st.eb_res)
@@ -226,7 +218,7 @@ class _Process:
 def _play(proc, st, draws, step_cap):
     """Play events on ``st`` until absorption or ``step_cap`` events.
 
-    Runs the sampler kind's own loop (``proc.play``). Draws are read from
+    Runs the rule's own loop (``proc.play``). Draws are read from
     ``draws``, whose cursor is left after the last one used, so calls can
     share a stream. ``st`` is left at the final state.
     """
@@ -469,10 +461,12 @@ def _play_ld(proc, st, draws, cap):
     return result
 
 
-_LOOPS = {
-    _K_BD_B: _play_bd_b, _K_BD_D: _play_bd_d, _K_DB_B: _play_db_b,
-    _K_DB_D: _play_db_d, _K_LD: _play_ld,
+_LOOP = {
+    Rule.BD_B: _play_bd_b, Rule.BD_D: _play_bd_d, Rule.DB_B: _play_db_b,
+    Rule.DB_D: _play_db_d, Rule.LD: _play_ld,
 }
+# at r = 1 each rule plays the cheapest equivalent loop
+_LOOP_AT_UNIT_FITNESS = {**_LOOP, Rule.BD: _play_bd_b, Rule.BD_D: _play_bd_b, Rule.DB: _play_db_d}
 
 
 def _run_seed(master_seed, index):

@@ -2,8 +2,8 @@
 
 This is the ingest that ``fixlab.EvolutionaryGraph`` replaced with array
 operations: ``_edge``/``vertex_id`` per edge, a dict/set loop in
-``validate``, a Python sort, a ``row_sums[s] += w`` loop, one
-``np.cumsum`` per row and ``np.add.at`` for the temperatures, plus the
+``validate``, a Python sort, a ``row_sums[s] += w`` loop and
+``np.add.at`` for the temperatures, plus the
 per-vertex ``np.allclose`` loop of ``stats``' shape flags. The tests
 require the package to give the same arrays, the same bits and the same
 messages.
@@ -85,10 +85,6 @@ class LoopGraph:
         np.cumsum(self.k_out, out=self.out_ptr[1:])
         self.out_dst = dst
         self.out_w = wgt
-        self.out_cum = np.copy(wgt)
-        for v in range(n):
-            lo, hi = self.out_ptr[v], self.out_ptr[v + 1]
-            np.cumsum(wgt[lo:hi], out=self.out_cum[lo:hi])
 
         order = np.lexsort((src, dst))
         self.in_ptr = np.zeros(n + 1, dtype=np.int64)

@@ -1,23 +1,35 @@
 """The event sampler as one method call per event, kept as the test reference.
 
 This is the sampler that ``fixlab.montecarlo`` replaced with one
-locals-only loop per sampler kind (``_play_bd_b`` ... ``_play_ld``):
+locals-only loop per biased rule (``_play_bd_b`` ... ``_play_ld``):
 buffered draws behind ``_Draws.u``, index sets behind ``_SwapSet``, a
-bound ``event`` method that dispatches on the sampler kind at every
-event, a separate ``apply_flip`` and a ``run`` loop around them. It
-reads only the package's flat tables (``out_ptr``, ``out_cum``,
-``in_src`` and the rest), not its per-vertex rows. The tests require
-the package to give the same bits for every seed.
+bound ``event`` method that dispatches on the event law at every event,
+a separate ``apply_flip`` and a ``run`` loop around them. It builds its
+own flat lists from the graph's arrays, with one ``np.cumsum`` per row
+for the bd-b target draw, and picks its event law from the rule and r
+with its own copy of the r = 1 substitutions, so it shares no table
+with the package it referees. The tests require the package to give the
+same bits for every seed.
 """
 
 import numpy as np
 
-from fixlab import SimulationSummary, standard_error
+from fixlab import Rule, SimulationSummary, resolve_rule, standard_error
 from fixlab.graphs import check_config
-from fixlab.montecarlo import (
-    _BUFFER, _K_BD_B, _K_BD_D, _K_DB_B, _K_DB_D, _K_LD,
-    RunResult, _Process, _run_seed,
-)
+from fixlab.montecarlo import _BUFFER, RunResult, _run_seed
+
+# at r = 1 each family collapses to its neutral kernel, and these rules
+# take the event law of an equivalent one
+_LAW_AT_UNIT_FITNESS = {Rule.BD: Rule.BD_B, Rule.BD_D: Rule.BD_B, Rule.DB: Rule.DB_D}
+
+
+def out_cum(graph):
+    """Each row's cumulative outgoing weights, one ``np.cumsum`` per row."""
+    cum = np.copy(graph.out_w)
+    for v in range(graph.n):
+        lo, hi = graph.out_ptr[v], graph.out_ptr[v + 1]
+        np.cumsum(graph.out_w[lo:hi], out=cum[lo:hi])
+    return cum
 
 
 class _Draws:
@@ -85,8 +97,23 @@ def _bisect(cum, x, lo, hi):
     return min(lo, last)
 
 
-class Process(_Process):
-    """The package's sampling tables with the reference event law on top."""
+class Process:
+    """Flat lists of the graph's arrays and the event law of (rule, r)."""
+
+    def __init__(self, graph, rule, r):
+        rule = resolve_rule(rule, r)
+        self.r = float(r)
+        self.law = _LAW_AT_UNIT_FITNESS.get(rule, rule) if self.r == 1.0 else rule
+        self.n = graph.n
+        self.out_ptr = graph.out_ptr.tolist()
+        self.out_dst = graph.out_dst.tolist()
+        self.out_w = graph.out_w.tolist()
+        self.out_cum = out_cum(graph).tolist()
+        self.in_ptr = graph.in_ptr.tolist()
+        self.in_src = graph.in_src.tolist()
+        self.k_in = graph.k_in.tolist()
+        self.n_edges = len(self.out_dst)
+        self.edge_src = np.repeat(np.arange(graph.n), graph.k_out).tolist()
 
     def new_state(self, members):
         st = _State()
@@ -96,7 +123,7 @@ class Process(_Process):
         st.m = len(members)
         st.mut = _SwapSet(self.n, [v for v in range(self.n) if st.member[v]])
         st.res = _SwapSet(self.n, [v for v in range(self.n) if not st.member[v]])
-        if self.kind == _K_LD:
+        if self.law is Rule.LD:
             st.eb_mut = _SwapSet(
                 self.n_edges,
                 [e for e in range(self.n_edges) if st.member[self.edge_src[e]]],
@@ -108,10 +135,10 @@ class Process(_Process):
         return st
 
     def event(self, st, draws):
-        kind = self.kind
+        law = self.law
         r = self.r
         member = st.member
-        if kind == _K_BD_B:
+        if law is Rule.BD_B:
             m = st.m
             phi = r * m + (self.n - m)
             x = draws.u() * phi
@@ -122,7 +149,7 @@ class Process(_Process):
             lo, hi = self.out_ptr[breeder], self.out_ptr[breeder + 1]
             target = self.out_dst[_bisect(self.out_cum, draws.u(), lo, hi)]
             return target, member[breeder]
-        if kind == _K_BD_D:
+        if law is Rule.BD_D:
             breeder = self._uniform_vertex(draws)
             lo, hi = self.out_ptr[breeder], self.out_ptr[breeder + 1]
             total = 0.0
@@ -139,7 +166,7 @@ class Process(_Process):
                     target = self.out_dst[k]
                     break
             return target, member[breeder]
-        if kind == _K_DB_B:
+        if law is Rule.DB_B:
             dying = self._uniform_vertex(draws)
             lo, hi = self.in_ptr[dying], self.in_ptr[dying + 1]
             total = 0.0
@@ -154,7 +181,7 @@ class Process(_Process):
                     rep = self.in_src[k]
                     break
             return dying, member[rep]
-        if kind == _K_DB_D:
+        if law is Rule.DB_D:
             m = st.m
             psi = m / r + (self.n - m)
             x = draws.u() * psi
@@ -190,7 +217,7 @@ class Process(_Process):
             st.mut.remove(vertex)
             st.res.add(vertex)
             st.m -= 1
-        if self.kind == _K_LD:
+        if self.law is Rule.LD:
             lo, hi = self.out_ptr[vertex], self.out_ptr[vertex + 1]
             src_bucket, dst_bucket = (
                 (st.eb_res, st.eb_mut) if new_type else (st.eb_mut, st.eb_res)

@@ -1,13 +1,13 @@
-"""The per-kind play loops give the same bits as the reference event sampler.
+"""The per-rule play loops give the same bits as the reference event sampler.
 
 ``fixlab.montecarlo`` plays every event on locals, in one loop per
-sampler kind (``_play_bd_b`` ... ``_play_ld``). ``simulate_run``,
+biased rule (``_play_bd_b`` ... ``_play_ld``). ``simulate_run``,
 ``estimate`` and ``sample_transitions`` are compared here, exactly,
 against ``tests/loop_montecarlo.py`` under every rule and fitness of
-``test_montecarlo._COMBOS``, and under all five kinds at r < 1. The
+``test_montecarlo._COMBOS``, and under all five loops at r < 1. The
 bd-d and db-b loops' per-vertex mutant counts, which let them step past
 an event whose row holds one type, are checked against a recount, and
-the tables kept once per graph and kind against fresh graphs.
+the tables kept once per graph and loop against fresh graphs.
 """
 
 import copy
@@ -77,7 +77,7 @@ def ba100():
     g = generate("preferential_attachment", 100, seed=934, weighting="random", m=2)
     last = g.out_ptr[1:] - 1
     # rows whose float cumsum ends below 1 exercise the bisect clamp
-    assert (g.out_cum[last] < 1.0).any()
+    assert (ref.out_cum(g)[last] < 1.0).any()
     return g
 
 
@@ -193,10 +193,10 @@ def test_tables_are_built_once_per_graph_and_kind_and_left_unchanged():
         want = estimate(fresh(), [k], rule=rule, r=r, runs=6, seed=k)
         assert replace(got, wall_time=0.0) == replace(want, wall_time=0.0)
         proc = _Process(g, rule, r)
-        if proc.kind in tables:
-            assert proc.rows is tables[proc.kind][0]
+        if proc.play in tables:
+            assert proc.rows is tables[proc.play][0]
         else:
-            tables[proc.kind] = (proc.rows, copy.deepcopy(g._ops[("events", proc.kind)]))
+            tables[proc.play] = (proc.rows, copy.deepcopy(g._ops[("events", proc.play)]))
     assert len(tables) == 4
-    for kind, (rows, snapshot) in tables.items():
-        assert g._ops[("events", kind)] == snapshot
+    for play, (rows, snapshot) in tables.items():
+        assert g._ops[("events", play)] == snapshot

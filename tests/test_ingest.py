@@ -23,7 +23,7 @@ from fixlab import graphs as graphs_mod
 from . import loop_ingest
 from .util import random_undirected
 
-ARRAYS = ("given_w", "out_ptr", "out_dst", "out_w", "out_cum",
+ARRAYS = ("given_w", "out_ptr", "out_dst", "out_w",
           "in_ptr", "in_src", "in_w", "k_in", "k_out", "temperatures")
 
 

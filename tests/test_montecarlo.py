@@ -2,9 +2,11 @@ import math
 import re
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from fixlab import (
+    GENERATOR_KINDS,
     EvolutionaryGraph,
     NotStronglyConnected,
     Rule,
@@ -12,6 +14,7 @@ from fixlab import (
     default_thread_count,
     estimate,
     fixation_exact,
+    generate,
     required_runs,
     sample_transitions,
     simulate_run,
@@ -19,9 +22,12 @@ from fixlab import (
     standard_error,
     state_of,
 )
-from fixlab.montecarlo import _BUFFER, _Draws, _play, _Process, _run_seed, step_cap_for
+from fixlab.montecarlo import (
+    _BUFFER, _Draws, _play, _play_bd_b, _play_bd_d, _play_db_b, _play_db_d, _play_ld, _Process,
+    _run_seed, step_cap_for,
+)
 
-from .util import complete_graph, random_digraph, two_cycle
+from .util import complete_graph, random_digraph, sampler_cumsums, two_cycle
 
 
 # ------------------------------------------------------------- single runs
@@ -263,7 +269,7 @@ def test_bisect_stays_inside_a_row_whose_cumsum_ends_below_one():
         10, [(0, j, 1.0 / 9) for j in range(1, 10)] + [(j, 0, 1.0) for j in range(1, 10)],
     )
     lo, hi = int(star.out_ptr[0]), int(star.out_ptr[1])
-    assert star.out_cum[hi - 1] < 1.0
+    assert sampler_cumsums(star)[0][-1] < 1.0
     proc = _Process(star, Rule.BD, 1.0)
     st = proc.new_state([0])
     # crafted draws: the first picks breeder 0 (the only mutant), the
@@ -277,6 +283,44 @@ def test_bisect_stays_inside_a_row_whose_cumsum_ends_below_one():
     # it would be edge (1, 0), whose target is already a mutant
     assert star.out_dst[hi - 1] == 9
     assert [v for v in range(10) if st.member[v]] == [0, 9]
+
+
+# the loop each rule name plays, as the module docstring documents: at
+# r = 1 bd and bd-d play bd-b's and db plays db-d's; every other rule, and
+# every biased rule at r != 1, plays its own
+_LOOP_OF = [
+    ("bd", 1.0, _play_bd_b), ("bd-b", 1.0, _play_bd_b), ("bd-d", 1.0, _play_bd_b),
+    ("db", 1.0, _play_db_d), ("db-b", 1.0, _play_db_b), ("db-d", 1.0, _play_db_d),
+    ("ld", 1.0, _play_ld),
+    ("bd-b", 1.5, _play_bd_b), ("bd-d", 1.5, _play_bd_d), ("db-b", 1.5, _play_db_b),
+    ("db-d", 1.5, _play_db_d), ("ld", 1.5, _play_ld),
+]
+
+
+@pytest.mark.parametrize("name,r,play", _LOOP_OF, ids=[f"{n}@{r}" for n, r, _ in _LOOP_OF])
+def test_each_rule_plays_the_loop_the_module_documents(name, r, play):
+    assert _Process(random_digraph(5, 6), name, r).play is play
+
+
+@pytest.mark.parametrize("name", ["bd", "db"])
+def test_a_neutral_rule_name_away_from_unit_fitness_is_refused(name):
+    message = (f"rule {name} is the neutral kernel; pick {name}-b or "
+               f"{name}-d to say where fitness 1.5 applies")
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        _Process(random_digraph(5, 6), name, 1.5)
+
+
+@pytest.mark.parametrize("kind", GENERATOR_KINDS)
+def test_bd_b_rows_hold_each_rows_cumsum(kind):
+    # the sampler's cumulative weights are np.cumsum's bits, strictly
+    # increasing, and end within 1e-12 of 1 once the last weight is added
+    for seed in range(10):
+        g = generate(kind, 6 + 2 * seed, seed=seed, weighting="random", m=2, k=4, p=0.3)
+        for v, cum in enumerate(sampler_cumsums(g)):
+            w = g.out_w[g.out_ptr[v]:g.out_ptr[v + 1]]
+            assert cum.tobytes() == np.cumsum(w).tobytes()
+            assert (np.diff(cum) > 0).all()
+            assert cum[-1] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_a_run_that_absorbs_early_draws_few_variates():

@@ -2,7 +2,8 @@
 
 import numpy as np
 
-from fixlab import EvolutionaryGraph, is_strongly_connected
+from fixlab import EvolutionaryGraph, Rule, is_strongly_connected
+from fixlab.montecarlo import _Process
 
 
 def normalize_rows(n, raw_edges):
@@ -88,3 +89,13 @@ def path3():
 def star_graph(leaves):
     """Undirected star with the hub at vertex 0."""
     return undirected_graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
+
+
+def sampler_cumsums(graph):
+    """Each vertex's cumulative outgoing weights as the bd-b sampler keeps
+    them (all but the last), with the row's last weight added back on."""
+    out = []
+    for v, (cum, _) in enumerate(_Process(graph, Rule.BD_B, 2.0).rows):
+        last = float(graph.out_w[graph.out_ptr[v + 1] - 1])
+        out.append(np.array(cum + [(cum[-1] if cum else 0.0) + last]))
+    return out
